@@ -7,7 +7,9 @@ timing, times the set-up several times, then drives the batch through
 ``--seconds``.  Every batch's per-accession outputs are checked against
 the reference and against the canary digest in ``golden.json``.
 
-``--trace 0`` prints the end-to-end metrics of ``BENCHMARK.json``;
+``--trace 0`` prints the end-to-end metrics of ``BENCHMARK.json``, with
+the times the host's CPU speed sets scaled to a reference speed
+(speed.py; the stamp carries them as measured too);
 ``--trace 1`` alternates untraced and traced batches and prints the
 per-layer metrics (spans.py), the tracing overhead, and the ledgers
 (ledgers.py).  The last stdout line is the JSON result; the line before
@@ -17,6 +19,7 @@ in the checkout and are removed at exit, except the index cache.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -28,6 +31,7 @@ from pathlib import Path
 
 import ledgers
 import probes
+import speed
 import workloads
 from spans import HOOKS, Installation, Tracer
 
@@ -38,8 +42,8 @@ from repro.core.stages import PipelineHealth
 from repro.genome.ensembl import EnsemblRelease
 
 ROOT = Path(__file__).resolve().parent.parent
-#: set-ups timed per run; the median is reported
-SETUP_REPEATS = 15
+#: set-ups timed per run, each after one speed sample; the median is reported
+SETUP_REPEATS = 25
 #: span names whose work runs inside the engine's pool workers; on the
 #: engine workload they are measured by the serial replay of its shards
 WORKER_SPANS = ("batch.core", "batch.pack", "batch.seed", "extend", "star.run",
@@ -50,7 +54,12 @@ WORKER_COUNTERS = ("batch.reads", "batch.seed_queries", "extend.candidates",
 
 @dataclass
 class Rep:
-    """One measured ``run_batch``."""
+    """One measured ``run_batch``.
+
+    On untraced batches the speed probe's own time is taken out of
+    ``wall``, ``cpu`` and ``latencies``, and ``latencies`` are in
+    reference seconds where the workload's wall time is CPU time.
+    """
 
     traced: bool
     wall: float
@@ -58,6 +67,8 @@ class Rep:
     latencies: list[float]
     attempted: int
     failed: int
+    #: the host's slowdown over the batch (speed.py); 1.0 when not probed
+    slowdown: float = 1.0
     #: traced reps: raw span/counter sums and the derived layer metrics
     raw: dict = field(default_factory=dict)
     layers: dict = field(default_factory=dict)
@@ -87,15 +98,19 @@ class Bench:
         self.shm_before = probes.shm_blocks()
         self.workspace = work / "workspace"
         self.repository = workloads.measured_repository(self.workload, self.inputs)
+        #: measured set-up seconds, and the same in reference seconds
+        self.setup_measured: list[float] = []
         self.setup_seconds: list[float] = []
         self.pipeline = None
         for _ in range(SETUP_REPEATS):
             if self.pipeline is not None:
                 self.pipeline.close()
+            slowdown = speed.slowdown_now()
             seconds, self.pipeline = workloads.set_up(
                 self.workload, self.genome, self.cache_root, self.repository, self.workspace
             )
-            self.setup_seconds.append(seconds)
+            self.setup_measured.append(seconds)
+            self.setup_seconds.append(seconds / slowdown)
 
     def input_sizes(self) -> dict:
         return {
@@ -115,7 +130,7 @@ class Bench:
 
     # -- one batch -------------------------------------------------------
 
-    def run_rep(self, tracer, traced: bool) -> Rep:
+    def run_rep(self, tracer, traced: bool, probe: speed.SpeedProbe | None = None) -> Rep:
         rep_dir = self.work / "rep"
         shutil.rmtree(rep_dir, ignore_errors=True)
         shutil.rmtree(self.workspace, ignore_errors=True)
@@ -125,17 +140,26 @@ class Bench:
         pipeline.stage_health = PipelineHealth()
         pipeline.retry_ledger = RetryLedger()
         tracer.reset()
+        if probe is not None:
+            probe.reset()
 
         cpu_before = probes.cpu_seconds()
         started = time.perf_counter()
         try:
-            results = pipeline.run_batch(self.inputs.accessions, options)
+            with probe if probe is not None else contextlib.nullcontext():
+                results = pipeline.run_batch(self.inputs.accessions, options)
         finally:
             wall = time.perf_counter() - started
             cpu = probes.cpu_seconds() - cpu_before
             if journal is not None:
                 journal.close()
         pipeline.results.clear()
+        latencies = self.latencies(tracer, probe)
+        slowdown = 1.0
+        if probe is not None:
+            slowdown = probe.slowdown()
+            wall -= probe.own_wall()
+            cpu -= probe.own_cpu()
 
         by_accession = {r.accession: r for r in results}
         failed = 0
@@ -152,9 +176,10 @@ class Bench:
             traced=traced,
             wall=wall,
             cpu=cpu,
-            latencies=list(tracer.latencies().values()),
+            latencies=latencies,
             attempted=len(self.inputs.accessions),
             failed=failed,
+            slowdown=slowdown,
         )
         if traced:
             rep.raw = {
@@ -166,6 +191,22 @@ class Bench:
             }
             rep.layers = self.batch_layers(rep, results, pipeline)
         return rep
+
+    def latencies(self, tracer, probe: speed.SpeedProbe | None) -> list[float]:
+        """Accession latencies of the batch just run, without the probe's
+        own time, and in reference seconds where wall time is CPU time."""
+        if probe is None:
+            return list(tracer.latencies().values())
+        out = []
+        for accession, start in tracer.opened.items():
+            end = tracer.closed.get(accession)
+            if end is None:
+                continue
+            seconds = end - start - probe.own_wall(start, end)
+            if self.workload.wall_is_cpu:
+                seconds /= probe.slowdown(start, end)
+            out.append(seconds)
+        return out
 
     def batch_layers(self, rep: Rep, results, pipeline) -> dict[str, float]:
         """Layer metrics that come from the batch run itself (main-process side)."""
@@ -248,21 +289,24 @@ def worker_layers(raw: dict, replay: dict | None) -> dict[str, float]:
 def measure(bench: Bench, tracer, *, trace: bool) -> tuple[list[Rep], int]:
     """Back-to-back batches for ``--seconds``; returns them with the peak
     summed PSS in bytes.  Traced runs alternate untraced and traced
-    batches so the tracing overhead is measured."""
+    batches so the tracing overhead is measured; untraced runs sample
+    the host's speed (speed.py) through every batch."""
     reps: list[Rep] = []
+    probe = None if trace else speed.SpeedProbe()
     started = time.perf_counter()
     with probes.PssSampler() as sampler:
         while True:
             traced = trace and len(reps) % 2 == 1
             installation = Installation(tracer, HOOKS, spans=traced)
             try:
-                rep = bench.run_rep(tracer, traced)
+                rep = bench.run_rep(tracer, traced, probe)
             finally:
                 installation.remove()
             reps.append(rep)
             print(
                 f"perfbench: batch {len(reps)} traced={int(traced)} wall={rep.wall:.3f}s "
-                f"cpu={rep.cpu:.3f}s failed={rep.failed}/{rep.attempted}",
+                f"cpu={rep.cpu:.3f}s slowdown={rep.slowdown:.3f} "
+                f"failed={rep.failed}/{rep.attempted}",
                 file=sys.stderr,
             )
             enough = not trace or any(r.traced for r in reps)
@@ -272,13 +316,30 @@ def measure(bench: Bench, tracer, *, trace: bool) -> tuple[list[Rep], int]:
 
 
 def end_to_end(bench: Bench, reps: list[Rep], peak_pss: int) -> dict[str, float]:
+    """CPU time, and wall time where it is CPU time, in reference seconds."""
     n_reads = bench.inputs.n_reads
+    wall_is_cpu = bench.workload.wall_is_cpu
     return {
         "setup_s": statistics.median(bench.setup_seconds),
-        "reads_per_s": statistics.median(n_reads / r.wall for r in reps),
+        "reads_per_s": statistics.median(
+            n_reads / (r.wall / r.slowdown if wall_is_cpu else r.wall) for r in reps
+        ),
         "accession_p50_s": statistics.median(x for r in reps for x in r.latencies),
-        "cpu_s_per_kread": statistics.median(r.cpu / (n_reads / 1000) for r in reps),
+        "cpu_s_per_kread": statistics.median(
+            r.cpu / r.slowdown / (n_reads / 1000) for r in reps
+        ),
         "peak_rss_mb": peak_pss / 1e6,
+    }
+
+
+def as_measured(bench: Bench, reps: list[Rep]) -> dict[str, float]:
+    """The time metrics before the host-speed scaling, for the stamp."""
+    n_reads = bench.inputs.n_reads
+    return {
+        "host_slowdown": statistics.median(r.slowdown for r in reps),
+        "setup_s": statistics.median(bench.setup_measured),
+        "reads_per_s": statistics.median(n_reads / r.wall for r in reps),
+        "cpu_s_per_kread": statistics.median(r.cpu / (n_reads / 1000) for r in reps),
     }
 
 
@@ -356,6 +417,8 @@ def main(args) -> int:
         else:
             values = end_to_end(bench, reps, peak_pss)
         stamp = probes.provenance(ROOT, args.workload, args.seed, bench.input_sizes())
+        if not args.trace:
+            stamp["as_measured"] = as_measured(bench, reps)
     finally:
         if bench is not None:
             leaked = bench.close()

@@ -75,6 +75,9 @@ class Workload:
     replicated_journal: bool = False
     shard_checkpoints: bool = False
     streaming: bool = False
+    #: the batch's wall time is CPU time, so it is reported in reference
+    #: seconds (speed.py); False where a fixed link sets the wall time
+    wall_is_cpu: bool = True
     #: fixed link speed of the throttled repository (streaming only)
     bandwidth_bytes_per_s: float | None = None
     chunk_reads: int = 128
@@ -148,6 +151,7 @@ WORKLOADS: dict[str, Workload] = {
             libraries=(POLYA, SINGLE_CELL, TOTAL, POLYA, TOTAL, SINGLE_CELL, POLYA, TOTAL),
             reads_per_accession=4000,
             streaming=True,
+            wall_is_cpu=False,
             bandwidth_bytes_per_s=500_000.0,
         ),
     )
