@@ -10,11 +10,13 @@ collapses them to a single ``align(reads) -> AlignmentOutcome`` surface,
 and :func:`resolve_backend` is the one place that knows which concrete
 backend a given accession should use.
 
-Every backend hands whole read batches to its run loop, so all three
-execution shapes inherit the vectorized batch core
-(:mod:`repro.align.batch`) when ``StarParameters.batch_align`` is on —
-serial runs batch through ``StarAligner._outcome_stream``, paired runs
-batch both mate lists, and engine workers call ``align_batch`` per shard.
+Every backend cuts an accession into shards, aligns each through the
+batch core (:mod:`repro.align.batch`, when ``StarParameters.batch_align``
+is on) and merges the results through one loop,
+:func:`~repro.align.merge.merge_shards`.  The backends differ only in
+where a shard is aligned: in process, or — through the pure
+``_align_records`` / ``_align_pairs`` helpers — in an engine worker or a
+function.
 
 The streaming pipeline adds :meth:`AlignerBackend.align_stream`: the
 same contract as ``align``, but fed by :class:`ReadChunkStream` — a lazy
@@ -28,6 +30,7 @@ applies).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,13 +40,12 @@ from repro.align.counts import GeneCounts
 from repro.align.engine import (
     _align_pairs,
     _align_records,
-    _count_outcome,
-    _count_paired_outcome,
     _shard_bounds,
+    _shard_size,
 )
-from repro.align.paired import PairedRunResult, PairedStarAligner, PairStatus
-from repro.align.progress import FinalLogStats, ProgressRecord
-from repro.align.star import AlignmentStatus, StarRunResult
+from repro.align.merge import in_process, merge_shards
+from repro.align.paired import PairedStarAligner
+from repro.align.suffix_array import SeedSearchStats
 from repro.cloud.faas import (
     ExecutionCapExceeded,
     FaasService,
@@ -292,8 +294,9 @@ class FaasAlignerBackend:
     invocation against a simulated :class:`~repro.cloud.faas.FaasService`.
     The *function body* is the same pure batch helper a pool worker runs
     (``_align_records`` / ``_align_pairs``), and the gather side is the
-    engine's merge loop verbatim — so results are byte-identical to the
-    serial and engine backends.
+    ordered shard merge every backend shares
+    (:func:`~repro.align.merge.merge_shards`) — so results are
+    byte-identical to the serial and engine backends.
 
     What the service can throw, the backend absorbs:
 
@@ -410,13 +413,9 @@ class FaasAlignerBackend:
         reports.
         """
         n = len(records)
-        if self.batch_size is not None:
-            base = self.batch_size
-        elif not self.aligner.parameters.batch_align:
-            base = 64
-        else:
-            per_wave = -(-n // (2 * self.parallelism)) if n else 64
-            base = max(64, min(1024, per_wave))
+        base = _shard_size(
+            n, self.parallelism, self.batch_size, self.aligner.parameters.batch_align
+        )
         if not n:
             return base
         total_bytes = self._records_bytes(records)
@@ -530,16 +529,10 @@ class FaasAlignerBackend:
                 if p is not None:
                     merged.merge_partial(p)
             partial = merged.to_partial()
-        stats = {
-            k: a_stats.get(k, 0) + b_stats.get(k, 0)
-            for k in a_stats.keys() | b_stats.keys()
-            if k != "fallback_depths"
-        }
-        depths = dict(a_stats.get("fallback_depths", {}))
-        for d, c in b_stats.get("fallback_depths", {}).items():
-            depths[d] = depths.get(d, 0) + c
-        stats["fallback_depths"] = depths
-        return a_out + b_out, partial, stats
+        stats = SeedSearchStats()
+        stats.merge(a_stats)
+        stats.merge(b_stats)
+        return a_out + b_out, partial, stats.as_dict()
 
     # -- gather side ---------------------------------------------------------
 
@@ -551,14 +544,26 @@ class FaasAlignerBackend:
         out_dir: Path | str | None = None,
         checkpoint: Any = None,
     ) -> AlignmentOutcome:
+        n = len(reads)
         if reads.paired:
             assert reads.mate2 is not None
-            return self._align_paired(
-                reads.records, reads.mate2, monitor=monitor, checkpoint=checkpoint
-            )
-        return self._align_single(
-            reads.records, monitor=monitor, out_dir=out_dir, checkpoint=checkpoint
+            run = self._paired_aligner()._accumulator(n, monitor, time.monotonic)
+            spans = _shard_bounds(n, self.shard_size(reads.records, reads.mate2))
+            shards = [(reads.records[s:e], reads.mate2[s:e]) for s, e in spans]
+        else:
+            run = self.aligner._accumulator(n, monitor, time.monotonic)
+            spans = _shard_bounds(n, self.shard_size(reads.records))
+            shards = [reads.records[s:e] for s, e in spans]
+        result = merge_shards(
+            run,
+            shards,
+            in_process(functools.partial(self._execute_shard, paired=reads.paired)),
+            spans=spans,
+            checkpoint=checkpoint,
         )
+        if out_dir is not None and not reads.paired:
+            result.write_outputs(out_dir)
+        return result
 
     def align_stream(
         self,
@@ -571,235 +576,6 @@ class FaasAlignerBackend:
         request payloads, so there is no intra-accession overlap to win —
         inter-accession prefetch overlap still applies."""
         return self.align(stream.materialize(), monitor=monitor, out_dir=out_dir)
-
-    def _align_single(
-        self,
-        records: list[FastqRecord],
-        *,
-        monitor: ProgressMonitorHook | None,
-        out_dir: Path | str | None,
-        checkpoint: Any,
-    ) -> StarRunResult:
-        """The engine's single-end merge loop over invocation results."""
-        params = self.aligner.parameters
-        if not isinstance(records, list):
-            records = list(records)
-        total = len(records)
-        clock = time.monotonic
-        started = clock()
-
-        outcomes: list = []
-        progress: list[ProgressRecord] = []
-        quant = (
-            params.quant_gene_counts and self.aligner.index.annotation is not None
-        )
-        counts = GeneCounts(self.aligner.index.annotation) if quant else None
-        unique = multi = too_many = unmapped = spliced_n = 0
-        mismatch_bases = 0
-        aligned_bases = 0
-        aborted = False
-
-        def snapshot() -> ProgressRecord:
-            return ProgressRecord(
-                elapsed_seconds=max(0.0, clock() - started),
-                reads_processed=len(outcomes),
-                reads_total=total,
-                mapped_unique=unique,
-                mapped_multi=multi,
-            )
-
-        shard = self.shard_size(records)
-        bounds = _shard_bounds(total, shard) if total else []
-        cached = (
-            {b: checkpoint.load(b[0], b[1]) for b in bounds}
-            if checkpoint is not None
-            else {}
-        )
-        for span in bounds:
-            s, e = span
-            batch = records[s:e]
-            hit = cached.get(span)
-            replayed = hit is not None
-            value = hit if replayed else self._execute_shard(batch, paired=False)
-            batch_outcomes, partial, seed_stats = value
-            consumed = 0
-            for record, outcome in zip(batch, batch_outcomes):
-                outcomes.append(outcome)
-                consumed += 1
-                if outcome.status is AlignmentStatus.UNIQUE:
-                    unique += 1
-                    if outcome.spliced:
-                        spliced_n += 1
-                    mismatch_bases += outcome.mismatches
-                    aligned_bases += record.length
-                elif outcome.status is AlignmentStatus.MULTIMAPPED:
-                    multi += 1
-                elif outcome.status is AlignmentStatus.TOO_MANY_LOCI:
-                    too_many += 1
-                else:
-                    unmapped += 1
-                if len(outcomes) % params.progress_every == 0:
-                    rec = snapshot()
-                    progress.append(rec)
-                    if monitor is not None and not monitor(rec):
-                        aborted = True
-                        break
-            if counts is not None:
-                if consumed == len(batch_outcomes) and partial is not None:
-                    counts.merge_partial(partial)
-                else:
-                    for outcome in batch_outcomes[:consumed]:
-                        _count_outcome(counts, outcome)
-            if (
-                checkpoint is not None
-                and not replayed
-                and not aborted
-                and consumed == len(batch_outcomes)
-            ):
-                checkpoint.record(s, e, batch_outcomes, partial, seed_stats)
-            if aborted:
-                break
-
-        final_snapshot = snapshot()
-        if not progress or progress[-1].reads_processed != len(outcomes):
-            progress.append(final_snapshot)
-            if not aborted and monitor is not None and not monitor(final_snapshot):
-                aborted = True
-
-        final = FinalLogStats(
-            reads_total=total,
-            reads_processed=len(outcomes),
-            mapped_unique=unique,
-            mapped_multi=multi,
-            too_many_loci=too_many,
-            unmapped=unmapped,
-            mismatch_rate=(mismatch_bases / aligned_bases) if aligned_bases else 0.0,
-            spliced_reads=spliced_n,
-            elapsed_seconds=max(0.0, clock() - started),
-            aborted=aborted,
-        )
-        result = StarRunResult(
-            outcomes=outcomes,
-            progress=progress,
-            final=final,
-            gene_counts=counts,
-            aborted=aborted,
-        )
-        if out_dir is not None:
-            result.write_outputs(out_dir)
-        return result
-
-    def _align_paired(
-        self,
-        mate1: list[FastqRecord],
-        mate2: list[FastqRecord],
-        *,
-        monitor: ProgressMonitorHook | None,
-        checkpoint: Any,
-    ) -> PairedRunResult:
-        """The engine's paired merge loop over invocation results."""
-        params = self._paired_aligner().parameters
-        total = len(mate1)
-        clock = time.monotonic
-        started = clock()
-        outcomes: list = []
-        progress: list[ProgressRecord] = []
-        quant = (
-            params.quant_gene_counts and self.aligner.index.annotation is not None
-        )
-        counts = GeneCounts(self.aligner.index.annotation) if quant else None
-        proper = one_mate = discordant = multi = unmapped = 0
-        aborted = False
-
-        def snapshot() -> ProgressRecord:
-            return ProgressRecord(
-                elapsed_seconds=max(0.0, clock() - started),
-                reads_processed=len(outcomes),
-                reads_total=total,
-                mapped_unique=proper + one_mate + discordant,
-                mapped_multi=multi,
-            )
-
-        shard = self.shard_size(mate1, mate2)
-        bounds = _shard_bounds(total, shard) if total else []
-        cached = (
-            {b: checkpoint.load(b[0], b[1]) for b in bounds}
-            if checkpoint is not None
-            else {}
-        )
-        for span in bounds:
-            s, e = span
-            hit = cached.get(span)
-            replayed = hit is not None
-            value = (
-                hit
-                if replayed
-                else self._execute_shard((mate1[s:e], mate2[s:e]), paired=True)
-            )
-            batch_outcomes, partial, seed_stats = value
-            consumed = 0
-            for outcome in batch_outcomes:
-                outcomes.append(outcome)
-                consumed += 1
-                if outcome.status is PairStatus.PROPER_PAIR:
-                    proper += 1
-                elif outcome.status is PairStatus.ONE_MATE:
-                    one_mate += 1
-                elif outcome.status is PairStatus.DISCORDANT:
-                    discordant += 1
-                elif outcome.status is PairStatus.MULTIMAPPED:
-                    multi += 1
-                else:
-                    unmapped += 1
-                if len(outcomes) % params.progress_every == 0:
-                    rec = snapshot()
-                    progress.append(rec)
-                    if monitor is not None and not monitor(rec):
-                        aborted = True
-                        break
-            if counts is not None:
-                if consumed == len(batch_outcomes) and partial is not None:
-                    counts.merge_partial(partial)
-                else:
-                    for outcome in batch_outcomes[:consumed]:
-                        _count_paired_outcome(counts, outcome)
-            if (
-                checkpoint is not None
-                and not replayed
-                and not aborted
-                and consumed == len(batch_outcomes)
-            ):
-                checkpoint.record(s, e, batch_outcomes, partial, seed_stats)
-            if aborted:
-                break
-
-        final_snapshot = snapshot()
-        if not progress or progress[-1].reads_processed != len(outcomes):
-            progress.append(final_snapshot)
-            if not aborted and monitor is not None and not monitor(final_snapshot):
-                aborted = True
-
-        final = FinalLogStats(
-            reads_total=total,
-            reads_processed=len(outcomes),
-            mapped_unique=proper + one_mate + discordant,
-            mapped_multi=multi,
-            too_many_loci=0,
-            unmapped=unmapped,
-            mismatch_rate=0.0,
-            spliced_reads=sum(
-                o.mate1.spliced or o.mate2.spliced for o in outcomes
-            ),
-            elapsed_seconds=max(0.0, clock() - started),
-            aborted=aborted,
-        )
-        return PairedRunResult(
-            outcomes=outcomes,
-            progress=progress,
-            final=final,
-            gene_counts=counts,
-            aborted=aborted,
-        )
 
 
 def resolve_backend(

@@ -13,7 +13,8 @@ This module reproduces both levers for the in-process aligner:
 
 * :class:`ParallelStarAligner` shards a read stream into batches,
   dispatches them to a persistent worker pool, and merges the per-batch
-  results **deterministically in read order**, so the merged
+  results **deterministically in read order** through the same
+  :func:`~repro.align.merge.merge_shards` loop serial runs use, so the merged
   :class:`~repro.align.star.StarRunResult` is identical to what the
   serial :class:`~repro.align.star.StarAligner` produces — outcomes,
   progress snapshots, final stats, and gene counts alike.
@@ -27,6 +28,7 @@ yet dispatched, and abandons the (bounded) in-flight window.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing as mp
 import os
@@ -43,25 +45,25 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.align.counts import GeneCounts, GeneCountsPartial
+from repro.align.counts import GeneCountsPartial
 from repro.align.index import GenomeIndex
-from repro.align.suffix_array import PrefixJumpTable, SeedSearchStats
+from repro.align.merge import merge_shards
 from repro.align.paired import (
     PairedOutcome,
     PairedParameters,
     PairedRunResult,
     PairedStarAligner,
-    PairStatus,
+    PairedTally,
 )
-from repro.align.progress import FinalLogStats, ProgressRecord
 from repro.align.star import (
-    ReadAlignment,
-    AlignmentStatus,
     ProgressMonitorHook,
+    ReadAlignment,
+    SingleEndTally,
     StarAligner,
     StarParameters,
     StarRunResult,
 )
+from repro.align.suffix_array import PrefixJumpTable, SeedSearchStats
 from repro.genome.annotation import Annotation
 from repro.reads.fastq import FastqRecord
 
@@ -241,27 +243,20 @@ def _init_worker(
     _WORKER["handles"] = handles
 
 
-def _quant_enabled(aligner: StarAligner) -> bool:
-    return (
-        aligner.parameters.quant_gene_counts
-        and aligner.index.annotation is not None
-    )
-
-
 def _align_records(
     aligner: StarAligner, records: list[FastqRecord]
 ) -> tuple[list[ReadAlignment], GeneCountsPartial | None, dict]:
     """Align one single-end batch with a given aligner (pure; no globals).
 
-    Shared by pool workers and the parent's serial fallback, so a batch
-    produces identical results wherever it runs.  The third element is
-    this batch's seed-search counter delta (see
-    :class:`~repro.align.suffix_array.SeedSearchStats`), which the merge
-    loop folds into :attr:`EngineHealth.seed_search`.
+    Shared by pool workers, the parent's serial fallback and FaaS
+    functions, so a batch produces identical results wherever it runs.
+    The GeneCounts partial is what crosses the process boundary (and
+    goes into a shard checkpoint); the third element is this batch's
+    seed-search counter delta (see
+    :class:`~repro.align.suffix_array.SeedSearchStats`), which the
+    engine folds into :attr:`EngineHealth.seed_search`.
     """
-    counts = (
-        GeneCounts(aligner.index.annotation) if _quant_enabled(aligner) else None
-    )
+    counts = aligner._gene_counts()
     stats = aligner.index.search_context.stats
     before = stats.snapshot()
     # align_batch routes through the vectorized batch core when the
@@ -271,7 +266,7 @@ def _align_records(
     outcomes = aligner.align_batch(records)
     if counts is not None:
         for outcome in outcomes:
-            _count_outcome(counts, outcome)
+            SingleEndTally.count(counts, outcome)
     return (
         outcomes,
         counts.to_partial() if counts is not None else None,
@@ -284,23 +279,13 @@ def _align_pairs(
     batch: tuple[list[FastqRecord], list[FastqRecord]],
 ) -> tuple[list[PairedOutcome], GeneCountsPartial | None, dict]:
     """Align one paired batch with a given paired aligner (pure; no globals)."""
-    quant = (
-        paired.parameters.quant_gene_counts
-        and paired.aligner.index.annotation is not None
-    )
-    counts = GeneCounts(paired.aligner.index.annotation) if quant else None
+    counts = paired._gene_counts()
     stats = paired.aligner.index.search_context.stats
     before = stats.snapshot()
-    # both mate lists go through the batch core as whole batches, then
-    # pairing runs per-pair — same decomposition as PairedStarAligner.run
-    mates1 = paired.aligner.align_batch(batch[0])
-    mates2 = paired.aligner.align_batch(batch[1])
-    outcomes = []
-    for r1, m1, m2 in zip(batch[0], mates1, mates2):
-        outcome = paired._pair_outcome(r1, m1, m2)
-        outcomes.append(outcome)
-        if counts is not None:
-            _count_paired_outcome(counts, outcome)
+    outcomes = paired._pair_batch(batch)
+    if counts is not None:
+        for outcome in outcomes:
+            PairedTally.count(counts, outcome)
     return (
         outcomes,
         counts.to_partial() if counts is not None else None,
@@ -320,6 +305,28 @@ def _align_batch_paired(
 ) -> tuple[list[PairedOutcome], GeneCountsPartial | None, dict]:
     """Pool entry point: align one paired batch with the worker aligner."""
     return _align_pairs(_WORKER["paired"], batch)
+
+
+def _shard_size(
+    n_reads: int, lanes: int, batch_size: int | None, batch_align: bool
+) -> int:
+    """Reads per shard for a run of ``n_reads`` spread over ``lanes``
+    (engine workers, or concurrent FaaS invocations).
+
+    An explicit ``batch_size`` wins.  The per-read path keeps 64-read
+    shards: per-read cost dominates, so shard size is latency-neutral.
+    The batch core amortizes its per-call numpy overhead over the whole
+    shard, so shards are as large as load balancing allows — two per
+    lane bounds the tail straggler at half a lane's share — clamped to
+    [64, 1024] so tiny runs still reach every lane and huge runs still
+    checkpoint at a useful cadence.
+    """
+    if batch_size is not None:
+        return batch_size
+    if not batch_align:
+        return 64
+    per_lane = -(-n_reads // (2 * lanes))  # ceil division
+    return max(64, min(1024, per_lane))
 
 
 def _tail_floor(shard: int) -> int:
@@ -371,37 +378,6 @@ def _iter_shards(records: Iterable, shard: int) -> Iterator[list]:
             return
         yield held
         held = nxt
-
-
-def _count_outcome(counts: GeneCounts, outcome: ReadAlignment) -> None:
-    """The serial run loop's per-read GeneCounts bookkeeping, verbatim."""
-    if outcome.status is AlignmentStatus.UNIQUE:
-        counts.record_unique(list(outcome.blocks), outcome.strand)
-    elif outcome.status in (
-        AlignmentStatus.MULTIMAPPED,
-        AlignmentStatus.TOO_MANY_LOCI,
-    ):
-        counts.record_multimapped()
-    else:
-        counts.record_unmapped()
-
-
-def _count_paired_outcome(counts: GeneCounts, outcome: PairedOutcome) -> None:
-    """The paired run loop's per-pair GeneCounts bookkeeping, verbatim."""
-    if outcome.status is PairStatus.PROPER_PAIR:
-        blocks = list(outcome.mate1.blocks) + list(outcome.mate2.blocks)
-        counts.record_unique(blocks, outcome.mate1.strand)
-    elif outcome.status is PairStatus.ONE_MATE:
-        unique = (
-            outcome.mate1
-            if outcome.mate1.status is AlignmentStatus.UNIQUE
-            else outcome.mate2
-        )
-        counts.record_unique(list(unique.blocks), unique.strand)
-    elif outcome.status in (PairStatus.DISCORDANT, PairStatus.MULTIMAPPED):
-        counts.record_multimapped()
-    else:
-        counts.record_unmapped()
 
 
 # --------------------------------------------------------------------------
@@ -470,19 +446,13 @@ class ParallelStarAligner:
 
     ``batch_size`` reads are pickled per task; the index is never
     re-sent.  ``batch_size=None`` (the default) sizes shards from the
-    batch-core cost model: the vectorized core amortizes its per-call
-    numpy overhead across the whole shard, so shards should be as large
-    as load balancing allows — two shards per worker bounds the tail
-    straggler at half a worker's share, clamped to [64, 1024] so tiny
-    runs still exercise every worker and huge runs still checkpoint
-    progress at a useful cadence.  With the batch core disabled the
-    historical 64-read shard is kept (per-read cost dominates, shard
-    size is latency-neutral).  Results are merged strictly in read
-    order, so outputs —
-    including the ``Log.progress.out`` cadence the early-stopping monitor
-    consumes — are identical to a serial run's.  When the monitor aborts,
-    batches not yet dispatched are cancelled and at most
-    ``max_inflight`` already-dispatched batches are discarded.
+    batch-core cost model (see :func:`_shard_size`).  Results are
+    merged strictly in read order by :func:`~repro.align.merge.
+    merge_shards`, so outputs — including the ``Log.progress.out``
+    cadence the early-stopping monitor consumes — are identical to a
+    serial run's.  When the monitor aborts, batches not yet dispatched
+    are cancelled and at most ``max_inflight`` already-dispatched
+    batches are discarded.
     """
 
     def __init__(
@@ -680,15 +650,6 @@ class ParallelStarAligner:
         return pid
 
     # -- dispatch ------------------------------------------------------------
-
-    def _shard_size(self, n_reads: int) -> int:
-        """Reads per dispatched shard for a run of ``n_reads``."""
-        if self.batch_size is not None:
-            return self.batch_size
-        if not self.parameters.batch_align:
-            return 64
-        per_worker = -(-n_reads // (2 * self.workers))  # ceil division
-        return max(64, min(1024, per_worker))
 
     def _local_aligner(self) -> StarAligner:
         """The parent-process serial aligner used for fallback batches."""
@@ -894,6 +855,12 @@ class ParallelStarAligner:
                 ):
                     self._restart_pool()
 
+    def _note_shard(self, result) -> None:
+        """Fold one merged shard's seed-search delta into the health."""
+        self.health.seed_search.merge(result[2])
+        if self.parameters.batch_align:
+            self.health.batch_core_batches += 1
+
     # -- single-end ------------------------------------------------------------
 
     def run(
@@ -922,142 +889,27 @@ class ParallelStarAligner:
         Requires materialized records (the shard schedule is positional),
         so a lazy feed is drained up front when a checkpoint is given.
         """
-        params = self.parameters
         if reads_total is None or checkpoint is not None:
             if not isinstance(records, list):
                 records = list(records)
-            total = len(records)
-        else:
-            total = reads_total
-        started = clock()
-
-        outcomes: list[ReadAlignment] = []
-        progress: list[ProgressRecord] = []
-        quant = params.quant_gene_counts and self.index.annotation is not None
-        counts = GeneCounts(self.index.annotation) if quant else None
-        unique = multi = too_many = unmapped = spliced_n = 0
-        mismatch_bases = 0
-        aligned_bases = 0
-        aborted = False
-
-        def snapshot() -> ProgressRecord:
-            return ProgressRecord(
-                elapsed_seconds=max(0.0, clock() - started),
-                reads_processed=len(outcomes),
-                reads_total=total,
-                mapped_unique=unique,
-                mapped_multi=multi,
-            )
-
-        shard = self._shard_size(total)
-        if checkpoint is not None:
-            bounds = _shard_bounds(total, shard) if total else []
-            cached = {b: checkpoint.load(b[0], b[1]) for b in bounds}
-            live_iter = self._ordered_results(
-                _align_batch,
-                (records[s:e] for s, e in bounds if cached[(s, e)] is None),
-            )
-
-            def _interleaved():
-                # walk the shard schedule in order, serving cached shards
-                # from the journal and live ones from the pool stream —
-                # the merge loop below sees the same ordered sequence an
-                # uncheckpointed run would produce
-                for s, e in bounds:
-                    hit = cached[(s, e)]
-                    if hit is not None:
-                        yield (s, e), records[s:e], hit, True
-                    else:
-                        batch, value = next(live_iter)
-                        yield (s, e), batch, value, False
-
-            results_iter = _interleaved()
-            close_results = live_iter.close
-        else:
-            batches = _iter_shards(records, shard)
-            plain_iter = self._ordered_results(_align_batch, batches)
-            results_iter = (
-                (None, batch, value, False) for batch, value in plain_iter
-            )
-            close_results = plain_iter.close
-        # closed explicitly so the pool-restart finalizer in
-        # _ordered_results runs before this method returns, not at GC time
-        try:
-            for span, batch, (batch_outcomes, partial, seed_stats), replayed in results_iter:
-                self.health.seed_search.merge(seed_stats)
-                if params.batch_align:
-                    self.health.batch_core_batches += 1
-                consumed = 0
-                for record, outcome in zip(batch, batch_outcomes):
-                    outcomes.append(outcome)
-                    consumed += 1
-                    if outcome.status is AlignmentStatus.UNIQUE:
-                        unique += 1
-                        if outcome.spliced:
-                            spliced_n += 1
-                        mismatch_bases += outcome.mismatches
-                        aligned_bases += record.length
-                    elif outcome.status is AlignmentStatus.MULTIMAPPED:
-                        multi += 1
-                    elif outcome.status is AlignmentStatus.TOO_MANY_LOCI:
-                        too_many += 1
-                    else:
-                        unmapped += 1
-                    if len(outcomes) % params.progress_every == 0:
-                        rec = snapshot()
-                        progress.append(rec)
-                        if monitor is not None and not monitor(rec):
-                            aborted = True
-                            break
-                if counts is not None:
-                    if consumed == len(batch_outcomes) and partial is not None:
-                        counts.merge_partial(partial)
-                    else:
-                        # the abort truncated this batch mid-way: recount
-                        # just the consumed prefix so counts match the
-                        # serial run
-                        for outcome in batch_outcomes[:consumed]:
-                            _count_outcome(counts, outcome)
-                if (
-                    checkpoint is not None
-                    and not replayed
-                    and not aborted
-                    and consumed == len(batch_outcomes)
-                ):
-                    # the shard is fully merged into the run state; its
-                    # outcomes are now safe to reuse on a future resume
-                    checkpoint.record(
-                        span[0], span[1], batch_outcomes, partial, seed_stats
-                    )
-                if aborted:
-                    break
-        finally:
-            close_results()
-
-        final_snapshot = snapshot()
-        if not progress or progress[-1].reads_processed != len(outcomes):
-            progress.append(final_snapshot)
-            if not aborted and monitor is not None and not monitor(final_snapshot):
-                aborted = True
-
-        final = FinalLogStats(
-            reads_total=total,
-            reads_processed=len(outcomes),
-            mapped_unique=unique,
-            mapped_multi=multi,
-            too_many_loci=too_many,
-            unmapped=unmapped,
-            mismatch_rate=(mismatch_bases / aligned_bases) if aligned_bases else 0.0,
-            spliced_reads=spliced_n,
-            elapsed_seconds=max(0.0, clock() - started),
-            aborted=aborted,
+            reads_total = len(records)
+        run = self._local_aligner()._accumulator(reads_total, monitor, clock)
+        shard = _shard_size(
+            reads_total, self.workers, self.batch_size, self.parameters.batch_align
         )
-        result = StarRunResult(
-            outcomes=outcomes,
-            progress=progress,
-            final=final,
-            gene_counts=counts,
-            aborted=aborted,
+        if checkpoint is None:
+            spans = None
+            shards = _iter_shards(records, shard)
+        else:
+            spans = _shard_bounds(reads_total, shard)
+            shards = [records[start:end] for start, end in spans]
+        result = merge_shards(
+            run,
+            shards,
+            functools.partial(self._ordered_results, _align_batch),
+            spans=spans,
+            checkpoint=checkpoint,
+            on_result=self._note_shard,
         )
         if out_dir is not None:
             result.write_outputs(out_dir)
@@ -1084,127 +936,16 @@ class ParallelStarAligner:
         """
         if len(mate1) != len(mate2):
             raise ValueError("mate lists must have equal length")
-        params = self.paired_parameters
-        total = len(mate1)
-        started = clock()
-        outcomes: list[PairedOutcome] = []
-        progress: list[ProgressRecord] = []
-        quant = params.quant_gene_counts and self.index.annotation is not None
-        counts = GeneCounts(self.index.annotation) if quant else None
-        proper = one_mate = discordant = multi = unmapped = 0
-        aborted = False
-
-        def snapshot() -> ProgressRecord:
-            return ProgressRecord(
-                elapsed_seconds=max(0.0, clock() - started),
-                reads_processed=len(outcomes),
-                reads_total=total,
-                mapped_unique=proper + one_mate + discordant,
-                mapped_multi=multi,
-            )
-
-        shard = self._shard_size(total)
-        bounds = _shard_bounds(total, shard)
-        batches = [(mate1[s:e], mate2[s:e]) for s, e in bounds]
-        if checkpoint is not None:
-            cached = {b: checkpoint.load(b[0], b[1]) for b in bounds}
-            live_iter = self._ordered_results(
-                _align_batch_paired,
-                (
-                    batch
-                    for b, batch in zip(bounds, batches)
-                    if cached[b] is None
-                ),
-            )
-
-            def _interleaved():
-                # same ordered interleave as the single-end run: cached
-                # shards from the journal, live ones from the pool stream
-                for b in bounds:
-                    hit = cached[b]
-                    if hit is not None:
-                        yield b, hit, True
-                    else:
-                        _payload, value = next(live_iter)
-                        yield b, value, False
-
-            results_iter = _interleaved()
-            close_results = live_iter.close
-        else:
-            plain_iter = self._ordered_results(_align_batch_paired, batches)
-            results_iter = (
-                (None, value, False) for _payload, value in plain_iter
-            )
-            close_results = plain_iter.close
-        try:
-            for span, (batch_outcomes, partial, seed_stats), replayed in results_iter:
-                self.health.seed_search.merge(seed_stats)
-                if self.parameters.batch_align:
-                    self.health.batch_core_batches += 1
-                consumed = 0
-                for outcome in batch_outcomes:
-                    outcomes.append(outcome)
-                    consumed += 1
-                    if outcome.status is PairStatus.PROPER_PAIR:
-                        proper += 1
-                    elif outcome.status is PairStatus.ONE_MATE:
-                        one_mate += 1
-                    elif outcome.status is PairStatus.DISCORDANT:
-                        discordant += 1
-                    elif outcome.status is PairStatus.MULTIMAPPED:
-                        multi += 1
-                    else:
-                        unmapped += 1
-                    if len(outcomes) % params.progress_every == 0:
-                        rec = snapshot()
-                        progress.append(rec)
-                        if monitor is not None and not monitor(rec):
-                            aborted = True
-                            break
-                if counts is not None:
-                    if consumed == len(batch_outcomes) and partial is not None:
-                        counts.merge_partial(partial)
-                    else:
-                        for outcome in batch_outcomes[:consumed]:
-                            _count_paired_outcome(counts, outcome)
-                if (
-                    checkpoint is not None
-                    and not replayed
-                    and not aborted
-                    and consumed == len(batch_outcomes)
-                ):
-                    checkpoint.record(
-                        span[0], span[1], batch_outcomes, partial, seed_stats
-                    )
-                if aborted:
-                    break
-        finally:
-            close_results()
-
-        final_snapshot = snapshot()
-        if not progress or progress[-1].reads_processed != len(outcomes):
-            progress.append(final_snapshot)
-            if not aborted and monitor is not None and not monitor(final_snapshot):
-                aborted = True
-
-        final = FinalLogStats(
-            reads_total=total,
-            reads_processed=len(outcomes),
-            mapped_unique=proper + one_mate + discordant,
-            mapped_multi=multi,
-            too_many_loci=0,
-            unmapped=unmapped,
-            mismatch_rate=0.0,
-            spliced_reads=sum(
-                o.mate1.spliced or o.mate2.spliced for o in outcomes
-            ),
-            elapsed_seconds=max(0.0, clock() - started),
-            aborted=aborted,
+        run = self._local_paired_aligner()._accumulator(len(mate1), monitor, clock)
+        shard = _shard_size(
+            len(mate1), self.workers, self.batch_size, self.parameters.batch_align
         )
-        return PairedRunResult(
-            outcomes=outcomes,
-            progress=progress,
-            final=final,
-            gene_counts=counts,
-            aborted=aborted,
+        spans = _shard_bounds(len(mate1), shard)
+        return merge_shards(
+            run,
+            [(mate1[start:end], mate2[start:end]) for start, end in spans],
+            functools.partial(self._ordered_results, _align_batch_paired),
+            spans=spans,
+            checkpoint=checkpoint,
+            on_result=self._note_shard,
         )

@@ -12,13 +12,12 @@ GeneCounts`` on paired data.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from typing import Iterable
-
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from repro.align.counts import GeneCounts
+from repro.align.merge import RunAccumulator, in_process, merge_shards
 from repro.align.progress import FinalLogStats, ProgressRecord
 from repro.align.star import (
     ReadAlignment,
@@ -119,6 +118,63 @@ class PairedRunResult:
         ]
 
 
+class PairedTally:
+    """The ``Log.final.out`` counters of a paired-end run, per pair.
+
+    The per-layout strategy a :class:`~repro.align.merge.RunAccumulator`
+    merges paired shards with; :meth:`count` is the per-pair GeneCounts
+    rule, shared by the run and the engine's shard helper.  STAR's paired
+    log has no too-many-loci bucket or mismatch rate, so both stay 0.
+    """
+
+    result_type = PairedRunResult
+    too_many_loci = 0
+    mismatch_rate = 0.0
+
+    def __init__(self) -> None:
+        self.mapped_unique = 0
+        self.mapped_multi = 0
+        self.unmapped = 0
+        self.spliced_reads = 0
+
+    def add(
+        self,
+        shard: tuple[list[FastqRecord], list[FastqRecord]],
+        outcomes: list[PairedOutcome],
+        start: int,
+        stop: int,
+    ) -> None:
+        """Count the pairs ``outcomes[start:stop]``."""
+        for outcome in outcomes[start:stop]:
+            if outcome.status is PairStatus.MULTIMAPPED:
+                self.mapped_multi += 1
+            elif outcome.status is PairStatus.UNMAPPED:
+                self.unmapped += 1
+            else:  # proper, one-mate and discordant pairs count as unique
+                self.mapped_unique += 1
+            if outcome.mate1.spliced or outcome.mate2.spliced:
+                self.spliced_reads += 1
+
+    @staticmethod
+    def count(counts: GeneCounts, outcome: PairedOutcome) -> None:
+        """GeneCounts bookkeeping for one pair: a proper pair counts its
+        joint blocks once, a one-mate pair its unique mate's blocks."""
+        if outcome.status is PairStatus.PROPER_PAIR:
+            blocks = list(outcome.mate1.blocks) + list(outcome.mate2.blocks)
+            counts.record_unique(blocks, outcome.mate1.strand)
+        elif outcome.status is PairStatus.ONE_MATE:
+            unique = (
+                outcome.mate1
+                if outcome.mate1.status is AlignmentStatus.UNIQUE
+                else outcome.mate2
+            )
+            counts.record_unique(list(unique.blocks), unique.strand)
+        elif outcome.status in (PairStatus.DISCORDANT, PairStatus.MULTIMAPPED):
+            counts.record_multimapped()
+        else:
+            counts.record_unmapped()
+
+
 def _span(outcome: ReadAlignment) -> tuple[int, int] | None:
     """(start, end) of an outcome's footprint on its contig."""
     if not outcome.blocks:
@@ -185,6 +241,18 @@ class PairedStarAligner:
         m2 = self.aligner.align_read(record2)
         return self._pair_outcome(record1, m1, m2)
 
+    def _pair_batch(
+        self, batch: tuple[list[FastqRecord], list[FastqRecord]]
+    ) -> list[PairedOutcome]:
+        """Align one shard's mate lists through the batch core, then pair
+        them one pair at a time."""
+        mates1 = self.aligner.align_batch(batch[0])
+        mates2 = self.aligner.align_batch(batch[1])
+        return [
+            self._pair_outcome(r1, m1, m2)
+            for r1, m1, m2 in zip(batch[0], mates1, mates2)
+        ]
+
     def _pair_outcome(
         self, record1: FastqRecord, m1: ReadAlignment, m2: ReadAlignment
     ) -> PairedOutcome:
@@ -194,6 +262,29 @@ class PairedStarAligner:
         return PairedOutcome(
             pair_id=pair_id, status=status, mate1=m1, mate2=m2,
             template_length=tlen,
+        )
+
+    def _gene_counts(self) -> GeneCounts | None:
+        """A fresh GeneCounts, or None when quantification is off."""
+        annotation = self.aligner.index.annotation
+        if self.parameters.quant_gene_counts and annotation is not None:
+            return GeneCounts(annotation)
+        return None
+
+    def _accumulator(
+        self,
+        pairs_total: int,
+        monitor: Callable[[ProgressRecord], bool] | None,
+        clock: Callable[[], float],
+    ) -> RunAccumulator:
+        """Fresh paired-end run state for ``pairs_total`` pairs."""
+        return RunAccumulator(
+            PairedTally(),
+            reads_total=pairs_total,
+            progress_every=self.parameters.progress_every,
+            counts=self._gene_counts(),
+            monitor=monitor,
+            clock=clock,
         )
 
     def run(
@@ -212,96 +303,15 @@ class PairedStarAligner:
         """
         if len(mate1) != len(mate2):
             raise ValueError("mate lists must have equal length")
-        params = self.parameters
-        total = len(mate1)
-        started = clock()
-        outcomes: list[PairedOutcome] = []
-        progress: list[ProgressRecord] = []
-        counts = (
-            GeneCounts(self.aligner.index.annotation)
-            if params.quant_gene_counts and self.aligner.index.annotation is not None
-            else None
+        # same shards as the single-end driver: both mate lists go
+        # through the batch core one shard at a time
+        size = self.aligner._shard_reads()
+        shards = (
+            (mate1[start : start + size], mate2[start : start + size])
+            for start in range(0, len(mate1), size)
         )
-        proper = one_mate = discordant = multi = unmapped = 0
-        aborted = False
-
-        def snapshot() -> ProgressRecord:
-            return ProgressRecord(
-                elapsed_seconds=max(0.0, clock() - started),
-                reads_processed=len(outcomes),
-                reads_total=total,
-                mapped_unique=proper + one_mate + discordant,
-                mapped_multi=multi,
-            )
-
-        # Both mate lists stream through the batch core independently
-        # (see StarAligner._outcome_stream); pairing happens per-pair so
-        # progress/abort bookkeeping is untouched, and an abort mid-batch
-        # just discards the rest of that batch's results.
-        mate_stream = zip(
-            self.aligner._outcome_stream(mate1),
-            self.aligner._outcome_stream(mate2),
-        )
-        for i, (r1, (m1, m2)) in enumerate(zip(mate1, mate_stream)):
-            outcome = self._pair_outcome(r1, m1, m2)
-            outcomes.append(outcome)
-            if outcome.status is PairStatus.PROPER_PAIR:
-                proper += 1
-                if counts is not None:
-                    blocks = list(outcome.mate1.blocks) + list(outcome.mate2.blocks)
-                    counts.record_unique(blocks, outcome.mate1.strand)
-            elif outcome.status is PairStatus.ONE_MATE:
-                one_mate += 1
-                if counts is not None:
-                    unique = (
-                        outcome.mate1
-                        if outcome.mate1.status is AlignmentStatus.UNIQUE
-                        else outcome.mate2
-                    )
-                    counts.record_unique(list(unique.blocks), unique.strand)
-            elif outcome.status is PairStatus.DISCORDANT:
-                discordant += 1
-                if counts is not None:
-                    counts.record_multimapped()
-            elif outcome.status is PairStatus.MULTIMAPPED:
-                multi += 1
-                if counts is not None:
-                    counts.record_multimapped()
-            else:
-                unmapped += 1
-                if counts is not None:
-                    counts.record_unmapped()
-            if (i + 1) % params.progress_every == 0:
-                rec = snapshot()
-                progress.append(rec)
-                if monitor is not None and not monitor(rec):
-                    aborted = True
-                    break
-
-        final_snapshot = snapshot()
-        if not progress or progress[-1].reads_processed != len(outcomes):
-            progress.append(final_snapshot)
-            if not aborted and monitor is not None and not monitor(final_snapshot):
-                aborted = True
-
-        final = FinalLogStats(
-            reads_total=total,
-            reads_processed=len(outcomes),
-            mapped_unique=proper + one_mate + discordant,
-            mapped_multi=multi,
-            too_many_loci=0,
-            unmapped=unmapped,
-            mismatch_rate=0.0,
-            spliced_reads=sum(
-                o.mate1.spliced or o.mate2.spliced for o in outcomes
-            ),
-            elapsed_seconds=max(0.0, clock() - started),
-            aborted=aborted,
-        )
-        return PairedRunResult(
-            outcomes=outcomes,
-            progress=progress,
-            final=final,
-            gene_counts=counts,
-            aborted=aborted,
+        return merge_shards(
+            self._accumulator(len(mate1), monitor, clock),
+            shards,
+            in_process(lambda shard: (self._pair_batch(shard), None, None)),
         )

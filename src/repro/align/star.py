@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +22,7 @@ import numpy as np
 from repro.align.counts import GeneCounts
 from repro.align.extend import ScoringParams, ungapped_extend
 from repro.align.index import GenomeIndex
+from repro.align.merge import RunAccumulator, in_process, merge_shards
 from repro.align.progress import (
     FinalLogStats,
     ProgressRecord,
@@ -160,6 +161,69 @@ class StarRunResult:
 
         processed = records[: len(self.outcomes)]
         return write_sam(processed, self.outcomes, index, path)
+
+
+class SingleEndTally:
+    """The ``Log.final.out`` counters of a single-end run.
+
+    The per-layout strategy a :class:`~repro.align.merge.RunAccumulator`
+    merges single-end shards with; :meth:`count` is the per-read
+    GeneCounts rule, shared by the run and the engine's shard helper.
+    """
+
+    result_type = StarRunResult
+
+    def __init__(self) -> None:
+        self.mapped_unique = 0
+        self.mapped_multi = 0
+        self.too_many_loci = 0
+        self.unmapped = 0
+        self.spliced_reads = 0
+        self.mismatch_bases = 0
+        self.aligned_bases = 0
+
+    def add(
+        self,
+        records: list[FastqRecord],
+        outcomes: list[ReadAlignment],
+        start: int,
+        stop: int,
+    ) -> None:
+        """Count ``outcomes[start:stop]``, aligned from ``records[start:stop]``."""
+        for record, outcome in zip(records[start:stop], outcomes[start:stop]):
+            status = outcome.status
+            if status is AlignmentStatus.UNIQUE:
+                self.mapped_unique += 1
+                if outcome.spliced:
+                    self.spliced_reads += 1
+                self.mismatch_bases += outcome.mismatches
+                self.aligned_bases += record.length
+            elif status is AlignmentStatus.MULTIMAPPED:
+                self.mapped_multi += 1
+            elif status is AlignmentStatus.TOO_MANY_LOCI:
+                self.too_many_loci += 1
+            else:
+                self.unmapped += 1
+
+    @property
+    def mismatch_rate(self) -> float:
+        if not self.aligned_bases:
+            return 0.0
+        return self.mismatch_bases / self.aligned_bases
+
+    @staticmethod
+    def count(counts: GeneCounts, outcome: ReadAlignment) -> None:
+        """GeneCounts bookkeeping for one read (unique reads only are
+        assigned to genes, as in STAR)."""
+        if outcome.status is AlignmentStatus.UNIQUE:
+            counts.record_unique(list(outcome.blocks), outcome.strand)
+        elif outcome.status in (
+            AlignmentStatus.MULTIMAPPED,
+            AlignmentStatus.TOO_MANY_LOCI,
+        ):
+            counts.record_multimapped()
+        else:
+            counts.record_unmapped()
 
 
 #: Monitor signature: receives each progress record, returns False to abort.
@@ -376,44 +440,33 @@ class StarAligner:
 
     # -- whole run -------------------------------------------------------------
 
-    def _outcome_stream(self, records: list[FastqRecord]):
-        """Yield one outcome per record, batching through the vector core.
-
-        Per-read progress/abort bookkeeping in :meth:`run` stays intact:
-        consumers pull one outcome at a time, so an abort mid-batch simply
-        discards the rest of that batch's (already bit-identical) results.
-        """
+    def _shard_reads(self) -> int:
+        """Reads per in-process shard: one batch-core call, or one read
+        on the per-read path (so an early stop wastes no alignment)."""
         params = self.parameters
-        if not params.batch_align:
-            for record in records:
-                yield self.align_read(record)
-            return
-        size = params.align_batch_size
-        for start in range(0, len(records), size):
-            yield from self.align_batch(records[start : start + size])
+        return params.align_batch_size if params.batch_align else 1
 
-    def _record_outcome_pairs(self, records: Iterable[FastqRecord]):
-        """Yield ``(record, outcome)`` pairs from any record iterable.
+    def _gene_counts(self) -> GeneCounts | None:
+        """A fresh GeneCounts, or None when quantification is off."""
+        if self.parameters.quant_gene_counts and self.index.annotation is not None:
+            return GeneCounts(self.index.annotation)
+        return None
 
-        The lazy counterpart of ``zip(records, _outcome_stream(records))``
-        — it pulls records as needed (at most one ``align_batch_size``
-        group ahead), so a streamed chunk feed aligns as bytes arrive.
-        Batch boundaries match :meth:`_outcome_stream` exactly, and the
-        batch core is boundary-invariant anyway, so results are
-        byte-identical to the list path.
-        """
-        params = self.parameters
-        if not params.batch_align:
-            for record in records:
-                yield record, self.align_read(record)
-            return
-        size = params.align_batch_size
-        it = iter(records)
-        while True:
-            batch = list(itertools.islice(it, size))
-            if not batch:
-                return
-            yield from zip(batch, self.align_batch(batch))
+    def _accumulator(
+        self,
+        reads_total: int,
+        monitor: ProgressMonitorHook | None,
+        clock: Callable[[], float],
+    ) -> RunAccumulator:
+        """Fresh single-end run state for ``reads_total`` reads."""
+        return RunAccumulator(
+            SingleEndTally(),
+            reads_total=reads_total,
+            progress_every=self.parameters.progress_every,
+            counts=self._gene_counts(),
+            monitor=monitor,
+            clock=clock,
+        )
 
     def run(
         self,
@@ -433,96 +486,27 @@ class StarAligner:
         from terminated runs.
 
         When ``reads_total`` is given, ``records`` may be a lazy iterable
-        (e.g. a streamed chunk feed): reads are pulled as consumed
-        instead of materialized up front, with byte-identical results.
+        (e.g. a streamed chunk feed): reads are pulled one shard at a
+        time as the merge consumes them — at most one shard past the read
+        where the monitor stops the run — with byte-identical results.
         """
-        params = self.parameters
         if reads_total is None:
             records = list(records)
-            total = len(records)
-        else:
-            total = reads_total
-        started = clock()
-
-        outcomes: list[ReadAlignment] = []
-        progress: list[ProgressRecord] = []
-        counts = (
-            GeneCounts(self.index.annotation)
-            if params.quant_gene_counts and self.index.annotation is not None
-            else None
-        )
-        unique = multi = too_many = unmapped = spliced_n = 0
-        mismatch_bases = 0
-        aligned_bases = 0
-        aborted = False
-
-        def snapshot() -> ProgressRecord:
-            return ProgressRecord(
-                elapsed_seconds=max(0.0, clock() - started),
-                reads_processed=len(outcomes),
-                reads_total=total,
-                mapped_unique=unique,
-                mapped_multi=multi,
-            )
-
-        for i, (record, outcome) in enumerate(
-            self._record_outcome_pairs(records)
-        ):
-            outcomes.append(outcome)
-            if outcome.status is AlignmentStatus.UNIQUE:
-                unique += 1
-                if outcome.spliced:
-                    spliced_n += 1
-                mismatch_bases += outcome.mismatches
-                aligned_bases += record.length
-                if counts is not None:
-                    counts.record_unique(list(outcome.blocks), outcome.strand)
-            elif outcome.status is AlignmentStatus.MULTIMAPPED:
-                multi += 1
-                if counts is not None:
-                    counts.record_multimapped()
-            elif outcome.status is AlignmentStatus.TOO_MANY_LOCI:
-                too_many += 1
-                if counts is not None:
-                    counts.record_multimapped()
-            else:
-                unmapped += 1
-                if counts is not None:
-                    counts.record_unmapped()
-
-            if (i + 1) % params.progress_every == 0:
-                rec = snapshot()
-                progress.append(rec)
-                if monitor is not None and not monitor(rec):
-                    aborted = True
-                    break
-
-        # closing snapshot (STAR writes a last progress line at completion)
-        final_snapshot = snapshot()
-        if not progress or progress[-1].reads_processed != len(outcomes):
-            progress.append(final_snapshot)
-            if not aborted and monitor is not None and not monitor(final_snapshot):
-                aborted = True
-
-        final = FinalLogStats(
-            reads_total=total,
-            reads_processed=len(outcomes),
-            mapped_unique=unique,
-            mapped_multi=multi,
-            too_many_loci=too_many,
-            unmapped=unmapped,
-            mismatch_rate=(mismatch_bases / aligned_bases) if aligned_bases else 0.0,
-            spliced_reads=spliced_n,
-            elapsed_seconds=max(0.0, clock() - started),
-            aborted=aborted,
-        )
-        result = StarRunResult(
-            outcomes=outcomes,
-            progress=progress,
-            final=final,
-            gene_counts=counts,
-            aborted=aborted,
+            reads_total = len(records)
+        # in process there is nothing to ship: shards carry no GeneCounts
+        # partial, and the run counts their outcomes itself
+        result = merge_shards(
+            self._accumulator(reads_total, monitor, clock),
+            _batches(records, self._shard_reads()),
+            in_process(lambda shard: (self.align_batch(shard), None, None)),
         )
         if out_dir is not None:
             result.write_outputs(out_dir)
         return result
+
+
+def _batches(records: Iterable[FastqRecord], size: int) -> Iterator[list]:
+    """Consecutive ``size``-read lists, pulled lazily from ``records``."""
+    it = iter(records)
+    while batch := list(itertools.islice(it, size)):
+        yield batch

@@ -37,7 +37,6 @@ import enum
 import signal as signal_module
 import threading
 import time
-import warnings
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -196,11 +195,6 @@ class PipelineConfig:
             raise ValueError("align_batch_size must be >= 1")
         if self.drain_deadline < 0:
             raise ValueError("drain_deadline must be >= 0")
-
-
-#: sentinel distinguishing "not passed" from an explicit None in the
-#: deprecated run_batch kwargs
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -669,17 +663,11 @@ class TranscriptomicsAtlasPipeline:
         self,
         accessions: list[str],
         options: BatchOptions | None = None,
-        *,
-        max_parallel=_UNSET,
-        journal=_UNSET,
-        resume=_UNSET,
     ) -> list[PipelineResult]:
         """Run several accessions (one instance's view).
 
         Execution shape is configured through ``options`` (a
-        :class:`BatchOptions`); the bare keyword arguments
-        (``max_parallel=``, ``journal=``, ``resume=``) are deprecated
-        shims that build the equivalent options bundle and warn.
+        :class:`BatchOptions`; the defaults when omitted).
 
         ``max_parallel > 1`` overlaps accessions with a thread pool: the
         prefetch/dump steps are I/O-shaped and the alignment step hands
@@ -712,9 +700,8 @@ class TranscriptomicsAtlasPipeline:
         replayed, finished, and ``DRAINED`` work, and the journal holds
         everything a resume needs to complete the batch.
         """
-        options = self._coerce_options(
-            options, max_parallel=max_parallel, journal=journal, resume=resume
-        )
+        if options is None:
+            options = BatchOptions()
         run_journal: RunJournal | None = None
         if options.journal is not None:
             run_journal = (
@@ -861,41 +848,6 @@ class TranscriptomicsAtlasPipeline:
             "hits": sum(c.hits for c in self._shard_ckpts),
             "recorded": sum(c.recorded for c in self._shard_ckpts),
         }
-
-    @staticmethod
-    def _coerce_options(
-        options: BatchOptions | None, *, max_parallel, journal, resume
-    ) -> BatchOptions:
-        """Merge the deprecated kwargs into a :class:`BatchOptions`.
-
-        Passing both ``options`` and any legacy kwarg is an error (two
-        sources of truth); passing only legacy kwargs warns once and
-        builds the equivalent bundle.
-        """
-        legacy = {
-            name: value
-            for name, value in (
-                ("max_parallel", max_parallel),
-                ("journal", journal),
-                ("resume", resume),
-            )
-            if value is not _UNSET
-        }
-        if options is not None:
-            if legacy:
-                raise ValueError(
-                    "pass either BatchOptions or the deprecated kwargs, "
-                    f"not both (got options and {sorted(legacy)})"
-                )
-            return options
-        if legacy:
-            warnings.warn(
-                "run_batch(max_parallel=/journal=/resume=) is deprecated; "
-                "pass BatchOptions instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return BatchOptions(**legacy)
 
     # -- step 4: joint normalization -----------------------------------------
 

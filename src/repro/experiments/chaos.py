@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -153,25 +154,11 @@ class ChaosResult:
 
 def _comparable(result: PipelineResult) -> tuple:
     """The output surface that must be identical across execution modes
-    (wall-clock timings excluded — everything else must match)."""
-    final = result.star_result.final if result.star_result else None
-    counts = (
-        result.star_result.gene_counts if result.star_result else None
-    )
+    (wall-clock timings excluded — everything else must match): the
+    :func:`_resume_comparable` surface plus the live GeneCounts column."""
+    counts = result.star_result.gene_counts if result.star_result else None
     return (
-        result.accession,
-        result.status,
-        result.counts,
-        result.paired,
-        None
-        if final is None
-        else (
-            final.reads_processed,
-            final.mapped_unique,
-            final.mapped_multi,
-            final.unmapped,
-            final.aborted,
-        ),
+        *_resume_comparable(result),
         None if counts is None else counts.column_vector("unstranded"),
     )
 
@@ -431,6 +418,80 @@ def _resume_comparable(result: PipelineResult) -> tuple:
     )
 
 
+def _check_against_reference(
+    resumed: TranscriptomicsAtlasPipeline,
+    results: list[PipelineResult],
+    reference_pipeline: TranscriptomicsAtlasPipeline,
+    accessions: list[str],
+) -> tuple[list[PipelineResult], bool, bool]:
+    """Run the uninterrupted reference batch and hold the resumed one to
+    it: (reference results, outputs identical, count matrix identical)."""
+    reference = reference_pipeline.run_batch(accessions, BatchOptions())
+    matrix = resumed.build_count_matrix()
+    ref_matrix = reference_pipeline.build_count_matrix()
+    outputs = len(results) == len(reference) and all(
+        _resume_comparable(r) == _resume_comparable(ref)
+        for r, ref in zip(results, reference)
+    )
+    counts = (
+        matrix.gene_ids == ref_matrix.gene_ids
+        and matrix.sample_ids == ref_matrix.sample_ids
+        and bool((matrix.counts == ref_matrix.counts).all())
+    )
+    return reference, outputs, counts
+
+
+def _victim_shards(
+    pipeline: TranscriptomicsAtlasPipeline, accession: str
+) -> tuple[int, int]:
+    """(shards served from the journal, shards re-aligned) for the
+    resumed run of ``accession``."""
+    ckpt = {c.accession: c for c in pipeline._shard_ckpts}.get(accession)
+    return (0, 0) if ckpt is None else (ckpt.hits, ckpt.recorded)
+
+
+def _fork(body: Callable[[], None]) -> int:
+    """Run ``body`` in a forked child and return the child's pid.
+
+    The child leaves through ``os._exit`` — status 0 when ``body``
+    returns, 1 when it raises — so pytest/atexit machinery inherited
+    from the parent never runs twice.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            body()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _await_self_kill(pid: int, timeout: float, who: str, where: str) -> None:
+    """Wait for child ``pid`` to SIGKILL itself within ``timeout`` seconds.
+
+    A child still alive at the deadline is killed and reported; one
+    that exits normally means its kill hook never fired.
+    """
+    deadline = time.monotonic() + timeout
+    status = None
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.02)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise RuntimeError(f"{who} still alive after {timeout}s")
+    if not (os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL):
+        raise RuntimeError(
+            f"{who} exited instead of dying {where} "
+            f"(wait status {status}); the kill hook never fired"
+        )
+
+
 def run_resume_chaos(spec: ResumeChaosSpec | None = None) -> ResumeChaosResult:
     """Kill a journaled batch mid-flight, resume it, compare to fault-free.
 
@@ -495,28 +556,17 @@ def run_resume_chaos(spec: ResumeChaosSpec | None = None) -> ResumeChaosResult:
         # replay a previous invocation's terminal records
         journal_path.unlink(missing_ok=True)
 
-        pid = os.fork()
-        if pid == 0:
-            # victim child: run the journaled batch until SIGKILLed.
-            # os._exit keeps pytest/atexit machinery from running twice.
-            code = 1
-            try:
-                victim = TranscriptomicsAtlasPipeline(
-                    repo,
-                    aligner,
-                    tmp_path / "victim",
-                    config=make_config(),
-                )
-                victim.run_batch(
-                    accessions,
-                    BatchOptions(
-                        streaming=spec.streaming, journal=journal_path
-                    ),
-                )
-                code = 0
-            finally:
-                os._exit(code)
+        def victim() -> None:
+            # run the journaled batch until the parent SIGKILLs us
+            pipeline = TranscriptomicsAtlasPipeline(
+                repo, aligner, tmp_path / "victim", config=make_config()
+            )
+            pipeline.run_batch(
+                accessions,
+                BatchOptions(streaming=spec.streaming, journal=journal_path),
+            )
 
+        pid = _fork(victim)
         try:
             completed_before: list[str] = []
             deadline = time.monotonic() + spec.kill_timeout
@@ -546,25 +596,17 @@ def run_resume_chaos(spec: ResumeChaosSpec | None = None) -> ResumeChaosResult:
                 streaming=spec.streaming, journal=journal_path, resume=True
             ),
         )
-        matrix = resumed.build_count_matrix()
-
-        reference_pipeline = TranscriptomicsAtlasPipeline(
-            repo, aligner, tmp_path / "reference", config=make_config()
+        reference, outputs_identical, matrix_identical = _check_against_reference(
+            resumed,
+            results,
+            TranscriptomicsAtlasPipeline(
+                repo, aligner, tmp_path / "reference", config=make_config()
+            ),
+            accessions,
         )
-        reference = reference_pipeline.run_batch(accessions, BatchOptions())
-        ref_matrix = reference_pipeline.build_count_matrix()
 
     replayed = [r.accession for r in results if r.resumed]
     reexecuted = [r.accession for r in results if not r.resumed]
-    outputs_identical = len(results) == len(reference) and all(
-        _resume_comparable(r) == _resume_comparable(ref)
-        for r, ref in zip(results, reference)
-    )
-    matrix_identical = (
-        matrix.gene_ids == ref_matrix.gene_ids
-        and matrix.sample_ids == ref_matrix.sample_ids
-        and bool((matrix.counts == ref_matrix.counts).all())
-    )
     return ResumeChaosResult(
         results=results,
         reference=reference,
@@ -767,69 +809,43 @@ def run_kill_instance_chaos(
         prefix = "batch"
         lease_key = f"{prefix}/lease"
 
-        pid = os.fork()
-        if pid == 0:
-            # instance A: journaled + replicated batch, then die mid-shard
-            code = 1
-            try:
-                bucket = S3Service(root=s3_root).create_bucket("atlas-journal")
-                BatchLease.acquire(
-                    bucket,
-                    lease_key,
-                    "instance-a",
-                    now=time.time(),
-                    ttl=spec.lease_ttl,
-                )
-                journal = ReplicatedJournal(
-                    tmp_path / "a" / "journal.jsonl", bucket, prefix
-                )
-                pipeline = TranscriptomicsAtlasPipeline(
-                    repo, aligner, tmp_path / "a", config=make_config()
-                )
-                seen = {"n": 0}
-
-                def die_mid_shard(acc: str, start: int, end: int) -> None:
-                    if acc != victim_acc:
-                        return
-                    seen["n"] += 1
-                    if seen["n"] >= spec.kill_after_shards:
-                        # the deterministic "spot kill": the whole
-                        # instance — engine pool included — vanishes with
-                        # the checkpoint durably in S3
-                        import multiprocessing
-
-                        for proc in multiprocessing.active_children():
-                            if proc.pid is not None:
-                                os.kill(proc.pid, signal.SIGKILL)
-                        os.kill(os.getpid(), signal.SIGKILL)
-
-                pipeline._shard_record_hook = die_mid_shard
-                pipeline.run_batch(
-                    accessions,
-                    BatchOptions(journal=journal, shard_checkpoints=True),
-                )
-                code = 0
-            finally:
-                os._exit(code)
-
-        deadline = time.monotonic() + spec.kill_timeout
-        status = None
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.02)
-        else:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise RuntimeError(
-                f"instance A still alive after {spec.kill_timeout}s"
+        def instance_a() -> None:
+            # journaled + replicated batch, then die mid-shard
+            bucket = S3Service(root=s3_root).create_bucket("atlas-journal")
+            BatchLease.acquire(
+                bucket, lease_key, "instance-a", now=time.time(), ttl=spec.lease_ttl
             )
-        if not (os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL):
-            raise RuntimeError(
-                "instance A exited instead of dying mid-shard "
-                f"(wait status {status}); the kill hook never fired"
+            journal = ReplicatedJournal(
+                tmp_path / "a" / "journal.jsonl", bucket, prefix
             )
+            pipeline = TranscriptomicsAtlasPipeline(
+                repo, aligner, tmp_path / "a", config=make_config()
+            )
+            seen = {"n": 0}
+
+            def die_mid_shard(acc: str, start: int, end: int) -> None:
+                if acc != victim_acc:
+                    return
+                seen["n"] += 1
+                if seen["n"] >= spec.kill_after_shards:
+                    # the deterministic "spot kill": the whole instance —
+                    # engine pool included — vanishes with the checkpoint
+                    # durably in S3
+                    import multiprocessing
+
+                    for proc in multiprocessing.active_children():
+                        if proc.pid is not None:
+                            os.kill(proc.pid, signal.SIGKILL)
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            pipeline._shard_record_hook = die_mid_shard
+            pipeline.run_batch(
+                accessions, BatchOptions(journal=journal, shard_checkpoints=True)
+            )
+
+        _await_self_kill(
+            _fork(instance_a), spec.kill_timeout, "instance A", "mid-shard"
+        )
 
         # instance B: fresh process state, fresh bucket handle over the
         # same durable root — A's local journal file is NOT used
@@ -862,13 +878,7 @@ def run_kill_instance_chaos(
                 journal=journal_b, resume=True, shard_checkpoints=True
             ),
         )
-        matrix = resumed.build_count_matrix()
-        by_acc = {c.accession: c for c in resumed._shard_ckpts}
-        victim_ckpt = by_acc.get(victim_acc)
-        shards_replayed = victim_ckpt.hits if victim_ckpt is not None else 0
-        shards_realigned = (
-            victim_ckpt.recorded if victim_ckpt is not None else 0
-        )
+        shards_replayed, shards_realigned = _victim_shards(resumed, victim_acc)
 
         # instance A wakes up (simulated): its stale token-1 lease handle
         # must be fenced out at publish time
@@ -887,22 +897,16 @@ def run_kill_instance_chaos(
         lease.publish(results_bucket, "adopted/result", 1.0, now=time.time())
         lease.release(now=time.time())
 
-        reference_pipeline = TranscriptomicsAtlasPipeline(
-            repo, aligner, tmp_path / "reference", config=make_config()
+        reference, outputs_identical, matrix_identical = _check_against_reference(
+            resumed,
+            results,
+            TranscriptomicsAtlasPipeline(
+                repo, aligner, tmp_path / "reference", config=make_config()
+            ),
+            accessions,
         )
-        reference = reference_pipeline.run_batch(accessions, BatchOptions())
-        ref_matrix = reference_pipeline.build_count_matrix()
 
     replayed = [r.accession for r in results if r.resumed]
-    outputs_identical = len(results) == len(reference) and all(
-        _resume_comparable(r) == _resume_comparable(ref)
-        for r, ref in zip(results, reference)
-    )
-    matrix_identical = (
-        matrix.gene_ids == ref_matrix.gene_ids
-        and matrix.sample_ids == ref_matrix.sample_ids
-        and bool((matrix.counts == ref_matrix.counts).all())
-    )
     return KillInstanceResult(
         results=results,
         reference=reference,
@@ -1080,58 +1084,33 @@ def run_faas_chaos(spec: FaasChaosSpec | None = None) -> FaasChaosResult:
         victim_acc = spec.victim_accession
         journal_path = tmp_path / "batch.jsonl"
 
-        pid = os.fork()
-        if pid == 0:
-            # the doomed driver: scatter until the kill hook fires
-            code = 1
-            try:
-                pipeline = TranscriptomicsAtlasPipeline(
-                    repo, aligner, tmp_path / "victim", config=make_config()
-                )
-                seen = {"n": 0}
-
-                def die_mid_scatter(acc: str, start: int, end: int) -> None:
-                    if acc != victim_acc:
-                        return
-                    seen["n"] += 1
-                    if seen["n"] >= spec.kill_after_shards:
-                        # no engine pool to reap: the faas driver is a
-                        # single process and dies whole
-                        os.kill(os.getpid(), signal.SIGKILL)
-
-                pipeline._shard_record_hook = die_mid_scatter
-                pipeline.run_batch(
-                    accessions,
-                    BatchOptions(
-                        backend="faas",
-                        journal=journal_path,
-                        shard_checkpoints=True,
-                    ),
-                )
-                code = 0
-            finally:
-                os._exit(code)
-
-        deadline = time.monotonic() + spec.kill_timeout
-        status = None
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.02)
-        else:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise RuntimeError(
-                f"faas driver still alive after {spec.kill_timeout}s"
+        def doomed_driver() -> None:
+            # scatter until the kill hook fires
+            pipeline = TranscriptomicsAtlasPipeline(
+                repo, aligner, tmp_path / "victim", config=make_config()
             )
-        if not (
-            os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
-        ):
-            raise RuntimeError(
-                "faas driver exited instead of dying mid-scatter "
-                f"(wait status {status}); the kill hook never fired"
+            seen = {"n": 0}
+
+            def die_mid_scatter(acc: str, start: int, end: int) -> None:
+                if acc != victim_acc:
+                    return
+                seen["n"] += 1
+                if seen["n"] >= spec.kill_after_shards:
+                    # no engine pool to reap: the faas driver is a single
+                    # process and dies whole
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            pipeline._shard_record_hook = die_mid_scatter
+            pipeline.run_batch(
+                accessions,
+                BatchOptions(
+                    backend="faas", journal=journal_path, shard_checkpoints=True
+                ),
             )
+
+        _await_self_kill(
+            _fork(doomed_driver), spec.kill_timeout, "faas driver", "mid-scatter"
+        )
 
         pre_resume = RunJournal(journal_path).replay()
         completed_before = sorted(pre_resume.terminal)
@@ -1152,30 +1131,17 @@ def run_faas_chaos(spec: FaasChaosSpec | None = None) -> FaasChaosResult:
                 shard_checkpoints=True,
             ),
         )
-        matrix = resumed.build_count_matrix()
-        by_acc = {c.accession: c for c in resumed._shard_ckpts}
-        victim_ckpt = by_acc.get(victim_acc)
-        shards_adopted = victim_ckpt.hits if victim_ckpt is not None else 0
-        shards_realigned = (
-            victim_ckpt.recorded if victim_ckpt is not None else 0
+        shards_adopted, shards_realigned = _victim_shards(resumed, victim_acc)
+        reference, outputs_identical, matrix_identical = _check_against_reference(
+            resumed,
+            results,
+            TranscriptomicsAtlasPipeline(
+                repo, aligner, tmp_path / "reference", config=make_config()
+            ),
+            accessions,
         )
-
-        reference_pipeline = TranscriptomicsAtlasPipeline(
-            repo, aligner, tmp_path / "reference", config=make_config()
-        )
-        reference = reference_pipeline.run_batch(accessions, BatchOptions())
-        ref_matrix = reference_pipeline.build_count_matrix()
 
     replayed = [r.accession for r in results if r.resumed]
-    outputs_identical = len(results) == len(reference) and all(
-        _resume_comparable(r) == _resume_comparable(ref)
-        for r, ref in zip(results, reference)
-    )
-    matrix_identical = (
-        matrix.gene_ids == ref_matrix.gene_ids
-        and matrix.sample_ids == ref_matrix.sample_ids
-        and bool((matrix.counts == ref_matrix.counts).all())
-    )
     return FaasChaosResult(
         results=results,
         reference=reference,

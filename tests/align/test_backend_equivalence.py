@@ -96,6 +96,32 @@ def paired_sample(simulator):
     )
 
 
+@pytest.fixture(scope="module")
+def long_paired_sample(simulator):
+    """Enough pairs for a progress record before the last pair: the
+    default paired cadence is one record per 500 pairs."""
+    return simulate_paired(
+        simulator,
+        PairedProfile(
+            LibraryType.BULK_POLYA,
+            n_pairs=600,
+            read_length=70,
+            insert_mean=250,
+            insert_sd=30,
+        ),
+        rng=29,
+    )
+
+
+def make_strict_monitor():
+    """A bar no real sample meets: aborts at the first checkpoint past
+    the check fraction."""
+    policy =EarlyStoppingPolicy(
+        mapping_threshold=0.999, check_fraction=0.2, min_reads=50
+    )
+    return EarlyStopMonitor(policy).hook
+
+
 @pytest.mark.parametrize("backend_name", BACKENDS)
 class TestEquivalence:
     def test_single_end(self, backend_name, build_backend, bulk_sample):
@@ -123,22 +149,34 @@ class TestEquivalence:
     def test_early_stop_aborts_at_the_same_read(
         self, backend_name, build_backend, bulk_sample
     ):
-        def make_monitor():
-            # a bar no real sample meets: aborts at the first checkpoint
-            # past the check fraction
-            policy = EarlyStoppingPolicy(
-                mapping_threshold=0.999, check_fraction=0.2, min_reads=50
-            )
-            return EarlyStopMonitor(policy).hook
-
         want = build_backend("serial").align(
-            ReadBatch(bulk_sample.records), monitor=make_monitor()
+            ReadBatch(bulk_sample.records), monitor=make_strict_monitor()
         )
         got = build_backend(backend_name).align(
-            ReadBatch(bulk_sample.records), monitor=make_monitor()
+            ReadBatch(bulk_sample.records), monitor=make_strict_monitor()
         )
         assert want.aborted
         assert_equivalent(got, want)
+
+    def test_paired_early_stop_aborts_at_the_same_pair(
+        self, backend_name, build_backend, long_paired_sample
+    ):
+        batch = ReadBatch(long_paired_sample.mate1, long_paired_sample.mate2)
+        want = build_backend("serial", paired=True).align(
+            batch, monitor=make_strict_monitor()
+        )
+        got_backend = (
+            build_backend(backend_name, paired=True)
+            if backend_name == "serial"
+            else build_backend(backend_name)
+        )
+        got = got_backend.align(batch, monitor=make_strict_monitor())
+        # the stop lands inside a shard on every backend, so the
+        # GeneCounts prefix recount is what keeps the counts identical
+        assert want.aborted
+        assert 0 < len(want.outcomes) < len(long_paired_sample.mate1)
+        assert_equivalent(got, want)
+        assert got.progress[-1].reads_processed == len(want.outcomes)
 
 
 class TestFaasChaosEquivalence:

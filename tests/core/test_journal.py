@@ -12,7 +12,11 @@ from repro.core.journal import (
     RunJournal,
     config_fingerprint,
 )
-from repro.core.pipeline import PipelineConfig, TranscriptomicsAtlasPipeline
+from repro.core.pipeline import (
+    BatchOptions,
+    PipelineConfig,
+    TranscriptomicsAtlasPipeline,
+)
 from repro.core.resilience import RetryPolicy
 
 
@@ -212,5 +216,5 @@ class TestFingerprint:
             SraRepository(), aligner_r111, tmp_path / "out"
         )
         with pytest.raises(JournalIncompatible) as err:
-            pipeline.run_batch(["a"], journal=journal, resume=True)
+            pipeline.run_batch(["a"], BatchOptions(journal=journal, resume=True))
         assert err.value.journal_fingerprint != err.value.config_fingerprint

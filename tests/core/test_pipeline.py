@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.early_stopping import EarlyStoppingPolicy
 from repro.core.pipeline import (
+    BatchOptions,
     PipelineConfig,
     RunStatus,
     TranscriptomicsAtlasPipeline,
@@ -252,7 +253,9 @@ class TestParallelPipeline:
                 early_stopping=EarlyStoppingPolicy(min_reads=20), workers=2
             ),
         ) as parallel:
-            par_results = parallel.run_batch(self.ACCESSIONS, max_parallel=2)
+            par_results = parallel.run_batch(
+                self.ACCESSIONS, BatchOptions(max_parallel=2)
+            )
 
         assert [r.accession for r in par_results] == self.ACCESSIONS
         assert parallel.results == par_results  # submission order kept

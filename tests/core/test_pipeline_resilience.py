@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.early_stopping import EarlyStoppingPolicy
 from repro.core.pipeline import (
+    BatchOptions,
     PipelineConfig,
     RunStatus,
     TranscriptomicsAtlasPipeline,
@@ -132,7 +133,7 @@ class TestBatchIsolation:
             tmp_path,
             fault_plan=FaultPlan.parse("prefetch:SRR2000002:permanent"),
         )
-        results = pipeline.run_batch(ACCESSIONS, max_parallel=3)
+        results = pipeline.run_batch(ACCESSIONS, BatchOptions(max_parallel=3))
         # one result per accession, in submission order, always
         assert [r.accession for r in results] == ACCESSIONS
         assert [r.status for r in results] == [
