@@ -30,25 +30,33 @@ _DECODE_LUT = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
 _COMPLEMENT_LUT = np.array([BASE_T, BASE_G, BASE_C, BASE_A, BASE_N], dtype=np.uint8)
 
 
-def encode(sequence: str | bytes) -> np.ndarray:
-    """Encode an ASCII nucleotide string to a uint8 code array.
+def encode(sequence: str | bytes | np.ndarray) -> np.ndarray:
+    """Encode ASCII nucleotides to a uint8 code array.
 
+    ``sequence`` is a string, bytes, or a uint8 array of ASCII codes.
     Lowercase (soft-masked) bases are accepted; any character outside
     ``ACGTacgt`` becomes ``N``.
     """
-    if isinstance(sequence, str):
+    if isinstance(sequence, np.ndarray):
+        raw = sequence
+    elif isinstance(sequence, str):
         raw = np.frombuffer(sequence.encode("ascii"), dtype=np.uint8)
     else:
         raw = np.frombuffer(bytes(sequence), dtype=np.uint8)
-    return _ENCODE_LUT[raw]
+    return _ENCODE_LUT.take(raw)
+
+
+def decode_bytes(codes: np.ndarray) -> np.ndarray:
+    """Decode a uint8 code array to a uint8 array of ``ACGTN`` ASCII codes."""
+    codes = np.asarray(codes, dtype=np.uint8)
+    if codes.size and int(codes.max()) > BASE_N:
+        raise ValueError("code array contains values outside the ACGTN alphabet")
+    return _DECODE_LUT.take(codes)
 
 
 def decode(codes: np.ndarray) -> str:
     """Decode a uint8 code array back to an ``ACGTN`` string."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size and int(codes.max()) > BASE_N:
-        raise ValueError("code array contains values outside the ACGTN alphabet")
-    return _DECODE_LUT[codes].tobytes().decode("ascii")
+    return decode_bytes(codes).tobytes().decode("ascii")
 
 
 def complement(codes: np.ndarray) -> np.ndarray:

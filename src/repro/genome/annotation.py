@@ -8,6 +8,8 @@ simulator and the splice-junction database (``sjdb``).
 from __future__ import annotations
 
 import enum
+import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,11 +161,61 @@ class Gene:
         return SequenceRegion(self.contig, self.start, self.end)
 
 
+class _GeneIndex:
+    """Per-contig interval index over gene extents.
+
+    Genes are sorted by start (ties in annotation order) beside the
+    running maximum of their ends, so a query bisects to the candidates
+    that start before the region ends and whose prefix reaches past its
+    start: O(log G + k) instead of a scan over every gene.
+    """
+
+    def __init__(self, genes: list[Gene]) -> None:
+        self._position = {gene.gene_id: i for i, gene in enumerate(genes)}
+        rows: dict[str, list[tuple[int, int, int]]] = {}
+        for position, gene in enumerate(genes):
+            if gene.transcripts:  # a gene without transcripts has no extent
+                rows.setdefault(gene.contig, []).append(
+                    (gene.start, position, gene.end)
+                )
+        #: contig -> (starts, running max of ends, ends, genes), in start order
+        self._contigs: dict[str, tuple[list, list, list, list[Gene]]] = {}
+        for contig, entries in rows.items():
+            entries.sort()
+            starts, positions, ends = (list(col) for col in zip(*entries))
+            reach = list(itertools.accumulate(ends, max))
+            by_start = [genes[i] for i in positions]
+            self._contigs[contig] = (starts, reach, ends, by_start)
+
+    def overlapping(self, region: SequenceRegion) -> list[Gene]:
+        """Genes overlapping ``region``, in annotation order."""
+        entry = self._contigs.get(region.contig)
+        if entry is None:
+            return []
+        starts, reach, ends, genes = entry
+        # overlap: gene.start < region.end and region.start < gene.end
+        start = region.start
+        hits = []
+        for k in range(bisect_right(reach, start), bisect_left(starts, region.end)):
+            if ends[k] > start:
+                hits.append(genes[k])
+        if len(hits) > 1:
+            hits.sort(key=lambda gene: self._position[gene.gene_id])
+        return hits
+
+
 @dataclass
 class Annotation:
-    """All genes of an assembly, with index structures for assignment."""
+    """All genes of an assembly, with index structures for assignment.
+
+    The gene interval index is built on the first overlap query, so the
+    gene list must not change after that.
+    """
 
     genes: list[Gene] = field(default_factory=list)
+    _index: _GeneIndex | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         ids = [g.gene_id for g in self.genes]
@@ -209,12 +261,10 @@ class Annotation:
         return None
 
     def overlapping_genes(self, region: SequenceRegion) -> list[Gene]:
-        """All genes whose extent overlaps ``region``."""
-        return [
-            g
-            for g in self.genes
-            if g.contig == region.contig and g.region.overlaps(region)
-        ]
+        """All genes whose extent overlaps ``region``, in annotation order."""
+        if self._index is None:
+            self._index = _GeneIndex(self.genes)
+        return self._index.overlapping(region)
 
     def splice_junctions(self) -> list[tuple[str, int, int]]:
         """The annotated junction database: (contig, donor_end, acceptor_start).

@@ -1,8 +1,25 @@
-"""FASTQ record model and streaming I/O.
+"""FASTQ records and the one codec every read path uses.
 
-Supports plain and gzipped files, Sanger (Phred+33) quality encoding, and
-both eager (`read_fastq`) and streaming (`iter_fastq`) parsing — STAR and
-``fasterq-dump`` both stream, and the aligner in :mod:`repro.align` does too.
+The text format — ``@id`` / sequence / ``+`` / Sanger (Phred+33)
+qualities — is read and written here and nowhere else:
+
+* :class:`FastqFramer` takes FASTQ text in byte blocks of any size (file
+  reads, inflated SRA payload, downloaded chunks) and frames complete
+  records with numpy, at most :data:`BLOCK_BYTES` of text per step: line
+  feeds, the ``@``/``+``, length and Phred+33 checks, and base codes
+  through the alphabet LUT.  A partial record at the end of a block
+  carries over to the next.
+* Each framed :class:`FastqBlock` gives :class:`FastqRecord` objects whose
+  arrays are views into per-block arrays, or — for ``fasterq-dump`` — its
+  text in dumped form, without building any per-read object.
+* :func:`render_fastq` is the one writer.
+
+Line ends are ``\\n`` or ``\\r\\n``; the text must be ASCII.  A missing
+``@`` or ``+``, unequal sequence and quality lengths, a quality below
+Phred+33 or a truncated final record raise :class:`ValueError`.  Read ids
+follow the entry point: archives keep the whole header line, FASTQ files
+and streams cut it at the first whitespace.  STAR and ``fasterq-dump``
+both stream, and so does :func:`iter_fastq`.
 """
 
 from __future__ import annotations
@@ -14,10 +31,40 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.genome.alphabet import decode, encode
+from repro.genome.alphabet import decode, decode_bytes, encode
 
 PHRED_OFFSET = 33
 MAX_PHRED = 41
+
+#: most FASTQ text one vectorized step frames or renders; it bounds the
+#: per-block temporaries, which are uint8 or bool per byte of text
+BLOCK_BYTES = 32 * 1024
+
+_LF, _CR, _AT, _PLUS = b"\n\r@+"
+#: the bytes ``str.split()`` splits on, bar the line feed: where a FASTQ
+#: reader's read id ends
+_ID_BREAK = np.array([chr(c).isspace() and c != _LF for c in range(256)])
+
+# What each byte of framed text is.  Every line is four spans — marker,
+# content, optional CR, LF — and a record's four lines give the spans
+# below.  A header's LF counts as id text so that ids split on it; CRs
+# and anything after the '+' are dropped from the dumped form.
+_ID, _SEQ, _QUAL, _KEEP, _DROP = range(5)
+_RECORD_SPANS = np.array(
+    [
+        *(_KEEP, _ID, _DROP, _ID),  # @ id \r \n
+        *(_KEEP, _SEQ, _DROP, _KEEP),  # sequence
+        *(_KEEP, _DROP, _DROP, _KEEP),  # + anything
+        *(_KEEP, _QUAL, _DROP, _KEEP),  # qualities
+    ],
+    dtype=np.uint8,
+)
+#: marker length of each line: the header's '@' and the separator's '+'
+_MARKERS = np.array([1, 0, 1, 0], dtype=np.int64)
+
+# The record template the writer fills; bytes 0-2 stand for the fields.
+_FILL_ID, _FILL_SEQ, _FILL_QUAL = 0, 1, 2
+_TEMPLATE = np.frombuffer(b"@\x00\n\x01\n+\n\x02\n", dtype=np.uint8)
 
 
 @dataclass
@@ -54,6 +101,16 @@ class FastqRecord:
         return float(self.qualities.mean()) if self.qualities.size else 0.0
 
     @classmethod
+    def _framed(cls, read_id: str, sequence: np.ndarray, qualities: np.ndarray):
+        """A record from arrays the codec has already validated: uint8,
+        equal lengths (skips ``__post_init__``, the codec's hot path)."""
+        record = cls.__new__(cls)
+        record.read_id = read_id
+        record.sequence = sequence
+        record.qualities = qualities
+        return record
+
+    @classmethod
     def from_strings(cls, read_id: str, sequence: str, quality: str) -> "FastqRecord":
         """Build a record from FASTQ text fields."""
         q = np.frombuffer(quality.encode("ascii"), dtype=np.uint8)
@@ -62,33 +119,202 @@ class FastqRecord:
         return cls(read_id, encode(sequence), (q - PHRED_OFFSET).astype(np.uint8))
 
 
-def _open_text(path: Path | str, mode: str):
+@dataclass
+class FastqBlock:
+    """Whole records framed from one block of FASTQ text.
+
+    Built by :class:`FastqFramer`, which has validated every record.
+    """
+
+    #: the block's text (whole records only), writable
+    text: np.ndarray
+    #: per byte of ``text``: what it is (``_ID``, ``_SEQ``, ``_QUAL``,
+    #: ``_KEEP`` or ``_DROP``)
+    kind: np.ndarray
+    #: per record: header length after the '@', sequence length, and the
+    #: record's length in ``text``
+    id_len: np.ndarray
+    seq_len: np.ndarray
+    raw_len: np.ndarray
+    #: True when ``text`` has nothing to drop: no CR, nothing after a '+'
+    dumped_form: bool
+    #: the input's name and the block's first record number in it, for
+    #: error messages
+    source: str
+    first: int
+
+    @property
+    def n_records(self) -> int:
+        return int(self.seq_len.size)
+
+    @property
+    def dumped_bytes(self) -> int:
+        """Size of the block's records as ``fasterq-dump`` writes them."""
+        return int(self.id_len.sum() + 2 * self.seq_len.sum()) + 6 * self.n_records
+
+    def _read_ids(self, *, whole: bool) -> list[str]:
+        """Each record's header after the '@': whole, or up to the first
+        whitespace (an id left empty then raises)."""
+        raw = self.text[self.kind == _ID]
+        ids = raw.tobytes().decode("ascii").split("\n")
+        ids.pop()
+        if whole or not (_ID_BREAK[raw].any() or (self.id_len == 0).any()):
+            return ids
+        cut = []
+        for i, header in enumerate(ids):
+            words = header.split(None, 1)
+            if not words:
+                raise ValueError(
+                    f"{self.source}: record {self.first + i + 1}: empty read id"
+                )
+            cut.append(words[0])
+        return cut
+
+    def records(self, *, whole_ids: bool = False) -> list[FastqRecord]:
+        """The block's records; their arrays are views into two per-block
+        arrays, one of base codes and one of Phred scores."""
+        ids = self._read_ids(whole=whole_ids)
+        codes = encode(self.text[self.kind == _SEQ])
+        quals = self.text[self.kind == _QUAL] - np.uint8(PHRED_OFFSET)
+        ends = np.cumsum(self.seq_len).tolist()
+        return [
+            FastqRecord._framed(read_id, codes[start:end], quals[start:end])
+            for read_id, start, end in zip(ids, [0, *ends], ends)
+        ]
+
+    def dump(self, *, mates: bool = False) -> list[np.ndarray]:
+        """The block's text as ``fasterq-dump`` writes it: bases
+        normalised to ``ACGTN`` (in place), CRs and anything after a '+'
+        dropped.  With ``mates``, two texts: even and odd records."""
+        seq = self.kind == _SEQ
+        self.text[seq] = decode_bytes(encode(self.text[seq]))
+        if not mates:
+            return [self.text if self.dumped_form else self.text[self.kind != _DROP]]
+        keep = self.kind != _DROP
+        parity = (np.arange(self.n_records) & 1).astype(np.uint8)
+        second = np.repeat(parity, self.raw_len).view(bool)
+        return [self.text[keep & ~second], self.text[keep & second]]
+
+
+class FastqFramer:
+    """Frames FASTQ text fed as byte blocks of any size (see module doc).
+
+    ``group`` records are framed as a unit, so a block never splits the
+    mates of a mate-interleaved payload (``group=2``).  ``source`` names
+    the input in error messages.
+    """
+
+    def __init__(self, source: str, *, group: int = 1) -> None:
+        self.source = source
+        self._lines = 4 * group
+        self._carry = b""
+        #: records framed so far
+        self.n_records = 0
+
+    def feed(self, data: bytes) -> Iterator[FastqBlock]:
+        """Blocks of the records ``data`` completes; the rest carries over."""
+        view = memoryview(data)
+        for start in range(0, len(view), BLOCK_BYTES):
+            block = self._frame(view[start : start + BLOCK_BYTES])
+            if block is not None:
+                yield block
+
+    def finish(self) -> Iterator[FastqBlock]:
+        """Frame what is left at the end of the input.
+
+        The final line may lack its line feed; text short of a whole
+        record (or group) raises :class:`ValueError`.
+        """
+        if self._carry and not self._carry.endswith(b"\n"):
+            block = self._frame(b"\n")
+            if block is not None:
+                yield block
+        if self._carry:
+            raise ValueError(
+                f"{self.source}: truncated FASTQ: the text ends inside a record"
+            )
+
+    def _frame(self, piece) -> FastqBlock | None:
+        buf = bytearray(self._carry)
+        buf += piece
+        text = np.frombuffer(buf, dtype=np.uint8)
+        lf = np.flatnonzero(text == _LF)
+        n_lines = lf.size - lf.size % self._lines
+        if not n_lines:
+            self._carry = bytes(buf)
+            return None
+        end = int(lf[n_lines - 1]) + 1
+        self._carry = bytes(buf[end:])
+        block = self._validate(text[:end], lf[:n_lines])
+        self.n_records += block.n_records
+        return block
+
+    def _fail(self, record: int, problem: str) -> ValueError:
+        number = self.n_records + record + 1
+        return ValueError(f"{self.source}: record {number}: {problem}")
+
+    def _validate(self, text: np.ndarray, lf: np.ndarray) -> FastqBlock:
+        if int(text.max()) > 127:
+            raise ValueError(f"{self.source}: FASTQ text is not ASCII")
+        starts = np.empty_like(lf)
+        starts[0] = 0
+        starts[1:] = lf[:-1] + 1
+        cr = (lf > starts) & (text[lf - 1] == _CR)
+        ends = lf - cr
+        head, seq, plus, qual = starts.reshape(-1, 4).T
+        head_end, seq_end, plus_end, qual_end = ends.reshape(-1, 4).T
+        bad = np.flatnonzero((head_end == head) | (text[head] != _AT))
+        if bad.size:
+            i = int(bad[0])
+            line = text[head[i] : head_end[i]].tobytes()
+            raise self._fail(i, f"expected '@' header, got {line!r}")
+        bad = np.flatnonzero((plus_end == plus) | (text[plus] != _PLUS))
+        if bad.size:
+            i = int(bad[0])
+            line = text[plus[i] : plus_end[i]].tobytes()
+            raise self._fail(i, f"expected '+' separator, got {line!r}")
+        seq_len = seq_end - seq
+        bad = np.flatnonzero(seq_len != qual_end - qual)
+        if bad.size:
+            raise self._fail(int(bad[0]), "sequence/quality length mismatch")
+        n = seq_len.size
+        markers = np.tile(_MARKERS, n)
+        content = ends - starts - markers
+        spans = np.stack([markers, content, cr, np.ones_like(lf)], axis=1)
+        kind = np.repeat(np.tile(_RECORD_SPANS, n), spans.ravel())
+        low = np.flatnonzero((text < PHRED_OFFSET) & (kind == _QUAL))
+        if low.size:
+            i = int(np.searchsorted(head, low[0], side="right")) - 1
+            raise self._fail(i, "quality characters below Phred+33 range")
+        return FastqBlock(
+            text=text,
+            kind=kind,
+            id_len=head_end - head - 1,
+            seq_len=seq_len,
+            raw_len=lf[3::4] + 1 - head,
+            dumped_form=not (cr.any() or (plus_end - plus > 1).any()),
+            source=self.source,
+            first=self.n_records,
+        )
+
+
+def _open_binary(path: Path | str, mode: str):
     path = Path(path)
     if path.suffix == ".gz":
-        return gzip.open(path, mode + "t")
-    return open(path, mode)
+        return gzip.open(path, mode + "b")
+    return open(path, mode + "b")
 
 
 def iter_fastq(path: Path | str) -> Iterator[FastqRecord]:
-    """Stream records from a FASTQ file, validating 4-line framing."""
-    with _open_text(path, "r") as fh:
-        while True:
-            header = fh.readline()
-            if not header:
-                return
-            header = header.rstrip("\n")
-            if not header.startswith("@"):
-                raise ValueError(f"{path}: expected '@' header, got {header!r}")
-            sequence = fh.readline().rstrip("\n")
-            plus = fh.readline().rstrip("\n")
-            quality = fh.readline().rstrip("\n")
-            if not plus.startswith("+"):
-                raise ValueError(f"{path}: malformed separator line {plus!r}")
-            if len(sequence) != len(quality):
-                raise ValueError(
-                    f"{path}: sequence/quality length mismatch in {header!r}"
-                )
-            yield FastqRecord.from_strings(header[1:].split()[0], sequence, quality)
+    """Stream records from a FASTQ file (gzipped if ``.gz``), one block of
+    text at a time; read ids end at the first whitespace."""
+    framer = FastqFramer(str(path))
+    with _open_binary(path, "r") as fh:
+        while data := fh.read(BLOCK_BYTES):
+            for block in framer.feed(data):
+                yield from block.records()
+    for block in framer.finish():
+        yield from block.records()
 
 
 def read_fastq(path: Path | str) -> list[FastqRecord]:
@@ -96,22 +322,51 @@ def read_fastq(path: Path | str) -> list[FastqRecord]:
     return list(iter_fastq(path))
 
 
+def _render(records: list[FastqRecord]) -> np.ndarray:
+    n = len(records)
+    ids = "".join(rec.read_id for rec in records).encode("ascii")
+    id_len = np.fromiter((len(rec.read_id) for rec in records), np.int64, n)
+    seq_len = np.fromiter((rec.sequence.size for rec in records), np.int64, n)
+    seq = np.concatenate([rec.sequence for rec in records])
+    qual = np.concatenate([rec.qualities for rec in records])
+    if qual.size and int(qual.max()) > 127 - PHRED_OFFSET:
+        raise ValueError("quality above the Phred+33 ASCII range")
+    ones = np.ones(n, dtype=np.int64)
+    spans = np.stack(
+        [ones, id_len, ones, seq_len, ones, ones, ones, seq_len, ones], axis=1
+    )
+    text = np.repeat(np.tile(_TEMPLATE, n), spans.ravel())
+    is_id, is_seq, is_qual = text == _FILL_ID, text == _FILL_SEQ, text == _FILL_QUAL
+    text[is_id] = np.frombuffer(ids, dtype=np.uint8)
+    text[is_seq] = decode_bytes(seq)
+    text[is_qual] = qual + np.uint8(PHRED_OFFSET)
+    return text
+
+
+def render_fastq(records: Iterable[FastqRecord]) -> Iterator[np.ndarray]:
+    """FASTQ text of ``records``, rendered about :data:`BLOCK_BYTES` at a
+    time as uint8 arrays: the one place the format is written."""
+    batch: list[FastqRecord] = []
+    size = 0
+    for rec in records:
+        batch.append(rec)
+        size += len(rec.read_id) + 2 * rec.sequence.size + 6
+        if size >= BLOCK_BYTES:
+            yield _render(batch)
+            batch, size = [], 0
+    if batch:
+        yield _render(batch)
+
+
 def write_fastq(records: Iterable[FastqRecord], path: Path | str) -> int:
     """Write records to a (gzipped if ``.gz``) FASTQ file; returns the count."""
-    n = 0
-    with _open_text(path, "w") as fh:
-        for rec in records:
-            fh.write(f"@{rec.read_id}\n{rec.sequence_str}\n+\n{rec.quality_str}\n")
-            n += 1
-    return n
+    records = list(records)
+    with _open_binary(path, "w") as fh:
+        for text in render_fastq(records):
+            fh.write(text)
+    return len(records)
 
 
 def fastq_byte_size(records: Iterable[FastqRecord]) -> int:
     """Exact uncompressed FASTQ byte size of ``records`` without writing them."""
-    total = 0
-    for rec in records:
-        total += 1 + len(rec.read_id) + 1  # @id\n
-        total += rec.length + 1  # seq\n
-        total += 2  # +\n
-        total += rec.length + 1  # qual\n
-    return total
+    return sum(len(rec.read_id) + 2 * rec.length + 6 for rec in records)

@@ -14,20 +14,17 @@ end).  This module adds:
 
 from __future__ import annotations
 
-import io
-import json
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.genome.alphabet import random_sequence, reverse_complement
-from repro.reads.fastq import FastqRecord, write_fastq
+from repro.reads.fastq import FastqRecord
 from repro.reads.library import LibraryType, SampleProfile
 from repro.reads.simulator import ReadSimulator
+from repro.reads.sra import decode_payload, dump_payload, pack_archive, unpack_archive
 from repro.util.rng import derive_rng, ensure_rng
 
 if TYPE_CHECKING:
@@ -35,7 +32,6 @@ if TYPE_CHECKING:
 from repro.util.validation import check_positive
 
 _MAGIC_PAIRED = b"SRAP"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -194,47 +190,26 @@ class PairedSraArchive:
     def n_pairs(self) -> int:
         return len(self.mate1)
 
-    def _payload(self) -> bytes:
-        buf = io.StringIO()
-        for r1, r2 in zip(self.mate1, self.mate2):
-            for rec in (r1, r2):
-                buf.write(f"@{rec.read_id}\n{rec.sequence_str}\n+\n{rec.quality_str}\n")
-        return zlib.compress(buf.getvalue().encode("ascii"), level=6)
-
     def to_bytes(self) -> bytes:
-        header = json.dumps(
-            {
-                "accession": self.accession,
-                "library": self.library.value,
-                "n_pairs": self.n_pairs,
-            }
-        ).encode("ascii")
-        return _MAGIC_PAIRED + struct.pack("<HI", _VERSION, len(header)) + header + self._payload()
+        """Serialize: SRAP magic, header, zlib of the mate-interleaved FASTQ."""
+        header = {
+            "accession": self.accession,
+            "library": self.library.value,
+            "n_pairs": self.n_pairs,
+        }
+        interleaved = (rec for pair in zip(self.mate1, self.mate2) for rec in pair)
+        return pack_archive(_MAGIC_PAIRED, header, interleaved)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PairedSraArchive":
-        if data[:4] != _MAGIC_PAIRED:
-            raise ValueError("not a paired SRA archive (bad magic)")
-        version, header_len = struct.unpack_from("<HI", data, 4)
-        if version != _VERSION:
-            raise ValueError(f"unsupported paired archive version {version}")
-        start = 4 + struct.calcsize("<HI")
-        header = json.loads(data[start : start + header_len])
-        text = zlib.decompress(data[start + header_len :]).decode("ascii")
-        lines = text.splitlines()
-        if len(lines) % 8 != 0:
-            raise ValueError("corrupt paired payload")
+        """Parse a serialized paired archive; mates alternate in the payload."""
+        header, payload = unpack_archive(data, _MAGIC_PAIRED, "a paired SRA archive")
         mate1: list[FastqRecord] = []
         mate2: list[FastqRecord] = []
-        for i in range(0, len(lines), 8):
-            mate1.append(
-                FastqRecord.from_strings(lines[i][1:], lines[i + 1], lines[i + 3])
-            )
-            mate2.append(
-                FastqRecord.from_strings(
-                    lines[i + 4][1:], lines[i + 5], lines[i + 7]
-                )
-            )
+        for block in decode_payload(payload, header["accession"], paired=True):
+            records = block.records(whole_ids=True)
+            mate1.extend(records[0::2])
+            mate2.extend(records[1::2])
         archive = cls(
             accession=header["accession"],
             library=LibraryType(header["library"]),
@@ -259,11 +234,13 @@ def fasterq_dump_paired(
     sra_path = Path(sra_path)
     if fault_plan is not None:
         fault_plan.check("fasterq_dump", sra_path.stem)
-    archive = PairedSraArchive.from_bytes(sra_path.read_bytes())
+    header, payload = unpack_archive(
+        sra_path.read_bytes(), _MAGIC_PAIRED, "a paired SRA archive"
+    )
+    accession = header["accession"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    p1 = out_dir / f"{archive.accession}_1.fastq"
-    p2 = out_dir / f"{archive.accession}_2.fastq"
-    write_fastq(archive.mate1, p1)
-    write_fastq(archive.mate2, p2)
+    p1 = out_dir / f"{accession}_1.fastq"
+    p2 = out_dir / f"{accession}_2.fastq"
+    dump_payload(payload, accession, [p1, p2], header["n_pairs"])
     return p1, p2

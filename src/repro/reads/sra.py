@@ -15,15 +15,24 @@ interface and round-trip guarantees:
 
 from __future__ import annotations
 
-import io
+import contextlib
 import json
 import struct
 import zlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.reads.fastq import FastqRecord, iter_fastq, write_fastq
+from repro.reads.fastq import (
+    BLOCK_BYTES,
+    FastqBlock,
+    FastqFramer,
+    FastqRecord,
+    fastq_byte_size,
+    iter_fastq,
+    render_fastq,
+)
 from repro.reads.library import LibraryType, SraRunMetadata
 
 if TYPE_CHECKING:
@@ -31,6 +40,96 @@ if TYPE_CHECKING:
 
 _MAGIC = b"SRAR"
 _VERSION = 1
+_PREFIX = struct.Struct("<HI")
+
+
+def pack_archive(magic: bytes, header: dict, records: Iterable[FastqRecord]) -> bytes:
+    """Serialize: MAGIC | version | header-length | header-json | zlib(fastq)."""
+    blob = json.dumps(header).encode("ascii")
+    deflate = zlib.compressobj(level=6)
+    parts = [magic, _PREFIX.pack(_VERSION, len(blob)), blob]
+    parts.extend(deflate.compress(text) for text in render_fastq(records))
+    parts.append(deflate.flush())
+    return b"".join(parts)
+
+
+def unpack_archive(data: bytes, magic: bytes, what: str) -> tuple[dict, memoryview]:
+    """(header, compressed payload) of a serialized archive, validating
+    magic and version; ``what`` names the archive kind in errors."""
+    if data[:4] != magic:
+        raise ValueError(f"not {what} (bad magic)")
+    version, header_len = _PREFIX.unpack_from(data, 4)
+    if version != _VERSION:
+        raise ValueError(f"unsupported SRA archive version {version}")
+    start = 4 + _PREFIX.size
+    header = json.loads(data[start : start + header_len])
+    LibraryType(header["library"])  # raises ValueError on an unknown library
+    return header, memoryview(data)[start + header_len :]
+
+
+class PayloadDecoder:
+    """Inflates an archive payload fed as compressed chunks and frames its
+    FASTQ text, at most :data:`~repro.reads.fastq.BLOCK_BYTES` of text
+    per step.  ``paired`` payloads interleave mates, so whole pairs are
+    framed together."""
+
+    def __init__(self, source: str, *, paired: bool) -> None:
+        self.source = source
+        self._inflater = zlib.decompressobj()
+        self._framer = FastqFramer(source, group=2 if paired else 1)
+
+    def _inflate(self, data) -> bytes:
+        try:
+            return self._inflater.decompress(data, BLOCK_BYTES)
+        except zlib.error as exc:
+            raise ValueError(f"{self.source}: corrupt SRA payload ({exc})") from exc
+
+    def feed(self, data) -> Iterator[FastqBlock]:
+        """Blocks of the records this compressed chunk completes."""
+        while data:
+            yield from self._framer.feed(self._inflate(data))
+            data = self._inflater.unconsumed_tail
+
+    def finish(self) -> Iterator[FastqBlock]:
+        """The rest, once every chunk is fed; raises on a truncated payload."""
+        yield from self._framer.feed(self._inflater.flush())
+        if not self._inflater.eof:
+            raise ValueError(f"{self.source}: truncated SRA payload")
+        yield from self._framer.finish()
+
+
+def decode_payload(payload, source: str, *, paired: bool) -> Iterator[FastqBlock]:
+    """Framed blocks of a whole compressed payload."""
+    decoder = PayloadDecoder(source, paired=paired)
+    yield from decoder.feed(payload)
+    yield from decoder.finish()
+
+
+def dump_payload(payload, source: str, paths: list[Path], expected: int) -> None:
+    """``fasterq-dump``'s body: inflate, frame and validate, normalise
+    bases, write.  One path takes every record; two split the mates of an
+    interleaved payload by record parity.  ``expected`` is the header's
+    count of reads (or pairs).  On failure no output is left.
+    """
+    paired = len(paths) == 2
+    n_records = 0
+    try:
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(path, "wb")) for path in paths]
+            for block in decode_payload(payload, source, paired=paired):
+                for fh, text in zip(files, block.dump(mates=paired)):
+                    fh.write(text)
+                n_records += block.n_records
+        found = n_records // len(paths)
+        if found != expected:
+            raise ValueError(
+                f"corrupt SRA archive: header says {expected} "
+                f"{'pairs' if paired else 'reads'}, payload has {found}"
+            )
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -49,49 +148,25 @@ class SraArchive:
     def read_length(self) -> int:
         return self.records[0].length if self.records else 0
 
-    def _fastq_bytes(self) -> bytes:
-        buf = io.StringIO()
-        for rec in self.records:
-            buf.write(f"@{rec.read_id}\n{rec.sequence_str}\n+\n{rec.quality_str}\n")
-        return buf.getvalue().encode("ascii")
-
     def to_bytes(self) -> bytes:
         """Serialize: MAGIC | version | header-length | header-json | zlib(fastq)."""
-        header = json.dumps(
-            {
-                "accession": self.accession,
-                "library": self.library.value,
-                "n_reads": self.n_reads,
-                "read_length": self.read_length,
-            }
-        ).encode("ascii")
-        payload = zlib.compress(self._fastq_bytes(), level=6)
-        return (
-            _MAGIC
-            + struct.pack("<HI", _VERSION, len(header))
-            + header
-            + payload
-        )
+        header = {
+            "accession": self.accession,
+            "library": self.library.value,
+            "n_reads": self.n_reads,
+            "read_length": self.read_length,
+        }
+        return pack_archive(_MAGIC, header, self.records)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SraArchive":
         """Parse a serialized archive, validating magic and version."""
-        if data[:4] != _MAGIC:
-            raise ValueError("not an SRA archive (bad magic)")
-        version, header_len = struct.unpack_from("<HI", data, 4)
-        if version != _VERSION:
-            raise ValueError(f"unsupported SRA archive version {version}")
-        header_start = 4 + struct.calcsize("<HI")
-        header = json.loads(data[header_start : header_start + header_len])
-        fastq_text = zlib.decompress(data[header_start + header_len :]).decode("ascii")
-        records: list[FastqRecord] = []
-        lines = fastq_text.splitlines()
-        if len(lines) % 4 != 0:
-            raise ValueError("corrupt SRA payload: FASTQ line count not divisible by 4")
-        for i in range(0, len(lines), 4):
-            records.append(
-                FastqRecord.from_strings(lines[i][1:], lines[i + 1], lines[i + 3])
-            )
+        header, payload = unpack_archive(data, _MAGIC, "an SRA archive")
+        records = [
+            record
+            for block in decode_payload(payload, header["accession"], paired=False)
+            for record in block.records(whole_ids=True)
+        ]
         archive = cls(
             accession=header["accession"],
             library=LibraryType(header["library"]),
@@ -106,15 +181,16 @@ class SraArchive:
 
     def metadata(self, *, tissue: str = "unknown") -> SraRunMetadata:
         """Derive the repository catalog entry for this archive."""
-        blob = self.to_bytes()
-        fastq_size = len(self._fastq_bytes())
+        return self._catalog_entry(len(self.to_bytes()), tissue)
+
+    def _catalog_entry(self, sra_bytes: int, tissue: str = "unknown") -> SraRunMetadata:
         return SraRunMetadata(
             accession=self.accession,
             library=self.library,
             n_reads=self.n_reads,
             read_length=self.read_length,
-            sra_bytes=len(blob),
-            fastq_bytes=fastq_size,
+            sra_bytes=sra_bytes,
+            fastq_bytes=fastq_byte_size(self.records),
             tissue=tissue,
         )
 
@@ -139,7 +215,7 @@ class SraRepository:
             (self.root / f"{archive.accession}.sra").write_bytes(blob)
         else:
             self._blobs[archive.accession] = blob
-        return archive.metadata()
+        return archive._catalog_entry(len(blob))
 
     def accessions(self) -> list[str]:
         """All deposited accessions, sorted."""
@@ -224,11 +300,11 @@ def fasterq_dump(
     sra_path = Path(sra_path)
     if fault_plan is not None:
         fault_plan.check("fasterq_dump", sra_path.stem)
-    archive = SraArchive.from_bytes(sra_path.read_bytes())
+    header, payload = unpack_archive(sra_path.read_bytes(), _MAGIC, "an SRA archive")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / f"{archive.accession}.fastq"
-    write_fastq(archive.records, out)
+    out = out_dir / f"{header['accession']}.fastq"
+    dump_payload(payload, header["accession"], [out], header["n_reads"])
     return out
 
 

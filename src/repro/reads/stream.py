@@ -26,14 +26,13 @@ import itertools
 import json
 import struct
 import time
-import zlib
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TypeVar
 
-from repro.reads.fastq import FastqRecord, iter_fastq
+from repro.reads.fastq import FastqBlock, FastqRecord, iter_fastq
 from repro.reads.library import LibraryType
-from repro.reads.sra import SraRepository
+from repro.reads.sra import PayloadDecoder, SraRepository
 
 T = TypeVar("T")
 
@@ -140,10 +139,11 @@ class SraStream:
     stage needs the read total before the payload finishes), then
     iterate :meth:`chunks`: each item is a ``list[FastqRecord]`` for
     single-end archives or a ``(mate1, mate2)`` list pair for paired
-    ones.  Records are parsed with the same semantics as the sequential
+    ones.  Records come from the same codec as the sequential
     ``fasterq-dump → iter_fastq`` path (read ids cut at the first
     whitespace), and ``fastq_bytes`` accumulates the exact size the
-    dumped FASTQ file(s) would have had on disk.
+    dumped FASTQ file(s) would have had on disk, for the text decoded so
+    far.
 
     :meth:`cancel` stops the download at the next chunk boundary;
     ``bytes_saved`` then reports what never moved — the quantity the
@@ -178,9 +178,10 @@ class SraStream:
         self.cancelled = False
         self._finished = False
         self._byte_iter: Iterator[bytes] | None = None
-        self._decomp = zlib.decompressobj()
-        self._text = ""
-        self._lines: list[str] = []
+        self._decoder: PayloadDecoder | None = None
+        #: decoded records (mate 1 when paired) and mate 2, not yet handed out
+        self._ready: list[FastqRecord] = []
+        self._ready2: list[FastqRecord] = []
 
     # -- byte side -----------------------------------------------------------
 
@@ -243,7 +244,8 @@ class SraStream:
         self.n_reads = int(
             header["n_pairs"] if self.paired else header["n_reads"]
         )
-        self._ingest(buffer[_HEADER_PREFIX_LEN + header_len :])
+        self._decoder = PayloadDecoder(self.accession, paired=self.paired)
+        self._ingest(self._decoder.feed(buffer[_HEADER_PREFIX_LEN + header_len :]))
         return self
 
     def _next_bytes(self) -> bytes:
@@ -258,56 +260,35 @@ class SraStream:
 
     # -- payload -------------------------------------------------------------
 
-    def _ingest(self, data: bytes) -> None:
-        """Feed compressed payload bytes through the incremental inflater."""
-        if data:
-            self._text += self._decomp.decompress(data).decode("ascii")
-        parts = self._text.split("\n")
-        self._text = parts.pop()
-        self._lines.extend(parts)
-
-    def _group_size(self) -> int:
-        return 8 if self.paired else 4
-
-    def _take_records(self, n_groups: int):
-        """Pop ``n_groups`` complete FASTQ line groups into record lists."""
-        group = self._group_size()
-        lines = self._lines[: n_groups * group]
-        del self._lines[: n_groups * group]
-        self.fastq_bytes += sum(len(line) + 1 for line in lines)
-        records: list[FastqRecord] = []
-        mate2: list[FastqRecord] = []
-        for i in range(0, len(lines), 4):
-            header, seq, plus, qual = lines[i : i + 4]
-            if not header.startswith("@"):
-                raise ValueError(
-                    f"{self.accession}: expected '@' header, got {header!r}"
-                )
-            if not plus.startswith("+"):
-                raise ValueError(
-                    f"{self.accession}: malformed separator line {plus!r}"
-                )
-            record = FastqRecord.from_strings(
-                header[1:].split()[0], seq, qual
-            )
-            # paired payloads interleave mates: 4 lines each, mate1 first
-            if self.paired and (i // 4) % 2 == 1:
-                mate2.append(record)
+    def _ingest(self, blocks: Iterable[FastqBlock]) -> None:
+        """Queue the records of freshly decoded blocks."""
+        for block in blocks:
+            self.fastq_bytes += block.dumped_bytes
+            records = block.records()
+            if self.paired:
+                # paired payloads interleave mates: mate 1 first
+                self._ready.extend(records[0::2])
+                self._ready2.extend(records[1::2])
             else:
-                records.append(record)
+                self._ready.extend(records)
+
+    def _take_records(self, n: int):
+        """Hand out the next ``n`` queued reads (or pairs)."""
+        records = self._ready[:n]
+        del self._ready[:n]
         self.records_out += len(records)
-        if self.paired:
-            return records, mate2
-        return records
+        if not self.paired:
+            return records
+        mate2 = self._ready2[:n]
+        del self._ready2[:n]
+        return records, mate2
 
     def chunks(self) -> Iterator:
         """Yield record chunks as payload bytes arrive (see class doc)."""
         if self._byte_iter is None:
             self.open()
-        group = self._group_size()
-        per_chunk = self.chunk_reads * group
         while True:
-            while len(self._lines) >= per_chunk:
+            while len(self._ready) >= self.chunk_reads:
                 yield self._take_records(self.chunk_reads)
             if self.cancelled:
                 return
@@ -315,27 +296,11 @@ class SraStream:
             if chunk is None:
                 break
             self.bytes_downloaded += len(chunk)
-            self._ingest(chunk)
+            self._ingest(self._decoder.feed(chunk))
         # end of stream: flush the inflater and validate framing
-        self._text += self._decomp.flush().decode("ascii")
-        if self._text:
-            parts = self._text.split("\n")
-            self._text = parts.pop()
-            self._lines.extend(parts)
-        if self._text:
-            raise ValueError(
-                f"corrupt SRA payload for {self.accession!r}: "
-                "unterminated final line"
-            )
-        if len(self._lines) % group != 0:
-            raise ValueError(
-                f"corrupt SRA payload for {self.accession!r}: FASTQ line "
-                f"count not divisible by {group}"
-            )
-        while len(self._lines) >= per_chunk:
+        self._ingest(self._decoder.finish())
+        while self._ready:
             yield self._take_records(self.chunk_reads)
-        if self._lines:
-            yield self._take_records(len(self._lines) // group)
         self._finished = True
         if not self.cancelled and self.records_out != self.n_reads:
             raise ValueError(

@@ -1,10 +1,17 @@
 """GeneCounts (ReadsPerGene.out.tab) tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align.counts import GeneCounts, read_counts_tab
 from repro.genome.annotation import Annotation, Exon, Gene, Strand, Transcript
 from repro.genome.model import SequenceRegion
+from tests.genome.test_annotation import (
+    brute_force_overlaps,
+    random_genes,
+    random_regions,
+)
 
 
 @pytest.fixture
@@ -110,3 +117,63 @@ class TestOutput:
         path.write_text("G1\t1\t2\n")
         with pytest.raises(ValueError):
             read_counts_tab(path)
+
+
+# -- GeneCounts against a brute-force counter --------------------------------
+
+read_events = st.one_of(
+    st.just(("unmapped",)),
+    st.just(("multimapped",)),
+    st.tuples(
+        st.just("unique"),
+        st.lists(random_regions(), min_size=1, max_size=3),
+        st.sampled_from(list(Strand)),
+    ),
+)
+
+
+def brute_force_tab(genes, events) -> str:
+    """ReadsPerGene.out.tab by scanning every gene for every block."""
+    special = {
+        name: [0, 0, 0]
+        for name in ("N_unmapped", "N_multimapping", "N_noFeature", "N_ambiguous")
+    }
+    counts = {g.gene_id: [0, 0, 0] for g in genes}
+    for event in events:
+        if event[0] == "unmapped":
+            special["N_unmapped"] = [n + 1 for n in special["N_unmapped"]]
+            continue
+        if event[0] == "multimapped":
+            special["N_multimapping"] = [n + 1 for n in special["N_multimapping"]]
+            continue
+        _, blocks, strand = event
+        hits = {g.gene_id: g for b in blocks for g in brute_force_overlaps(genes, b)}
+        columns = (
+            list(hits.values()),
+            [g for g in hits.values() if g.strand is strand],
+            [g for g in hits.values() if g.strand is not strand],
+        )
+        for column, chosen in enumerate(columns):
+            if not chosen:
+                special["N_noFeature"][column] += 1
+            elif len(chosen) > 1:
+                special["N_ambiguous"][column] += 1
+            else:
+                counts[chosen[0].gene_id][column] += 1
+    rows = [*special.items(), *counts.items()]
+    return "".join("\t".join([name, *map(str, values)]) + "\n" for name, values in rows)
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(random_genes(), st.lists(read_events, max_size=30))
+    def test_to_tab_matches(self, genes, events):
+        gc = GeneCounts(Annotation(genes))
+        for event in events:
+            if event[0] == "unmapped":
+                gc.record_unmapped()
+            elif event[0] == "multimapped":
+                gc.record_multimapped()
+            else:
+                gc.record_unique(event[1], event[2])
+        assert gc.to_tab() == brute_force_tab(genes, events)

@@ -1,7 +1,10 @@
 """Streamed ≡ sequential: the identity property the overlap must preserve."""
 
 import dataclasses
+import json
+import struct
 import threading
+import zlib
 
 import pytest
 
@@ -206,6 +209,66 @@ class TestStreamedIdentity:
             sequential.close()
             streamed.close()
         assert [comparable(r) for r in b] == [comparable(r) for r in a]
+
+
+def _first(old: str, new: str):
+    return lambda text: text.replace(old, new, 1)
+
+
+# each payload, as a function of the well-formed FASTQ text, and whether
+# the archive is well formed enough to accept
+MALFORMED_PAYLOADS = {
+    "crlf": (lambda text: text.replace("\n", "\r\n"), True),
+    "lowercase_bases": (lambda text: text.replace("A", "a").replace("G", "g"), True),
+    "separator_repeats_id": (_first("\n+\n", "\n+again\n"), True),
+    "no_final_line_feed": (lambda text: text[:-1], True),
+    "header_without_at": (_first("@", ""), False),
+    "missing_separator": (_first("\n+\n", "\nIIII\n"), False),
+    "truncated_record": (lambda text: text[: text.rindex("\n+\n")] + "\n", False),
+}
+
+
+class TestMalformedArchives:
+    """The sequential (fasterq-dump → iter_fastq) and streamed paths apply
+    one rule to malformed archives: same status, same outputs if accepted."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_PAYLOADS))
+    def test_sequential_and_streamed_agree(self, simulator, aligner, tmp_path, name):
+        mangle, accepted = MALFORMED_PAYLOADS[name]
+        sample = simulator.simulate(
+            SampleProfile(LibraryType.BULK_POLYA, n_reads=60, read_length=80),
+            rng=870,
+            read_id_prefix="SRRMAL",
+        )
+        text = "".join(
+            f"@{r.read_id}\n{r.sequence_str}\n+\n{r.quality_str}\n"
+            for r in sample.records
+        )
+        header = json.dumps(
+            {"accession": "SRRMAL", "library": "bulk_polya", "n_reads": 60}
+        ).encode("ascii")
+        repo = SraRepository()
+        repo._blobs["SRRMAL"] = (
+            b"SRAR"
+            + struct.pack("<HI", 1, len(header))
+            + header
+            + zlib.compress(mangle(text).encode("ascii"))
+        )
+        retry = RetryPolicy(max_attempts=1)
+        (sequential,) = make_pipeline(
+            repo, aligner, tmp_path / "seq", retry=retry
+        ).run_batch(["SRRMAL"], BatchOptions())
+        (streamed,) = make_pipeline(
+            repo, aligner, tmp_path / "st", retry=retry
+        ).run_batch(
+            ["SRRMAL"], BatchOptions(streaming=True, download_chunk_bytes=512)
+        )
+        assert streamed.status is sequential.status
+        if accepted:
+            assert sequential.status is RunStatus.ACCEPTED
+            assert comparable(streamed) == comparable(sequential)
+        else:
+            assert sequential.status is RunStatus.FAILED
 
 
 class TestStreamedFailureSemantics:

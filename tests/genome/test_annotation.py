@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.genome.alphabet import decode, encode, reverse_complement
 from repro.genome.annotation import Annotation, Exon, Gene, Strand, Transcript
@@ -166,3 +168,87 @@ class TestAnnotation:
         ann = self.make()
         sj = ann.splice_junctions()
         assert sj == [("1", 20, 40), ("1", 50, 70)]
+
+
+# -- the gene interval index against brute force --------------------------
+
+CONTIGS = ("1", "2", "3")
+
+
+@st.composite
+def random_genes(draw):
+    """Genes on 1–3 contigs in a small coordinate range, so extents nest,
+    overlap and touch; some genes have several transcripts."""
+    contigs = draw(
+        st.lists(st.sampled_from(CONTIGS), min_size=1, max_size=3, unique=True)
+    )
+    genes = []
+    for i in range(draw(st.integers(min_value=0, max_value=12))):
+        contig = draw(st.sampled_from(contigs))
+        strand = draw(st.sampled_from(list(Strand)))
+        transcripts = []
+        for t in range(draw(st.integers(min_value=1, max_value=3))):
+            position = draw(st.integers(min_value=0, max_value=60))
+            exons = []
+            for number in range(draw(st.integers(min_value=1, max_value=3))):
+                position += draw(st.integers(min_value=0, max_value=10))
+                end = position + draw(st.integers(min_value=0, max_value=25))
+                exons.append(Exon(SequenceRegion(contig, position, end), number + 1))
+                position = end
+            transcripts.append(
+                Transcript(f"T{i}.{t}", f"G{i}", contig, strand, exons)
+            )
+        genes.append(Gene(f"G{i}", f"name{i}", contig, strand, transcripts))
+    return genes
+
+
+@st.composite
+def random_regions(draw):
+    """Regions on the genes' contigs and off them, zero-length included."""
+    contig = draw(st.sampled_from(CONTIGS + ("X",)))
+    start = draw(st.integers(min_value=0, max_value=130))
+    end = start + draw(st.integers(min_value=0, max_value=40))
+    return SequenceRegion(contig, start, end)
+
+
+def brute_force_overlaps(genes, region):
+    return [
+        g for g in genes if g.contig == region.contig and g.region.overlaps(region)
+    ]
+
+
+class TestOverlapIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(random_genes(), st.lists(random_regions(), min_size=1, max_size=20))
+    def test_matches_brute_force_in_annotation_order(self, genes, regions):
+        annotation = Annotation(genes)
+        for region in regions:
+            found = annotation.overlapping_genes(region)
+            expected = brute_force_overlaps(genes, region)
+            assert [g.gene_id for g in found] == [g.gene_id for g in expected]
+
+    def test_nested_and_touching(self):
+        def gene(gid, start, end):
+            exon = Exon(SequenceRegion("1", start, end), 1)
+            t = Transcript(f"T{gid}", gid, "1", Strand.FORWARD, [exon])
+            return Gene(gid, gid, "1", Strand.FORWARD, [t])
+
+        # G1 spans G2 and G3; G3 touches G4; listed out of start order
+        annotation = Annotation(
+            [
+                gene("G4", 60, 80),
+                gene("G1", 0, 100),
+                gene("G3", 40, 60),
+                gene("G2", 10, 20),
+            ]
+        )
+
+        def ids(start, end, contig="1"):
+            region = SequenceRegion(contig, start, end)
+            return [g.gene_id for g in annotation.overlapping_genes(region)]
+
+        assert ids(15, 16) == ["G1", "G2"]
+        assert ids(59, 61) == ["G4", "G1", "G3"]
+        assert ids(60, 60) == ["G1"]  # a point at G4's start and G3's end
+        assert ids(100, 120) == []
+        assert ids(0, 50, contig="2") == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.genome.alphabet import encode
-from repro.reads.fastq import FastqRecord, read_fastq
+from repro.reads.fastq import FastqRecord, fastq_byte_size, read_fastq
 from repro.reads.library import LibraryType
 from repro.reads.sra import (
     SraArchive,
@@ -89,6 +89,21 @@ class TestRepository:
         assert (tmp_path / "ncbi" / "SRR123.sra").exists()
         repo2 = SraRepository(tmp_path / "ncbi")  # fresh handle, same dir
         assert repo2.accessions() == ["SRR123"]
+
+    def test_deposit_serializes_once(self, archive, monkeypatch):
+        calls = []
+        to_bytes = SraArchive.to_bytes
+
+        def counted(self):
+            calls.append(self.accession)
+            return to_bytes(self)
+
+        monkeypatch.setattr(SraArchive, "to_bytes", counted)
+        meta = SraRepository().deposit(archive)
+        assert calls == ["SRR123"]
+        assert meta.sra_bytes == len(to_bytes(archive))
+        assert meta.fastq_bytes == fastq_byte_size(archive.records)
+        assert meta == archive.metadata()
 
     def test_missing_accession(self):
         repo = SraRepository()
