@@ -167,7 +167,11 @@ class _GeneIndex:
     Genes are sorted by start (ties in annotation order) beside the
     running maximum of their ends, so a query bisects to the candidates
     that start before the region ends and whose prefix reaches past its
-    start: O(log G + k) instead of a scan over every gene.
+    start.  A query costs O(log G + m + k log k) for k hits (sorted back
+    to annotation order), where m counts the genes nested in the
+    earliest-starting hit that end before the region starts: m is 0 when
+    no gene nests in another, but one gene spanning a whole contig makes
+    every query on it O(G).
     """
 
     def __init__(self, genes: list[Gene]) -> None:

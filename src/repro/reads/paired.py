@@ -24,14 +24,18 @@ from repro.genome.alphabet import random_sequence, reverse_complement
 from repro.reads.fastq import FastqRecord
 from repro.reads.library import LibraryType, SampleProfile
 from repro.reads.simulator import ReadSimulator
-from repro.reads.sra import decode_payload, dump_payload, pack_archive, unpack_archive
+from repro.reads.sra import (
+    MAGIC_PAIRED,
+    decode_payload,
+    dump_payload,
+    pack_archive,
+    unpack_archive,
+)
 from repro.util.rng import derive_rng, ensure_rng
 
 if TYPE_CHECKING:
     from repro.core.resilience import FaultPlan
 from repro.util.validation import check_positive
-
-_MAGIC_PAIRED = b"SRAP"
 
 
 @dataclass(frozen=True)
@@ -198,12 +202,12 @@ class PairedSraArchive:
             "n_pairs": self.n_pairs,
         }
         interleaved = (rec for pair in zip(self.mate1, self.mate2) for rec in pair)
-        return pack_archive(_MAGIC_PAIRED, header, interleaved)
+        return pack_archive(MAGIC_PAIRED, header, interleaved)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PairedSraArchive":
         """Parse a serialized paired archive; mates alternate in the payload."""
-        header, payload = unpack_archive(data, _MAGIC_PAIRED, "a paired SRA archive")
+        header, payload = unpack_archive(data, MAGIC_PAIRED)
         mate1: list[FastqRecord] = []
         mate2: list[FastqRecord] = []
         for block in decode_payload(payload, header["accession"], paired=True):
@@ -234,9 +238,7 @@ def fasterq_dump_paired(
     sra_path = Path(sra_path)
     if fault_plan is not None:
         fault_plan.check("fasterq_dump", sra_path.stem)
-    header, payload = unpack_archive(
-        sra_path.read_bytes(), _MAGIC_PAIRED, "a paired SRA archive"
-    )
+    header, payload = unpack_archive(sra_path.read_bytes(), MAGIC_PAIRED)
     accession = header["accession"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

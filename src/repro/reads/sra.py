@@ -38,9 +38,14 @@ from repro.reads.library import LibraryType, SraRunMetadata
 if TYPE_CHECKING:
     from repro.core.resilience import FaultPlan
 
-_MAGIC = b"SRAR"
+#: magic of a single-end and of a mate-interleaved paired archive
+MAGIC_SINGLE = b"SRAR"
+MAGIC_PAIRED = b"SRAP"
+_KIND = {MAGIC_SINGLE: "an SRA archive", MAGIC_PAIRED: "a paired SRA archive"}
 _VERSION = 1
 _PREFIX = struct.Struct("<HI")
+#: bytes of magic, version and header length that open every archive
+PREFIX_BYTES = 4 + _PREFIX.size
 
 
 def pack_archive(magic: bytes, header: dict, records: Iterable[FastqRecord]) -> bytes:
@@ -53,18 +58,24 @@ def pack_archive(magic: bytes, header: dict, records: Iterable[FastqRecord]) -> 
     return b"".join(parts)
 
 
-def unpack_archive(data: bytes, magic: bytes, what: str) -> tuple[dict, memoryview]:
-    """(header, compressed payload) of a serialized archive, validating
-    magic and version; ``what`` names the archive kind in errors."""
+def payload_offset(data: bytes, magic: bytes) -> int:
+    """Where the payload of an archive starts, read from its first
+    :data:`PREFIX_BYTES`; validates magic and version."""
     if data[:4] != magic:
-        raise ValueError(f"not {what} (bad magic)")
+        raise ValueError(f"not {_KIND[magic]} (bad magic)")
     version, header_len = _PREFIX.unpack_from(data, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported SRA archive version {version}")
-    start = 4 + _PREFIX.size
-    header = json.loads(data[start : start + header_len])
+    return PREFIX_BYTES + header_len
+
+
+def unpack_archive(data: bytes, magic: bytes) -> tuple[dict, memoryview]:
+    """(header, compressed payload) of a serialized archive, validating
+    magic, version and library."""
+    end = payload_offset(data, magic)
+    header = json.loads(data[PREFIX_BYTES:end])
     LibraryType(header["library"])  # raises ValueError on an unknown library
-    return header, memoryview(data)[start + header_len :]
+    return header, memoryview(data)[end:]
 
 
 class PayloadDecoder:
@@ -85,10 +96,19 @@ class PayloadDecoder:
             raise ValueError(f"{self.source}: corrupt SRA payload ({exc})") from exc
 
     def feed(self, data) -> Iterator[FastqBlock]:
-        """Blocks of the records this compressed chunk completes."""
-        while data:
-            yield from self._framer.feed(self._inflate(data))
-            data = self._inflater.unconsumed_tail
+        """Blocks of the records this compressed chunk completes; raises
+        on bytes past the end of the payload.  The chunk is inflated
+        :data:`~repro.reads.fastq.BLOCK_BYTES` at a time, so zlib's copy
+        of the unconsumed input stays bounded whatever its size."""
+        view = memoryview(data)
+        for start in range(0, len(view), BLOCK_BYTES):
+            piece = view[start : start + BLOCK_BYTES]
+            while piece and not self._inflater.eof:
+                yield from self._framer.feed(self._inflate(piece))
+                piece = self._inflater.unconsumed_tail
+            # past the end of the stream zlib stops consuming input
+            if piece or self._inflater.unused_data:
+                raise ValueError(f"{self.source}: trailing bytes after SRA payload")
 
     def finish(self) -> Iterator[FastqBlock]:
         """The rest, once every chunk is fed; raises on a truncated payload."""
@@ -156,12 +176,12 @@ class SraArchive:
             "n_reads": self.n_reads,
             "read_length": self.read_length,
         }
-        return pack_archive(_MAGIC, header, self.records)
+        return pack_archive(MAGIC_SINGLE, header, self.records)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SraArchive":
         """Parse a serialized archive, validating magic and version."""
-        header, payload = unpack_archive(data, _MAGIC, "an SRA archive")
+        header, payload = unpack_archive(data, MAGIC_SINGLE)
         records = [
             record
             for block in decode_payload(payload, header["accession"], paired=False)
@@ -300,7 +320,7 @@ def fasterq_dump(
     sra_path = Path(sra_path)
     if fault_plan is not None:
         fault_plan.check("fasterq_dump", sra_path.stem)
-    header, payload = unpack_archive(sra_path.read_bytes(), _MAGIC, "an SRA archive")
+    header, payload = unpack_archive(sra_path.read_bytes(), MAGIC_SINGLE)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"{header['accession']}.fastq"

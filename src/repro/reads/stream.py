@@ -23,8 +23,6 @@ sequential path no matter how the bytes arrived.
 from __future__ import annotations
 
 import itertools
-import json
-import struct
 import time
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -32,14 +30,17 @@ from typing import TypeVar
 
 from repro.reads.fastq import FastqBlock, FastqRecord, iter_fastq
 from repro.reads.library import LibraryType
-from repro.reads.sra import PayloadDecoder, SraRepository
+from repro.reads.sra import (
+    MAGIC_PAIRED,
+    MAGIC_SINGLE,
+    PREFIX_BYTES,
+    PayloadDecoder,
+    SraRepository,
+    payload_offset,
+    unpack_archive,
+)
 
 T = TypeVar("T")
-
-_MAGIC_SINGLE = b"SRAR"
-_MAGIC_PAIRED = b"SRAP"
-_SUPPORTED_VERSION = 1
-_HEADER_PREFIX_LEN = 4 + struct.calcsize("<HI")
 
 #: default records per streamed chunk (the unit the align stage consumes)
 DEFAULT_CHUNK_READS = 256
@@ -225,27 +226,19 @@ class SraStream:
         self.total_bytes = self._archive_bytes()
         self._byte_iter = self._open_byte_iter()
         buffer = b""
-        while len(buffer) < _HEADER_PREFIX_LEN:
+        while len(buffer) < PREFIX_BYTES:
             buffer += self._next_bytes()
-        magic = buffer[:4]
-        if magic == _MAGIC_PAIRED:
-            self.paired = True
-        elif magic != _MAGIC_SINGLE:
-            raise ValueError("not an SRA archive (bad magic)")
-        version, header_len = struct.unpack_from("<HI", buffer, 4)
-        if version != _SUPPORTED_VERSION:
-            raise ValueError(f"unsupported SRA archive version {version}")
-        while len(buffer) < _HEADER_PREFIX_LEN + header_len:
+        self.paired = buffer[:4] == MAGIC_PAIRED
+        magic = MAGIC_PAIRED if self.paired else MAGIC_SINGLE
+        while len(buffer) < payload_offset(buffer, magic):
             buffer += self._next_bytes()
-        header = json.loads(
-            buffer[_HEADER_PREFIX_LEN : _HEADER_PREFIX_LEN + header_len]
-        )
+        header, payload = unpack_archive(buffer, magic)
         self.library = LibraryType(header["library"])
         self.n_reads = int(
             header["n_pairs"] if self.paired else header["n_reads"]
         )
         self._decoder = PayloadDecoder(self.accession, paired=self.paired)
-        self._ingest(self._decoder.feed(buffer[_HEADER_PREFIX_LEN + header_len :]))
+        self._ingest(self._decoder.feed(payload))
         return self
 
     def _next_bytes(self) -> bytes:

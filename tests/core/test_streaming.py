@@ -270,6 +270,31 @@ class TestMalformedArchives:
         else:
             assert sequential.status is RunStatus.FAILED
 
+    def test_trailing_bytes_fail_both_paths(self, simulator, aligner, tmp_path):
+        """Bytes after the payload's zlib stream fail the accession on both
+        paths, with download chunks large enough to straddle its end."""
+        sample = simulator.simulate(
+            SampleProfile(LibraryType.BULK_POLYA, n_reads=240, read_length=80),
+            rng=871,
+            read_id_prefix="SRRTRL",
+        )
+        archive = SraArchive("SRRTRL", LibraryType.BULK_POLYA, sample.records)
+        repo = SraRepository()
+        repo._blobs["SRRTRL"] = archive.to_bytes() + b"x"
+        retry = RetryPolicy(max_attempts=1)
+        (sequential,) = make_pipeline(
+            repo, aligner, tmp_path / "seq", retry=retry
+        ).run_batch(["SRRTRL"], BatchOptions())
+        (streamed,) = make_pipeline(
+            repo, aligner, tmp_path / "st", retry=retry
+        ).run_batch(
+            ["SRRTRL"],
+            BatchOptions(streaming=True, download_chunk_bytes=64 * 1024),
+        )
+        for result in (sequential, streamed):
+            assert result.status is RunStatus.FAILED
+            assert "trailing bytes" in result.failure.error
+
 
 class TestStreamedFailureSemantics:
     def test_permanent_prefetch_fault_fails_the_step(

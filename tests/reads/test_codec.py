@@ -10,6 +10,7 @@ the block and chunk sizes.
 import contextlib
 import gzip
 import json
+import signal
 import struct
 import zlib
 
@@ -28,7 +29,7 @@ from repro.reads.fastq import (
     write_fastq,
 )
 from repro.reads.paired import PairedSraArchive, fasterq_dump_paired
-from repro.reads.sra import SraArchive, SraRepository, fasterq_dump
+from repro.reads.sra import PayloadDecoder, SraArchive, SraRepository, fasterq_dump
 from repro.reads.stream import SraStream
 
 # ids: printable ASCII with inner spaces; at least one visible character
@@ -92,6 +93,22 @@ def same(a: list[FastqRecord], b: list[FastqRecord]) -> bool:
         and np.array_equal(x.qualities, y.qualities)
         for x, y in zip(a, b)
     )
+
+
+@contextlib.contextmanager
+def within(seconds: int):
+    """Fail instead of hanging when the body runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @contextlib.contextmanager
@@ -263,3 +280,78 @@ class TestStreamEntryPoint:
         expected = reference(items, whole_ids=False)
         assert same(mate1, expected[0::2])
         assert same(mate2, expected[1::2])
+
+
+def long_items(n: int = 400) -> list[tuple[str, str, str]]:
+    """Records whose text is several inflate blocks long."""
+    rng = np.random.default_rng(5)
+    return [
+        (
+            f"r{i}",
+            "".join(rng.choice(list("ACGT"), 100)),
+            "".join(chr(33 + q) for q in rng.integers(2, 41, 100)),
+        )
+        for i in range(n)
+    ]
+
+
+class TestPayloadBounds:
+    """Bytes after the end of the zlib stream are rejected on every path,
+    and inflating never hands zlib more than one block of input."""
+
+    def test_dumps_reject_trailing_bytes(self, tmp_path):
+        assert len(fastq_text(long_items())) > 2 * fastq_module.BLOCK_BYTES
+        single = tmp_path / "SRRC1.sra"
+        single.write_bytes(single_blob(long_items()) + b"x")
+        paired = tmp_path / "SRRC2.sra"
+        paired.write_bytes(paired_blob(long_items()) + b"x")
+        with within(30):
+            with pytest.raises(ValueError, match="trailing bytes"):
+                fasterq_dump(single, tmp_path / "out")
+            with pytest.raises(ValueError, match="trailing bytes"):
+                fasterq_dump_paired(paired, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_archive_parsers_reject_trailing_bytes(self):
+        with within(30):
+            with pytest.raises(ValueError, match="trailing bytes"):
+                SraArchive.from_bytes(single_blob(long_items()) + b"x")
+            with pytest.raises(ValueError, match="trailing bytes"):
+                PairedSraArchive.from_bytes(paired_blob(long_items()) + b"x")
+
+    @pytest.mark.parametrize("chunk_bytes", [512, 64 * 1024, None])
+    @pytest.mark.parametrize("blob", [single_blob, paired_blob])
+    def test_stream_rejects_trailing_bytes(self, blob, chunk_bytes):
+        good = blob(long_items())
+        repo = SraRepository()
+        repo._blobs["SRRC"] = good + b"x"
+        # None: the trailing byte arrives alone, after the stream has ended
+        stream = SraStream(repo, "SRRC", chunk_bytes=chunk_bytes or len(good))
+        with within(30), pytest.raises(ValueError, match="trailing bytes"):
+            list(stream.chunks())
+
+    def test_inflate_input_is_bounded(self):
+        _, payload = sra_module.unpack_archive(
+            single_blob(long_items()), sra_module.MAGIC_SINGLE
+        )
+        assert len(payload) > fastq_module.BLOCK_BYTES
+        decoder = PayloadDecoder("SRRC1", paired=False)
+        decoder._inflater = inflater = RecordingInflater()
+        blocks = [*decoder.feed(payload), *decoder.finish()]
+        assert sum(block.n_records for block in blocks) == 400
+        assert max(inflater.fed) <= fastq_module.BLOCK_BYTES
+
+
+class RecordingInflater:
+    """A zlib inflater that records the input size of each call."""
+
+    def __init__(self) -> None:
+        self._inner = zlib.decompressobj()
+        self.fed: list[int] = []
+
+    def decompress(self, data, max_length):
+        self.fed.append(len(data))
+        return self._inner.decompress(data, max_length)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
