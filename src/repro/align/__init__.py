@@ -21,7 +21,7 @@ from repro.align.backend import (
     AlignerBackend,
     EngineBackend,
     PairedAlignerBackend,
-    ReadBatch,
+    ReadChunkStream,
     SerialAlignerBackend,
     resolve_backend,
 )
@@ -80,7 +80,7 @@ __all__ = [
     "PseudoAligner",
     "PseudoIndex",
     "ReadAlignment",
-    "ReadBatch",
+    "ReadChunkStream",
     "RunAborted",
     "STRAND_COLUMNS",
     "SamRecord",

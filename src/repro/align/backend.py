@@ -18,23 +18,24 @@ where a shard is aligned: in process, or — through the pure
 ``_align_records`` / ``_align_pairs`` helpers — in an engine worker or a
 function.
 
-The streaming pipeline adds :meth:`AlignerBackend.align_stream`: the
-same contract as ``align``, but fed by :class:`ReadChunkStream` — a lazy
-chunk feed with the read total known up front (from the SRA container
-header) — so alignment starts before the download finishes.  Single-end
-backends consume chunks truly lazily; the paired backend materializes
-both mate lists first (mates interleave in the container, so no
-intra-accession overlap for PE — inter-accession prefetch overlap still
-applies).
+Reads reach every backend as a :class:`ReadChunkStream`: a chunk feed
+with the read total known up front.  A materialized accession is a feed
+of one chunk; a streamed one (fed from the SRA container as it
+downloads) is a feed of many, so alignment starts before the download
+finishes.  Single-end serial and engine runs consume the feed lazily;
+paired, FaaS and checkpointed engine runs materialize it first (mates
+interleave in the container, functions need whole request payloads, and
+the checkpoint schedule is positional).
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.align.counts import GeneCounts
 from repro.align.engine import (
@@ -66,7 +67,6 @@ __all__ = [
     "EngineBackend",
     "FaasAlignerBackend",
     "PairedAlignerBackend",
-    "ReadBatch",
     "ReadChunkStream",
     "SerialAlignerBackend",
     "resolve_backend",
@@ -76,57 +76,71 @@ __all__ = [
 BACKEND_CHOICES = ("auto", "serial", "engine", "faas")
 
 
-@dataclass(frozen=True)
-class ReadBatch:
-    """One accession's reads: single-end records, or both mate lists."""
-
-    records: list[FastqRecord]
-    mate2: list[FastqRecord] | None = None
-
-    @property
-    def paired(self) -> bool:
-        return self.mate2 is not None
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __post_init__(self) -> None:
-        if self.mate2 is not None and len(self.mate2) != len(self.records):
-            raise ValueError("mate lists must have equal length")
-
-
 @dataclass
 class ReadChunkStream:
-    """One accession's reads as a lazy chunk feed with a known total.
+    """One accession's reads as a chunk feed with a known total.
 
     ``chunks`` yields ``list[FastqRecord]`` for single-end accessions or
     ``(mate1_chunk, mate2_chunk)`` list pairs for paired ones;
     ``reads_total`` comes from the SRA container header, so progress
     records (and therefore early-stopping decisions) are identical to a
     fully-materialized run even though records arrive incrementally.
+    :meth:`of` builds the materialized case, a feed of one chunk.
+
+    A feed whose ``chunks`` is an iterator (a live download) is
+    single-use: the bytes behind consumed chunks are gone, so a second
+    read — an align retry after consumption began — fails loudly instead
+    of aligning an exhausted feed.
     """
 
     chunks: Iterable
     reads_total: int
     paired: bool = False
+    _started: bool = field(default=False, init=False, repr=False)
+
+    @classmethod
+    def of(
+        cls, records: list[FastqRecord], mate2: list[FastqRecord] | None = None
+    ) -> ReadChunkStream:
+        """A materialized accession: single-end records, or both mate lists."""
+        if mate2 is None:
+            return cls([records], len(records))
+        if len(mate2) != len(records):
+            raise ValueError("mate lists must have equal length")
+        return cls([(records, mate2)], len(records), paired=True)
+
+    def __len__(self) -> int:
+        return self.reads_total
+
+    def _feed(self) -> Iterator:
+        """Start one read of the feed (every align attempt starts here)."""
+        chunks = iter(self.chunks)
+        if chunks is self.chunks:
+            if self._started:
+                raise RuntimeError(
+                    "streamed reads were already consumed; a mid-stream "
+                    "alignment cannot be retried"
+                )
+            self._started = True
+        return chunks
 
     def records(self):
         """Flatten single-end chunks into a lazy record iterator."""
         if self.paired:
             raise ValueError("records() is single-end only; use materialize()")
-        for chunk in self.chunks:
+        for chunk in self._feed():
             yield from chunk
 
-    def materialize(self) -> ReadBatch:
-        """Drain the feed into a :class:`ReadBatch` (the PE fallback)."""
+    def materialize(self) -> tuple[list[FastqRecord], list[FastqRecord] | None]:
+        """Drain the feed: ``(records, None)``, or ``(mate1, mate2)``."""
         if not self.paired:
-            return ReadBatch(list(self.records()))
+            return list(self.records()), None
         mate1: list[FastqRecord] = []
         mate2: list[FastqRecord] = []
-        for chunk1, chunk2 in self.chunks:
+        for chunk1, chunk2 in self._feed():
             mate1.extend(chunk1)
             mate2.extend(chunk2)
-        return ReadBatch(mate1, mate2)
+        return mate1, mate2
 
 
 @runtime_checkable
@@ -138,7 +152,7 @@ class AlignerBackend(Protocol):
 
     def align(
         self,
-        reads: ReadBatch,
+        reads: ReadChunkStream,
         *,
         monitor: ProgressMonitorHook | None = None,
         out_dir: Path | str | None = None,
@@ -153,16 +167,6 @@ class AlignerBackend(Protocol):
         """
         ...
 
-    def align_stream(
-        self,
-        stream: ReadChunkStream,
-        *,
-        monitor: ProgressMonitorHook | None = None,
-        out_dir: Path | str | None = None,
-    ) -> AlignmentOutcome:
-        """Align a chunk feed as it arrives; same contract as :meth:`align`."""
-        ...
-
 
 class SerialAlignerBackend:
     """In-process single-end alignment via :class:`StarAligner`."""
@@ -174,7 +178,7 @@ class SerialAlignerBackend:
 
     def align(
         self,
-        reads: ReadBatch,
+        reads: ReadChunkStream,
         *,
         monitor: ProgressMonitorHook | None = None,
         out_dir: Path | str | None = None,
@@ -182,21 +186,9 @@ class SerialAlignerBackend:
     ) -> AlignmentOutcome:
         if reads.paired:
             raise ValueError("serial single-end backend got paired reads")
-        return self.aligner.run(reads.records, monitor=monitor, out_dir=out_dir)
-
-    def align_stream(
-        self,
-        stream: ReadChunkStream,
-        *,
-        monitor: ProgressMonitorHook | None = None,
-        out_dir: Path | str | None = None,
-    ) -> AlignmentOutcome:
-        """Consume chunks lazily through the serial aligner's run loop."""
-        if stream.paired:
-            raise ValueError("serial single-end backend got paired reads")
         return self.aligner.run(
-            stream.records(),
-            reads_total=stream.reads_total,
+            reads.records(),
+            reads_total=reads.reads_total,
             monitor=monitor,
             out_dir=out_dir,
         )
@@ -216,7 +208,7 @@ class PairedAlignerBackend:
 
     def align(
         self,
-        reads: ReadBatch,
+        reads: ReadChunkStream,
         *,
         monitor: ProgressMonitorHook | None = None,
         out_dir: Path | str | None = None,
@@ -224,18 +216,8 @@ class PairedAlignerBackend:
     ) -> AlignmentOutcome:
         if not reads.paired:
             raise ValueError("paired backend got single-end reads")
-        assert reads.mate2 is not None
-        return self.paired_aligner.run(reads.records, reads.mate2, monitor=monitor)
-
-    def align_stream(
-        self,
-        stream: ReadChunkStream,
-        *,
-        monitor: ProgressMonitorHook | None = None,
-        out_dir: Path | str | None = None,
-    ) -> AlignmentOutcome:
-        """Materialize both mate lists, then run (see module docstring)."""
-        return self.align(stream.materialize(), monitor=monitor, out_dir=out_dir)
+        mate1, mate2 = reads.materialize()
+        return self.paired_aligner.run(mate1, mate2, monitor=monitor)
 
 
 class EngineBackend:
@@ -252,36 +234,23 @@ class EngineBackend:
 
     def align(
         self,
-        reads: ReadBatch,
+        reads: ReadChunkStream,
         *,
         monitor: ProgressMonitorHook | None = None,
         out_dir: Path | str | None = None,
         checkpoint: Any = None,
     ) -> AlignmentOutcome:
         if reads.paired:
-            assert reads.mate2 is not None
+            mate1, mate2 = reads.materialize()
             return self.engine.run_paired(
-                reads.records, reads.mate2, monitor=monitor, checkpoint=checkpoint
+                mate1, mate2, monitor=monitor, checkpoint=checkpoint
             )
         return self.engine.run(
-            reads.records, monitor=monitor, out_dir=out_dir, checkpoint=checkpoint
-        )
-
-    def align_stream(
-        self,
-        stream: ReadChunkStream,
-        *,
-        monitor: ProgressMonitorHook | None = None,
-        out_dir: Path | str | None = None,
-    ) -> AlignmentOutcome:
-        """Feed chunks into the engine's dispatch window as they arrive."""
-        if stream.paired:
-            return self.align(stream.materialize(), monitor=monitor, out_dir=out_dir)
-        return self.engine.run(
-            stream.records(),
-            reads_total=stream.reads_total,
+            reads.records(),
+            reads_total=reads.reads_total,
             monitor=monitor,
             out_dir=out_dir,
+            checkpoint=checkpoint,
         )
 
 
@@ -538,22 +507,22 @@ class FaasAlignerBackend:
 
     def align(
         self,
-        reads: ReadBatch,
+        reads: ReadChunkStream,
         *,
         monitor: ProgressMonitorHook | None = None,
         out_dir: Path | str | None = None,
         checkpoint: Any = None,
     ) -> AlignmentOutcome:
-        n = len(reads)
-        if reads.paired:
-            assert reads.mate2 is not None
+        records, mate2 = reads.materialize()
+        n = len(records)
+        if mate2 is not None:
             run = self._paired_aligner()._accumulator(n, monitor, time.monotonic)
-            spans = _shard_bounds(n, self.shard_size(reads.records, reads.mate2))
-            shards = [(reads.records[s:e], reads.mate2[s:e]) for s, e in spans]
+            spans = _shard_bounds(n, self.shard_size(records, mate2))
+            shards = [(records[s:e], mate2[s:e]) for s, e in spans]
         else:
             run = self.aligner._accumulator(n, monitor, time.monotonic)
-            spans = _shard_bounds(n, self.shard_size(reads.records))
-            shards = [reads.records[s:e] for s, e in spans]
+            spans = _shard_bounds(n, self.shard_size(records))
+            shards = [records[s:e] for s, e in spans]
         result = merge_shards(
             run,
             shards,
@@ -564,18 +533,6 @@ class FaasAlignerBackend:
         if out_dir is not None and not reads.paired:
             result.write_outputs(out_dir)
         return result
-
-    def align_stream(
-        self,
-        stream: ReadChunkStream,
-        *,
-        monitor: ProgressMonitorHook | None = None,
-        out_dir: Path | str | None = None,
-    ) -> AlignmentOutcome:
-        """Materialize, then align: short-lived functions need whole
-        request payloads, so there is no intra-accession overlap to win —
-        inter-accession prefetch overlap still applies."""
-        return self.align(stream.materialize(), monitor=monitor, out_dir=out_dir)
 
 
 def resolve_backend(

@@ -11,9 +11,8 @@ the integration point for the paper's early-stopping optimization.
 from __future__ import annotations
 
 import enum
-import itertools
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from repro.genome.alphabet import reverse_complement
 from repro.genome.annotation import Strand
 from repro.genome.model import SequenceRegion
 from repro.reads.fastq import FastqRecord
+from repro.reads.stream import iter_chunks
 
 
 class AlignmentStatus(enum.Enum):
@@ -497,16 +497,10 @@ class StarAligner:
         # partial, and the run counts their outcomes itself
         result = merge_shards(
             self._accumulator(reads_total, monitor, clock),
-            _batches(records, self._shard_reads()),
+            iter_chunks(records, self._shard_reads()),
             in_process(lambda shard: (self.align_batch(shard), None, None)),
         )
         if out_dir is not None:
             result.write_outputs(out_dir)
         return result
 
-
-def _batches(records: Iterable[FastqRecord], size: int) -> Iterator[list]:
-    """Consecutive ``size``-read lists, pulled lazily from ``records``."""
-    it = iter(records)
-    while batch := list(itertools.islice(it, size)):
-        yield batch

@@ -371,7 +371,7 @@ def _batch_options(args: argparse.Namespace, journal=None):
     from repro.core.pipeline import BatchOptions
 
     return BatchOptions(
-        max_parallel=1 if args.stream else args.max_parallel,
+        max_parallel=args.max_parallel,
         journal=journal if journal is not None else args.journal,
         resume=args.resume,
         streaming=args.stream,
@@ -398,13 +398,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if args.resume and args.journal is None:
         print("error: --resume requires --journal PATH", file=sys.stderr)
         return 2
-    if args.stream and args.max_parallel > 1:
-        print(
-            "error: --stream overlaps stages, not accessions; "
-            "drop --max-parallel",
-            file=sys.stderr,
-        )
-        return 2
     if args.journal_s3 is not None and args.journal is None:
         print(
             "error: --journal-s3 replicates a local journal; add "
@@ -415,13 +408,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if args.shard_checkpoints and args.journal is None:
         print(
             "error: --shard-checkpoints requires --journal PATH",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shard_checkpoints and args.stream:
-        print(
-            "error: --shard-checkpoints is a non-streaming feature; "
-            "drop --stream",
             file=sys.stderr,
         )
         return 2
@@ -832,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help="overlap download, decode, and alignment via the streaming "
-        "DAG (implies --max-parallel 1)",
+        "DAG",
     )
     p.add_argument(
         "--prefetch-depth",

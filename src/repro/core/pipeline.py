@@ -20,10 +20,10 @@ submission order.
 
 The steps themselves are :class:`~repro.core.stages.Stage` objects (see
 :mod:`repro.core.stages`); this module supplies the harness around them
-— retries, journaling, timing, drain — and the
-:class:`BatchOptions`-driven batch loop, including the streaming
-stage-overlapped execution shape (``BatchOptions(streaming=True)``,
-implemented in :mod:`repro.core.streaming`).
+— retries, journaling, timing, drain — and the one
+:class:`BatchOptions`-driven batch loop.  Streaming
+(``BatchOptions(streaming=True)``, see :mod:`repro.core.streaming`)
+changes only where each accession's reads come from.
 
 This class is the *local* (workstation/HPC) embodiment the paper's
 conclusions mention; :mod:`repro.core.atlas` embeds the same step
@@ -132,7 +132,7 @@ class PipelineResult:
     #: True when this result was replayed from a run journal instead of
     #: executed (``star_result`` is then a lightweight ReplayedOutcome)
     resumed: bool = False
-    #: True when executed through the streaming stage-overlapped path
+    #: True when the reads came from a download stream (``streaming``)
     streamed: bool = False
     #: archive size in bytes (what a full download would move)
     download_bytes_total: int = 0
@@ -203,22 +203,22 @@ class BatchOptions:
 
     Consolidates the former kwarg pile (``journal=``, ``resume=``,
     ``max_parallel=``, drain deadline, align batch size) into one
-    validated bundle, and adds the streaming execution shape.  None of
-    these affect *outputs* (they are execution shape, deliberately
-    excluded from the journal's config fingerprint) — a batch run with
-    any options resumes a journal written with any other.
+    validated bundle.  None of these affect *outputs* (they are
+    execution shape, deliberately excluded from the journal's config
+    fingerprint) — a batch run with any options resumes a journal
+    written with any other.
     """
 
-    #: accessions processed concurrently by a thread pool (sequential
-    #: shape only; streaming overlaps stages instead of accessions)
+    #: accessions processed concurrently (lanes of the batch loop)
     max_parallel: int = 1
     #: path or RunJournal making the batch crash-consistent
     journal: RunJournal | Path | str | None = None
     #: replay the journal's terminal records instead of re-running them
     resume: bool = False
-    #: overlap download/decode/align via the streaming DAG
+    #: feed each accession's reads from a download stream, overlapping
+    #: download/decode with alignment
     streaming: bool = False
-    #: accessions downloaded ahead of the one being aligned (streaming)
+    #: accessions downloaded ahead of the ones being aligned (streaming)
     prefetch_depth: int = 1
     #: FASTQ records per streamed chunk handed to the align stage
     chunk_reads: int = 256
@@ -235,9 +235,9 @@ class BatchOptions:
     align_batch_size: int | None = None
     #: journal completed read shards inside the align step so resume
     #: re-dispatches only unfinished shards (requires ``journal``;
-    #: engine and faas runs, single-end *and* paired — other shapes
-    #: align normally).  Execution shape, like everything here: results
-    #: are byte-identical either way.
+    #: engine and faas runs, single-end *and* paired, streamed or not —
+    #: serial runs align normally).  Execution shape, like everything
+    #: here: results are byte-identical either way.
     shard_checkpoints: bool = False
     #: alignment backend for the batch: one of
     #: :data:`~repro.align.backend.BACKEND_CHOICES` — ``"auto"`` (the
@@ -259,23 +259,8 @@ class BatchOptions:
                     f"backend must be one of {BACKEND_CHOICES}, "
                     f"got {self.backend!r}"
                 )
-            if self.backend == "faas" and self.streaming:
-                raise ValueError(
-                    "backend='faas' needs the materialized align path; "
-                    "streaming consumes reads as they arrive"
-                )
         if self.shard_checkpoints and self.journal is None:
             raise ValueError("shard_checkpoints requires a journal")
-        if self.shard_checkpoints and self.streaming:
-            raise ValueError(
-                "shard_checkpoints needs the materialized align path; "
-                "streaming consumes reads as they arrive"
-            )
-        if self.streaming and self.max_parallel > 1:
-            raise ValueError(
-                "streaming overlaps stages, not accessions: it requires "
-                "max_parallel == 1"
-            )
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
         if self.chunk_reads < 1:
@@ -296,10 +281,9 @@ class StepHarness:
 
     ``attempt(step_key, timing_key, fn)`` runs ``fn`` under the retry
     policy, accumulates wall clock into ``timings[timing_key]``, journals
-    the step-done record, and feeds the stage-health counters.  Bodies
-    (the sequential stage loop, the streaming consumer) only ever go
-    through ``attempt`` so every execution shape shares identical
-    failure semantics.
+    the step-done record, and feeds the stage-health counters.  Every
+    accession's body goes through ``attempt``, streamed or not, so
+    failure semantics are identical.
     """
 
     accession: str
@@ -310,6 +294,22 @@ class StepHarness:
     retries: dict
     journal: RunJournal | None
     rng: np.random.Generator
+
+    def result(self, status: RunStatus, **fields) -> PipelineResult:
+        """This accession's result: ``fields`` plus the harness accounting."""
+        state = self.state
+        return PipelineResult(
+            accession=self.accession,
+            status=status,
+            timing=StepTiming(**self.timings),
+            fastq_bytes=state["fastq_bytes"],
+            paired=state["paired"],
+            retries=self.retries["n"],
+            streamed=bool(state.get("streamed", False)),
+            download_bytes_total=int(state.get("download_bytes_total", 0)),
+            download_bytes_saved=int(state.get("download_bytes_saved", 0)),
+            **fields,
+        )
 
 
 class TranscriptomicsAtlasPipeline:
@@ -498,19 +498,18 @@ class TranscriptomicsAtlasPipeline:
         self,
         accession: str,
         journal: RunJournal | None,
-        body: Callable[[StepHarness], PipelineResult],
+        body: Callable[[StepHarness], StageContext],
         *,
         rng: np.random.Generator | None = None,
     ) -> PipelineResult:
-        """Run ``body`` under the retry/journal/failure harness.
+        """Run ``body`` under the retry/journal/failure harness, then classify.
 
         Builds the :class:`StepHarness` (workspace dir, timing buckets,
         retry accounting, the per-accession jitter rng — callers that
         pre-draw from the stream, like the streaming downloader, pass
         their ``rng`` in) and converts any escaped :class:`StepFailed`
-        or unexpected exception into a ``FAILED`` result.  Both the
-        sequential stage loop and the streaming consumer execute through
-        here, so every shape shares identical failure semantics.
+        or unexpected exception into a ``FAILED`` result.  Every
+        accession executes through here, streamed or not.
         """
         cfg = self.config
         work = self.workspace / accession
@@ -557,7 +556,7 @@ class TranscriptomicsAtlasPipeline:
         if journal is not None:
             journal.record_started(accession)
         try:
-            result = body(harness)
+            result = self._classify(body(harness), harness)
             self._journal_terminal(journal, result)
             return result
         except StepFailed as exc:
@@ -571,19 +570,7 @@ class TranscriptomicsAtlasPipeline:
                 error=repr(exc),
                 error_chain=[repr(exc)],
             )
-        result = PipelineResult(
-            accession=accession,
-            status=RunStatus.FAILED,
-            timing=StepTiming(**timings),
-            star_result=None,
-            fastq_bytes=state["fastq_bytes"],
-            paired=state["paired"],
-            failure=failure,
-            retries=retries["n"],
-            streamed=bool(state.get("streamed", False)),
-            download_bytes_total=int(state.get("download_bytes_total", 0)),
-            download_bytes_saved=int(state.get("download_bytes_saved", 0)),
-        )
+        result = harness.result(RunStatus.FAILED, star_result=None, failure=failure)
         self._journal_terminal(journal, result)
         return result
 
@@ -604,22 +591,32 @@ class TranscriptomicsAtlasPipeline:
         """The per-accession stage DAG (override point for subclasses)."""
         return default_stages()
 
-    def _run_steps(self, harness: StepHarness) -> PipelineResult:
-        """The happy path: run the stage DAG in order, then classify."""
-        ctx = StageContext(
-            pipeline=self,
-            accession=harness.accession,
-            work=harness.work,
-            state=harness.state,
-        )
-        for stage in self._accession_stages():
+    def _run_steps(
+        self,
+        harness: StepHarness,
+        ctx: StageContext | None = None,
+        stages: list[Stage] | None = None,
+    ) -> StageContext:
+        """The happy path: run the stage DAG in order under the harness.
+
+        A streamed accession passes a context already carrying its read
+        feed, and the align stage alone.
+        """
+        if ctx is None:
+            ctx = StageContext(
+                pipeline=self,
+                accession=harness.accession,
+                work=harness.work,
+                state=harness.state,
+            )
+        for stage in self._accession_stages() if stages is None else stages:
             stage.prepare(ctx)
             harness.attempt(
                 stage.step_key,
                 stage.timing_key,
                 lambda stage=stage: stage.run(ctx),
             )
-        return self._classify(ctx, harness)
+        return ctx
 
     def _classify(
         self, ctx: StageContext, harness: StepHarness
@@ -643,20 +640,11 @@ class TranscriptomicsAtlasPipeline:
         if status.produced_counts and star_result.gene_counts is not None:
             counts = star_result.gene_counts.column_vector(cfg.counts_column)
 
-        state = harness.state
-        return PipelineResult(
-            accession=harness.accession,
-            status=status,
-            timing=StepTiming(**harness.timings),
+        return harness.result(
+            status,
             star_result=star_result,
-            fastq_bytes=state["fastq_bytes"],
             counts=counts,
             trim_stats=ctx.trim_stats,
-            paired=ctx.paired,
-            retries=harness.retries["n"],
-            streamed=bool(state.get("streamed", False)),
-            download_bytes_total=int(state.get("download_bytes_total", 0)),
-            download_bytes_saved=int(state.get("download_bytes_saved", 0)),
         )
 
     def run_batch(
@@ -669,12 +657,14 @@ class TranscriptomicsAtlasPipeline:
         Execution shape is configured through ``options`` (a
         :class:`BatchOptions`; the defaults when omitted).
 
-        ``max_parallel > 1`` overlaps accessions with a thread pool: the
+        One loop runs every batch: ``min(max_parallel, pending)`` lanes
+        (one runs inline on the caller's thread, more use a thread pool)
+        each take the next batch position from a shared cursor.  The
         prefetch/dump steps are I/O-shaped and the alignment step hands
         its CPU work to the engine's worker *processes*, so threads only
-        coordinate.  ``streaming=True`` instead overlaps *stages* of
-        consecutive accessions — the next accession's download streams
-        into a bounded chunk queue while the current one aligns (see
+        coordinate.  ``streaming=True`` changes only where reads come
+        from: the next accession's download streams into a bounded chunk
+        queue while the current one aligns (see
         :mod:`repro.core.streaming`) — with byte-identical results.  A
         failure is a ``FAILED`` result, never an exception, so one
         accession cannot drop another's work; the returned list and
@@ -738,54 +728,64 @@ class TranscriptomicsAtlasPipeline:
             else None
         )
 
-        pending = [a for a in accessions if a not in replayed]
-        results_map: dict[str, PipelineResult] = dict(replayed)
-        map_lock = threading.Lock()
-
+        pending = [
+            (position, accession)
+            for position, accession in enumerate(accessions)
+            if accession not in replayed
+        ]
+        results_map = {
+            position: replayed[accession]
+            for position, accession in enumerate(accessions)
+            if accession in replayed
+        }
+        lanes = min(options.max_parallel, len(pending))
+        source = None
         if options.streaming:
             if self.config.trim is not None:
                 raise ValueError(
                     "streaming does not support read trimming: records are "
                     "consumed as they arrive, before the full set exists"
                 )
-            from repro.core.streaming import StreamedBatchRunner
+            from repro.core.streaming import StreamedReads
 
-            executed = StreamedBatchRunner(self, options).run(
-                pending, run_journal
-            )
-            results_map.update(executed)
-        elif options.max_parallel == 1 or len(pending) <= 1:
-            for accession in pending:
-                if self._drain.is_set():
-                    break
-                results_map[accession] = self._execute_accession(
-                    accession, journal=run_journal
+            source = StreamedReads(self, options, pending, lanes).open()
+        cursor = iter(pending)
+        lock = threading.Lock()
+
+        def lane() -> None:
+            while not self._drain.is_set():
+                with lock:
+                    item = next(cursor, None)
+                if item is None:
+                    return
+                position, accession = item
+                result = (
+                    self._run_guarded(accession, run_journal, self._run_steps)
+                    if source is None
+                    else source.run(position, run_journal)
                 )
-        else:
-            cursor = iter(pending)
+                with lock:
+                    results_map[position] = result
 
-            def worker() -> None:
-                while not self._drain.is_set():
-                    with map_lock:
-                        accession = next(cursor, None)
-                    if accession is None:
-                        return
-                    result = self._execute_accession(
-                        accession, journal=run_journal
-                    )
-                    with map_lock:
-                        results_map[accession] = result
+        try:
+            if lanes <= 1:
+                lane()
+            else:
+                with ThreadPoolExecutor(max_workers=lanes) as pool:
+                    for future in [pool.submit(lane) for _ in range(lanes)]:
+                        future.result()
+        finally:
+            if source is not None:
+                source.close()
 
-            n_workers = min(options.max_parallel, len(pending))
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                futures = [pool.submit(worker) for _ in range(n_workers)]
-                for future in futures:
-                    future.result()
-
-        results = [results_map[a] for a in accessions if a in results_map]
+        results = [results_map[p] for p in sorted(results_map)]
         with self._results_lock:
             self.results.extend(results)
-        self._collect_journal_garbage(run_journal, accessions, results_map)
+        self._collect_journal_garbage(
+            run_journal,
+            accessions,
+            {accessions[p]: result for p, result in results_map.items()},
+        )
         return results
 
     @staticmethod

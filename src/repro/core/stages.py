@@ -3,14 +3,12 @@
 The pipeline's four steps — ``prefetch``, ``fasterq-dump``, STAR
 alignment, DESeq2 normalization — used to live as special-cased branches
 inside ``TranscriptomicsAtlasPipeline._run_steps``.  This module lifts
-them into uniform :class:`Stage` objects so both execution shapes share
-one definition:
-
-* the **sequential** path runs :func:`default_stages` in order, each
-  ``run`` wrapped in the pipeline's retry/journal harness;
-* the **streaming** path (:mod:`repro.core.streaming`) runs the
-  prefetch/dump work in a downloader thread and reuses
-  :class:`AlignStage` over a live :class:`~repro.align.backend.ReadChunkStream`.
+them into uniform :class:`Stage` objects, each ``run`` wrapped in the
+pipeline's retry/journal harness.  An accession runs
+:func:`default_stages` in order; a streamed one (see
+:mod:`repro.core.streaming`) gets its reads from a downloader thread
+instead of prefetch/dump and runs :class:`AlignStage` alone, over a
+live :class:`~repro.align.backend.ReadChunkStream`.
 
 Back-compat is strict: every stage's ``step_key`` is the FaultPlan /
 journal / failure-record step name that existed before the refactor
@@ -32,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
-from repro.align.backend import ReadBatch, ReadChunkStream, resolve_backend
+from repro.align.backend import ReadChunkStream, resolve_backend
 from repro.core.early_stopping import EarlyStopMonitor
 from repro.quant.deseq2 import estimate_size_factors, normalize_counts
 from repro.reads.fastq import iter_fastq
@@ -75,8 +73,8 @@ class StageContext:
     paired: bool = False
     fastq_path: Path | None = None
     fastq_path_2: Path | None = None
-    #: a ReadBatch (sequential) or ReadChunkStream (streaming)
-    reads: Any | None = None
+    #: the accession's ReadChunkStream (one chunk unless streamed)
+    reads: ReadChunkStream | None = None
     trim_stats: Any | None = None
     backend: Any | None = None
     out_dir: Path | None = None
@@ -98,8 +96,7 @@ class Stage(Protocol):
     clock lands in (None for batch-scoped stages).  ``prepare`` runs
     once per accession *outside* the retry loop (idempotency not
     required); ``run`` is the retried body and must be safe to invoke
-    again after a transient failure.  ``cost_hint`` is an optional
-    scheduling hint (estimated work units; bytes or reads).
+    again after a transient failure.
     """
 
     name: str
@@ -114,10 +111,6 @@ class Stage(Protocol):
         """Execute the step, writing products onto ``ctx``."""
         ...
 
-    def cost_hint(self, ctx: StageContext) -> float | None:
-        """Estimated work units for this accession (None = unknown)."""
-        ...
-
 
 class PrefetchStage:
     """Step 1: download the ``.sra`` container into the workspace."""
@@ -128,16 +121,6 @@ class PrefetchStage:
 
     def prepare(self, ctx: StageContext) -> None:
         """No setup needed."""
-
-    def cost_hint(self, ctx: StageContext) -> float | None:
-        """Archive size in bytes when the repository can report it."""
-        repo = ctx.pipeline.repository
-        if hasattr(repo, "archive_bytes"):
-            try:
-                return float(repo.archive_bytes(ctx.accession))
-            except KeyError:
-                return None
-        return None
 
     def run(self, ctx: StageContext) -> None:
         """Download the container; detect the library layout from magic."""
@@ -162,12 +145,6 @@ class FasterqDumpStage:
 
     def prepare(self, ctx: StageContext) -> None:
         """No setup needed."""
-
-    def cost_hint(self, ctx: StageContext) -> float | None:
-        """Container size in bytes (decompression work scales with it)."""
-        if ctx.sra_path is not None and ctx.sra_path.exists():
-            return float(ctx.sra_path.stat().st_size)
-        return None
 
     def run(self, ctx: StageContext) -> None:
         """Dump FASTQ file(s) next to the container."""
@@ -194,13 +171,14 @@ class FasterqDumpStage:
 class AlignStage:
     """Step 3: STAR alignment through the resolved backend.
 
-    ``prepare`` loads/trims reads (unless the streaming runner already
-    attached a :class:`~repro.align.backend.ReadChunkStream` to
-    ``ctx.reads``), consumes any scripted ``engine_worker`` fault, and
-    resolves the backend.  ``run`` is retry-safe: the scripted ``align``
-    fault check fires before any read is consumed, and the stateful
-    early-stop monitor is rebuilt per attempt so a retried alignment
-    sees the same cadence as an unfaulted run.
+    ``prepare`` loads/trims reads into a one-chunk
+    :class:`~repro.align.backend.ReadChunkStream` (unless a streamed
+    feed is already attached to ``ctx.reads``), consumes any scripted
+    ``engine_worker`` fault, and resolves the backend.  ``run`` is
+    retry-safe: the scripted ``align`` fault check fires before any read
+    is consumed, and the stateful early-stop monitor is rebuilt per
+    attempt so a retried alignment sees the same cadence as an unfaulted
+    run.
     """
 
     name = "align"
@@ -212,18 +190,17 @@ class AlignStage:
         pipeline = ctx.pipeline
         cfg = pipeline.config
         if ctx.reads is None:
+            records = list(iter_fastq(ctx.fastq_path))
             if ctx.paired:
-                ctx.reads = ReadBatch(
-                    records=list(iter_fastq(ctx.fastq_path)),
-                    mate2=list(iter_fastq(ctx.fastq_path_2)),
+                ctx.reads = ReadChunkStream.of(
+                    records, list(iter_fastq(ctx.fastq_path_2))
                 )
             else:
-                records = list(iter_fastq(ctx.fastq_path))
                 if cfg.trim is not None:
                     records, ctx.trim_stats = ReadTrimmer(cfg.trim).trim(
                         records
                     )
-                ctx.reads = ReadBatch(records=records)
+                ctx.reads = ReadChunkStream.of(records)
         engine = pipeline._get_engine()
         if (
             engine is not None
@@ -250,14 +227,6 @@ class AlignStage:
             if (cfg.write_outputs and not ctx.paired)
             else None
         )
-
-    def cost_hint(self, ctx: StageContext) -> float | None:
-        """Read count when known (alignment work scales with it)."""
-        if isinstance(ctx.reads, ReadChunkStream):
-            return float(ctx.reads.reads_total)
-        if ctx.reads is not None:
-            return float(len(ctx.reads))
-        return None
 
     def run(self, ctx: StageContext) -> None:
         """Align, honouring early stopping, drain deadlines, and faults."""
@@ -287,23 +256,15 @@ class AlignStage:
                 return False
             return base_hook(record) if base_hook is not None else True
 
-        if isinstance(ctx.reads, ReadChunkStream):
-            ctx.star_result = ctx.backend.align_stream(
-                ctx.reads, monitor=hook, out_dir=ctx.out_dir
-            )
-        else:
-            # shard-level checkpointing (see repro.core.replication) is
-            # owned by the pipeline: None unless this batch journals with
-            # shard checkpoints enabled
-            get_ckpt = getattr(pipeline, "_shard_checkpointer", None)
-            ctx.star_result = ctx.backend.align(
-                ctx.reads,
-                monitor=hook,
-                out_dir=ctx.out_dir,
-                checkpoint=(
-                    get_ckpt(ctx.accession) if get_ckpt is not None else None
-                ),
-            )
+        # shard-level checkpointing (see repro.core.replication) is owned
+        # by the pipeline: None unless this batch journals with shard
+        # checkpoints enabled
+        ctx.star_result = ctx.backend.align(
+            ctx.reads,
+            monitor=hook,
+            out_dir=ctx.out_dir,
+            checkpoint=pipeline._shard_checkpointer(ctx.accession),
+        )
 
 
 class Deseq2Stage:
@@ -321,12 +282,6 @@ class Deseq2Stage:
 
     def prepare(self, ctx) -> None:
         """No setup needed."""
-
-    def cost_hint(self, pipeline) -> float | None:
-        """Number of accepted count columns awaiting normalization."""
-        return float(
-            sum(1 for r in pipeline.results if r.status.produced_counts)
-        )
 
     def run(self, pipeline):
         """Median-of-ratios normalization over the accepted columns."""

@@ -1,23 +1,25 @@
-"""The streaming stage-overlapped execution shape of ``run_batch``.
+"""The streaming read source of ``run_batch``.
 
 Sequential batches run ``prefetch → fasterq-dump → align`` to completion
 per accession, so the network idles while STAR runs and the CPU idles
-while bytes move.  :class:`StreamedBatchRunner` overlaps them as a small
-DAG:
+while bytes move.  ``BatchOptions(streaming=True)`` changes where an
+accession's reads come from, not how the batch runs: the same lane loop
+takes each batch position in turn, but the position's body aligns a
+:class:`~repro.align.backend.ReadChunkStream` fed by
+:class:`StreamedReads` instead of running prefetch and fasterq-dump:
 
-* a single **downloader thread** pulls accessions in submission order,
-  streaming each ``.sra`` container through
+* a single **downloader thread** pulls batch positions in submission
+  order, streaming each ``.sra`` container through
   :class:`~repro.reads.stream.SraStream` — bytes decompress into FASTQ
   record chunks as they arrive — and pushes chunks into a bounded
-  per-accession queue (the backpressure window);
-* the **consumer** (caller's thread) aligns accession *k* from its live
-  chunk queue while the downloader already streams accession *k+1*
-  (``prefetch_depth`` bounds how far ahead it may run);
-* early stopping (or a drain deadline) aborting accession *k*'s
-  alignment **cancels its in-flight download** at the next chunk
-  boundary — the un-moved remainder is reported as
-  ``download_bytes_saved`` on the result and in
-  :class:`~repro.core.stages.PipelineHealth`.
+  per-position queue (the backpressure window);
+* each **lane** aligns its position from that live queue while the
+  downloader already streams the next one (admission bounds the
+  downloader to the positions being aligned plus ``prefetch_depth``);
+* early stopping (or a drain deadline) aborting an alignment **cancels
+  its in-flight download** at the next chunk boundary — the un-moved
+  remainder is reported as ``download_bytes_saved`` on the result and
+  in :class:`~repro.core.stages.PipelineHealth`.
 
 Results are byte-identical to the sequential path: chunk boundaries
 never affect alignment outcomes, record parsing matches the
@@ -32,13 +34,14 @@ Failure semantics match the sequential harness: prefetch faults retry
 under the same policy inside the downloader (each attempt reopens the
 stream), ``fasterq_dump`` faults are checked before the first chunk is
 handed over, and an ``align`` fault fires before any chunk is consumed
-so transient align faults retry safely.  Only a failure *after* chunks
-were consumed is unrecoverable mid-stream (the bytes are gone) and
-surfaces as a permanent-style step failure.
+so transient align faults retry safely.  A failure *after* chunks were
+consumed cannot be retried (the bytes are gone): the feed refuses a
+second read, so the retry fails the step instead of aligning nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import queue
 import threading
 import time
@@ -53,9 +56,9 @@ from repro.util.rng import derive_rng
 
 if TYPE_CHECKING:
     from repro.core.journal import RunJournal
-    from repro.core.pipeline import BatchOptions, PipelineResult
+    from repro.core.pipeline import BatchOptions, PipelineResult, StepHarness
 
-__all__ = ["StreamedBatchRunner"]
+__all__ = ["StreamedReads"]
 
 #: poll interval for the bounded queues and coordination events; short
 #: enough that cancellation feels immediate, long enough to stay cheap
@@ -64,125 +67,125 @@ _POLL_SECONDS = 0.05
 
 @dataclass
 class _Handle:
-    """Shared per-accession state between the downloader and consumer."""
+    """Shared per-position state between the downloader and a lane."""
 
     accession: str
     #: bounded chunk queue: ("chunk", payload) | ("done", None) | ("error", exc)
-    items: queue.Queue = field(default_factory=queue.Queue)
-    #: consumer → downloader: stop moving bytes for this accession
+    items: queue.Queue
+    #: per-accession jitter stream, shared with the lane's align retries
+    #: so draw order matches the sequential path exactly
+    rng: Any
+    #: lane → downloader: stop moving bytes for this position
     cancel: threading.Event = field(default_factory=threading.Event)
-    #: downloader → consumer: header parsed (or ``error`` set)
+    #: downloader → lane: header parsed (or ``error`` set)
     meta: threading.Event = field(default_factory=threading.Event)
-    #: downloader → consumer: this accession's download work is over
+    #: downloader → lane: this position's download work is over
     finished: threading.Event = field(default_factory=threading.Event)
     #: the live stream (set just before ``meta``)
     stream: SraStream | None = None
-    #: prefetch/dump step failure, raised in the consumer (before meta)
+    #: prefetch/dump step failure, raised in the lane (before meta)
     error: StepFailed | None = None
-    #: mid-stream decode/transfer failure (after meta)
-    stream_error: BaseException | None = None
-    #: guard: a chunk feed is single-use — see module docstring
-    consume_started: bool = False
     #: retries spent by the downloader on this accession's steps
     retries: int = 0
     #: wall seconds the downloader spent on this accession
     download_seconds: float = 0.0
     #: seconds the downloader sat blocked on a full chunk queue
     stall_seconds: float = 0.0
-    #: per-accession jitter stream, shared with the consumer's align
-    #: retries so draw order matches the sequential path exactly
-    rng: Any = None
 
 
-class StreamedBatchRunner:
-    """Executes one batch with download/align overlap (see module doc)."""
+class StreamedReads:
+    """One streamed batch's reads, keyed by batch position (see module doc).
 
-    def __init__(self, pipeline, options: "BatchOptions") -> None:
+    ``pending`` lists the ``(position, accession)`` pairs the batch will
+    run; ``lanes`` is how many positions align at once.  :meth:`open`
+    starts the downloader, :meth:`run` runs one position through the
+    pipeline's harness with its streamed body and retry rng, and
+    :meth:`close` stops the downloader and joins it.
+    """
+
+    def __init__(
+        self,
+        pipeline,
+        options: BatchOptions,
+        pending: list[tuple[int, str]],
+        lanes: int,
+    ) -> None:
         self.pipeline = pipeline
         self.options = options
-        #: admits the accession being consumed plus ``prefetch_depth``
-        #: lookahead downloads; released as the consumer finishes each
-        self._admission = threading.Semaphore(1 + options.prefetch_depth)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    # -- entry point ---------------------------------------------------------
-
-    def run(
-        self, pending: list[str], journal: "RunJournal | None"
-    ) -> dict[str, "PipelineResult"]:
-        """Run ``pending`` accessions; returns results keyed by accession.
-
-        Mirrors the sequential loop's drain contract: a drain request
-        stops admission before the next accession; the in-flight one is
-        bounded by the drain deadline (its download is cancelled along
-        with its alignment).  Accessions never started have no journal
-        records, so a resumed batch re-runs exactly them.
-        """
-        results: dict[str, PipelineResult] = {}
-        if not pending:
-            return results
-        pipeline = self.pipeline
-        handles = []
-        for accession in pending:
-            handle = _Handle(accession)
-            handle.items = queue.Queue(maxsize=self.options.buffer_chunks)
-            handle.rng = derive_rng(
-                pipeline.config.retry_seed, f"retry:{accession}"
+        self._handles = {
+            position: _Handle(
+                accession,
+                queue.Queue(maxsize=options.buffer_chunks),
+                derive_rng(pipeline.config.retry_seed, f"retry:{accession}"),
             )
-            handles.append(handle)
+            for position, accession in pending
+        }
+        #: admits the positions being aligned plus ``prefetch_depth``
+        #: lookahead downloads; released as each lane finishes one
+        self._admission = threading.Semaphore(lanes + options.prefetch_depth)
+        self._stop = threading.Event()
         self._thread = threading.Thread(
-            target=self._download_all,
-            args=(handles,),
-            name="stream-downloader",
-            daemon=True,
+            target=self._download_all, name="stream-downloader", daemon=True
         )
+
+    def open(self) -> StreamedReads:
+        """Start the downloader; returns ``self``."""
         self._thread.start()
+        return self
+
+    def close(self) -> None:
+        """Stop the downloader and join it.
+
+        Positions a lane ran were released by :meth:`run`; positions
+        never run (a drain, or an error escaping the batch) stop at the
+        next chunk boundary, their downloads cancelled.
+        """
+        self._stop.set()
+        self._admission.release()  # wake a downloader awaiting admission
+        self._thread.join(timeout=30.0)
+
+    def run(self, position: int, journal: RunJournal | None) -> PipelineResult:
+        """Run one position under the pipeline's harness, then release it.
+
+        The release (cancel, drain the queue, admit the next download)
+        also runs when the harness raises before the body, so the
+        downloader never blocks on a queue that no lane reads.
+        """
+        handle = self._handles[position]
         try:
-            for handle in handles:
-                if pipeline._drain.is_set():
-                    break
-                try:
-                    results[handle.accession] = pipeline._run_guarded(
-                        handle.accession,
-                        journal,
-                        lambda harness, h=handle: self._consume(h, harness),
-                        rng=handle.rng,
-                    )
-                finally:
-                    self._release_handle(handle)
-                    self._admission.release()
+            return self.pipeline._run_guarded(
+                handle.accession,
+                journal,
+                functools.partial(self._consume, handle),
+                rng=handle.rng,
+            )
         finally:
-            self._stop.set()
-            for handle in handles:
-                self._release_handle(handle)
-                # unblock the downloader's admission wait for every
-                # handle it may still loop over (over-release is safe)
-                self._admission.release()
-            self._thread.join(timeout=30.0)
-        return results
+            self._release(handle)
 
     @staticmethod
-    def _release_handle(handle: _Handle) -> None:
-        """Cancel a handle and drain its queue so the downloader exits."""
+    def _cancel(handle: _Handle) -> None:
+        """Stop moving bytes for ``handle`` at the next chunk boundary."""
         handle.cancel.set()
         if handle.stream is not None:
             handle.stream.cancel()
+
+    def _release(self, handle: _Handle) -> None:
+        """Cancel a handle, drain its queue, and admit the next download."""
+        self._cancel(handle)
         while True:
             try:
                 handle.items.get_nowait()
             except queue.Empty:
-                return
+                break
+        self._admission.release()
 
     # -- downloader side -----------------------------------------------------
 
-    def _download_all(self, handles: list[_Handle]) -> None:
-        for handle in handles:
+    def _download_all(self) -> None:
+        for handle in self._handles.values():
             self._admission.acquire()
             if self._stop.is_set():
-                handle.meta.set()
-                handle.finished.set()
-                continue
+                return
             self._download_one(handle)
 
     def _download_one(self, handle: _Handle) -> None:
@@ -213,24 +216,17 @@ class StreamedBatchRunner:
             if cfg.fault_plan is not None:
                 cfg.fault_plan.check("fasterq_dump", handle.accession)
 
+        retried = functools.partial(
+            run_with_retry,
+            policy=cfg.retry,
+            key=handle.accession,
+            rng=handle.rng,
+            on_retry=on_retry,
+        )
         try:
             try:
-                stream = run_with_retry(
-                    open_stream,
-                    policy=cfg.retry,
-                    step="prefetch",
-                    key=handle.accession,
-                    rng=handle.rng,
-                    on_retry=on_retry,
-                )
-                run_with_retry(
-                    dump_check,
-                    policy=cfg.retry,
-                    step="fasterq_dump",
-                    key=handle.accession,
-                    rng=handle.rng,
-                    on_retry=on_retry,
-                )
+                stream = retried(open_stream, step="prefetch")
+                retried(dump_check, step="fasterq_dump")
             except StepFailed as exc:
                 handle.error = exc
                 handle.meta.set()
@@ -240,14 +236,13 @@ class StreamedBatchRunner:
             try:
                 for chunk in stream.chunks():
                     if not self._put(handle, ("chunk", chunk)):
+                        stream.cancel()
                         return
                 self._put(handle, ("done", None))
             except Exception as exc:  # decode/transfer failure mid-stream
-                handle.stream_error = exc
                 self._put(handle, ("error", exc))
         finally:
             handle.download_seconds = time.monotonic() - started
-            handle.finished.set()
             stream = handle.stream
             if stream is not None:
                 pipeline.stage_health.stage("prefetch").record(
@@ -263,6 +258,7 @@ class StreamedBatchRunner:
                     bytes_saved=stream.bytes_saved,
                     cancelled=stream.cancelled,
                 )
+            handle.finished.set()
 
     def _put(self, handle: _Handle, item: tuple) -> bool:
         """Enqueue with backpressure; False when cancelled/stopped."""
@@ -277,10 +273,11 @@ class StreamedBatchRunner:
             except queue.Full:
                 handle.stall_seconds += _POLL_SECONDS
 
-    # -- consumer side -------------------------------------------------------
+    # -- lane side -----------------------------------------------------------
 
-    def _consume(self, handle: _Handle, harness) -> "PipelineResult":
-        """The body run under the pipeline's retry/journal harness."""
+    def _consume(self, handle: _Handle, harness: StepHarness) -> StageContext:
+        """A streamed position's body: what differs from ``_run_steps``
+        is waiting on the handle and settling the download accounting."""
         pipeline = self.pipeline
         self._await_meta(handle)
         harness.retries["n"] += handle.retries
@@ -289,7 +286,6 @@ class StreamedBatchRunner:
             harness.timings["prefetch"] += handle.download_seconds
             raise handle.error
         stream = handle.stream
-        assert stream is not None
         state = harness.state
         state["streamed"] = True
         state["paired"] = stream.paired
@@ -299,63 +295,36 @@ class StreamedBatchRunner:
             # journal keeps the sequential step vocabulary
             harness.journal.record_step_done(handle.accession, "prefetch")
             harness.journal.record_step_done(handle.accession, "fasterq_dump")
-
         ctx = StageContext(
             pipeline=pipeline,
             accession=handle.accession,
             work=harness.work,
             state=state,
-        )
-        ctx.paired = stream.paired
-        ctx.reads = ReadChunkStream(
-            chunks=self._chunks(handle),
-            reads_total=stream.n_reads,
             paired=stream.paired,
-        )
-
-        def on_abort(record) -> None:
+            reads=ReadChunkStream(
+                self._chunks(handle), stream.n_reads, stream.paired
+            ),
             # early stop / drain: stop moving bytes at the next boundary
-            handle.cancel.set()
-            stream.cancel()
-
-        ctx.on_align_abort = on_abort
-        stage = AlignStage()
-        stage.prepare(ctx)
-        harness.attempt(
-            stage.step_key, stage.timing_key, lambda: stage.run(ctx)
+            on_align_abort=lambda record: self._cancel(handle),
         )
+        pipeline._run_steps(harness, ctx, [AlignStage()])
         handle.finished.wait()
         state["fastq_bytes"] = stream.fastq_bytes
         state["download_bytes_saved"] = stream.bytes_saved
         harness.timings["prefetch"] += handle.download_seconds
         pipeline.stage_health.stage("align").record(units=stream.records_out)
-        return pipeline._classify(ctx, harness)
+        return ctx
 
     def _await_meta(self, handle: _Handle) -> None:
         while not handle.meta.wait(_POLL_SECONDS):
-            thread = self._thread
-            if thread is not None and not thread.is_alive():
+            if not self._thread.is_alive():
                 raise RuntimeError(
                     "stream downloader died before metadata for "
                     f"{handle.accession!r}"
                 )
 
     def _chunks(self, handle: _Handle):
-        """Generator bridging the chunk queue into the align stage.
-
-        Single-use: the bytes behind consumed chunks are gone, so a
-        second iteration (an align retry *after* consumption began)
-        fails loudly instead of silently aligning a truncated stream.
-        Align retries triggered before any chunk was consumed — the
-        scripted-fault case — never enter here twice because the fault
-        check precedes consumption.
-        """
-        if handle.consume_started:
-            raise RuntimeError(
-                f"{handle.accession!r}: streamed reads were already "
-                "consumed; a mid-stream alignment cannot be retried"
-            )
-        handle.consume_started = True
+        """Generator bridging the chunk queue into the align stage."""
         metrics = self.pipeline.stage_health.stage("align")
         stalled = 0.0
         try:
@@ -364,8 +333,6 @@ class StreamedBatchRunner:
                     kind, payload = handle.items.get(timeout=_POLL_SECONDS)
                 except queue.Empty:
                     if handle.finished.is_set() and handle.items.empty():
-                        if handle.stream_error is not None:
-                            raise handle.stream_error
                         return  # cancelled: downloader exited early
                     stalled += _POLL_SECONDS
                     continue

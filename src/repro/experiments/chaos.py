@@ -16,6 +16,7 @@ prints its table.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -468,6 +469,24 @@ def _fork(body: Callable[[], None]) -> int:
     return pid
 
 
+def _die_after_shards(victim: str, n: int) -> Callable[[str, int, int], None]:
+    """A shard-checkpoint hook that SIGKILLs this process, and any engine
+    workers it forked, once ``n`` shards of ``victim`` are journaled."""
+    seen = {"n": 0}
+
+    def hook(accession: str, start: int, end: int) -> None:
+        if accession != victim:
+            return
+        seen["n"] += 1
+        if seen["n"] >= n:
+            for proc in multiprocessing.active_children():
+                if proc.pid is not None:
+                    os.kill(proc.pid, signal.SIGKILL)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    return hook
+
+
 def _await_self_kill(pid: int, timeout: float, who: str, where: str) -> None:
     """Wait for child ``pid`` to SIGKILL itself within ``timeout`` seconds.
 
@@ -821,24 +840,11 @@ def run_kill_instance_chaos(
             pipeline = TranscriptomicsAtlasPipeline(
                 repo, aligner, tmp_path / "a", config=make_config()
             )
-            seen = {"n": 0}
-
-            def die_mid_shard(acc: str, start: int, end: int) -> None:
-                if acc != victim_acc:
-                    return
-                seen["n"] += 1
-                if seen["n"] >= spec.kill_after_shards:
-                    # the deterministic "spot kill": the whole instance —
-                    # engine pool included — vanishes with the checkpoint
-                    # durably in S3
-                    import multiprocessing
-
-                    for proc in multiprocessing.active_children():
-                        if proc.pid is not None:
-                            os.kill(proc.pid, signal.SIGKILL)
-                    os.kill(os.getpid(), signal.SIGKILL)
-
-            pipeline._shard_record_hook = die_mid_shard
+            # the deterministic "spot kill": the whole instance — engine
+            # pool included — vanishes with the checkpoint durably in S3
+            pipeline._shard_record_hook = _die_after_shards(
+                victim_acc, spec.kill_after_shards
+            )
             pipeline.run_batch(
                 accessions, BatchOptions(journal=journal, shard_checkpoints=True)
             )
@@ -1089,18 +1095,9 @@ def run_faas_chaos(spec: FaasChaosSpec | None = None) -> FaasChaosResult:
             pipeline = TranscriptomicsAtlasPipeline(
                 repo, aligner, tmp_path / "victim", config=make_config()
             )
-            seen = {"n": 0}
-
-            def die_mid_scatter(acc: str, start: int, end: int) -> None:
-                if acc != victim_acc:
-                    return
-                seen["n"] += 1
-                if seen["n"] >= spec.kill_after_shards:
-                    # no engine pool to reap: the faas driver is a single
-                    # process and dies whole
-                    os.kill(os.getpid(), signal.SIGKILL)
-
-            pipeline._shard_record_hook = die_mid_scatter
+            pipeline._shard_record_hook = _die_after_shards(
+                victim_acc, spec.kill_after_shards
+            )
             pipeline.run_batch(
                 accessions,
                 BatchOptions(

@@ -4,8 +4,8 @@ The streaming pipeline overlaps download, decompression, and alignment
 instead of running ``prefetch → fasterq-dump → align`` to completion one
 step at a time.  This module supplies the reads-layer machinery:
 
-* :func:`iter_fastq_chunks` / :func:`iter_chunks` — the chunk API that
-  feeds the engine's batch queue;
+* :func:`iter_chunks` — re-chunks any iterable (the serial aligner's
+  batch-core feed);
 * :class:`SraStream` — an incremental parser that turns a *byte-chunk*
   download of an ``.sra`` container into FASTQ record chunks as they
   decompress, with mid-stream cancellation (the early-stopping hook that
@@ -25,10 +25,9 @@ from __future__ import annotations
 import itertools
 import time
 from collections.abc import Iterable, Iterator
-from pathlib import Path
 from typing import TypeVar
 
-from repro.reads.fastq import FastqBlock, FastqRecord, iter_fastq
+from repro.reads.fastq import FastqBlock, FastqRecord
 from repro.reads.library import LibraryType
 from repro.reads.sra import (
     MAGIC_PAIRED,
@@ -58,13 +57,6 @@ def iter_chunks(items: Iterable[T], size: int) -> Iterator[list[T]]:
         if not chunk:
             return
         yield chunk
-
-
-def iter_fastq_chunks(
-    path: Path | str, chunk_reads: int = DEFAULT_CHUNK_READS
-) -> Iterator[list[FastqRecord]]:
-    """Stream a FASTQ file as record chunks (the pipeline's chunk API)."""
-    return iter_chunks(iter_fastq(path), chunk_reads)
 
 
 class ThrottledRepository:

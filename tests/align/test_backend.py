@@ -1,4 +1,4 @@
-"""Unified aligner-backend API: ReadBatch, protocols, resolve_backend."""
+"""Unified aligner-backend API: ReadChunkStream, protocols, resolve_backend."""
 
 from types import SimpleNamespace
 
@@ -8,7 +8,7 @@ from repro.align.backend import (
     AlignerBackend,
     EngineBackend,
     PairedAlignerBackend,
-    ReadBatch,
+    ReadChunkStream,
     SerialAlignerBackend,
     resolve_backend,
 )
@@ -32,18 +32,18 @@ def paired_sample(simulator):
 
 class TestReadBatch:
     def test_single_end(self, bulk_sample):
-        batch = ReadBatch(bulk_sample.records)
+        batch = ReadChunkStream.of(bulk_sample.records)
         assert not batch.paired
         assert len(batch) == len(bulk_sample.records)
 
     def test_paired(self, paired_sample):
-        batch = ReadBatch(paired_sample.mate1, paired_sample.mate2)
+        batch = ReadChunkStream.of(paired_sample.mate1, paired_sample.mate2)
         assert batch.paired
         assert len(batch) == len(paired_sample.mate1)
 
     def test_mismatched_mate_lengths_rejected(self, paired_sample):
         with pytest.raises(ValueError, match="equal length"):
-            ReadBatch(paired_sample.mate1, paired_sample.mate2[:-1])
+            ReadChunkStream.of(paired_sample.mate1, paired_sample.mate2[:-1])
 
 
 class TestProtocolConformance:
@@ -102,7 +102,7 @@ class TestResolveBackend:
 class TestAlignDispatch:
     def test_serial_matches_direct_run(self, aligner_r111, bulk_sample):
         backend = SerialAlignerBackend(aligner_r111)
-        got = backend.align(ReadBatch(bulk_sample.records))
+        got = backend.align(ReadChunkStream.of(bulk_sample.records))
         want = aligner_r111.run(bulk_sample.records)
         assert got.final.mapped_unique == want.final.mapped_unique
         assert got.gene_counts == want.gene_counts
@@ -110,13 +110,15 @@ class TestAlignDispatch:
 
     def test_serial_rejects_paired_batch(self, aligner_r111, paired_sample):
         backend = SerialAlignerBackend(aligner_r111)
-        batch = ReadBatch(paired_sample.mate1, paired_sample.mate2)
+        batch = ReadChunkStream.of(paired_sample.mate1, paired_sample.mate2)
         with pytest.raises(ValueError, match="paired"):
             backend.align(batch)
 
     def test_paired_matches_direct_run(self, aligner_r111, paired_sample):
         backend = PairedAlignerBackend(PairedStarAligner(aligner_r111))
-        got = backend.align(ReadBatch(paired_sample.mate1, paired_sample.mate2))
+        got = backend.align(
+            ReadChunkStream.of(paired_sample.mate1, paired_sample.mate2)
+        )
         want = PairedStarAligner(aligner_r111).run(
             paired_sample.mate1, paired_sample.mate2
         )
@@ -126,21 +128,21 @@ class TestAlignDispatch:
     def test_paired_rejects_single_end_batch(self, aligner_r111, bulk_sample):
         backend = PairedAlignerBackend(PairedStarAligner(aligner_r111))
         with pytest.raises(ValueError, match="single-end"):
-            backend.align(ReadBatch(bulk_sample.records))
+            backend.align(ReadChunkStream.of(bulk_sample.records))
 
     def test_engine_routes_by_layout(self, bulk_sample, paired_sample):
         calls = []
         stub = SimpleNamespace(
-            run=lambda records, monitor=None, out_dir=None, checkpoint=None: (
-                calls.append(("run", len(records)))
+            run=lambda records, reads_total=None, **kwargs: (
+                calls.append(("run", len(list(records))))
             ),
             run_paired=lambda m1, m2, monitor=None, checkpoint=None: (
                 calls.append(("run_paired", len(m1)))
             ),
         )
         backend = EngineBackend(stub)
-        backend.align(ReadBatch(bulk_sample.records))
-        backend.align(ReadBatch(paired_sample.mate1, paired_sample.mate2))
+        backend.align(ReadChunkStream.of(bulk_sample.records))
+        backend.align(ReadChunkStream.of(paired_sample.mate1, paired_sample.mate2))
         assert calls == [
             ("run", len(bulk_sample.records)),
             ("run_paired", len(paired_sample.mate1)),

@@ -15,7 +15,7 @@ import pytest
 from repro.align.backend import (
     EngineBackend,
     FaasAlignerBackend,
-    ReadBatch,
+    ReadChunkStream,
     SerialAlignerBackend,
 )
 from repro.align.engine import ParallelStarAligner
@@ -63,7 +63,9 @@ def align_checkpointed(backend, records, journal, *, monitor=None, cached=None):
     ckpt = ShardCheckpointer(journal, ACCESSION, FINGERPRINT, cached=cached)
     recorded = []
     ckpt.on_record = lambda start, end: recorded.append((start, end))
-    result = backend.align(ReadBatch(records), monitor=monitor, checkpoint=ckpt)
+    result = backend.align(
+        ReadChunkStream.of(records), monitor=monitor, checkpoint=ckpt
+    )
     return result, ckpt, recorded
 
 
@@ -96,7 +98,7 @@ class TestCutShortShards:
         assert resumed.hits == 2
         assert realigned == [(128, 192), (192, 250)]
 
-        want = SerialAlignerBackend(aligner_r111).align(ReadBatch(records))
+        want = SerialAlignerBackend(aligner_r111).align(ReadChunkStream.of(records))
         assert not got.aborted
         assert got.outcomes == want.outcomes
         assert got.gene_counts == want.gene_counts

@@ -63,25 +63,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             BatchOptions(**kwargs)
 
-    def test_streaming_excludes_accession_parallelism(self):
-        with pytest.raises(ValueError, match="max_parallel"):
-            BatchOptions(streaming=True, max_parallel=2)
-        BatchOptions(streaming=True, max_parallel=1)  # fine
-
     def test_shard_checkpoints_require_a_journal(self, tmp_path):
         with pytest.raises(ValueError, match="journal"):
             BatchOptions(shard_checkpoints=True)
         BatchOptions(
             shard_checkpoints=True, journal=tmp_path / "j.jsonl"
         )  # fine
-
-    def test_shard_checkpoints_exclude_streaming(self, tmp_path):
-        with pytest.raises(ValueError, match="streaming"):
-            BatchOptions(
-                shard_checkpoints=True,
-                streaming=True,
-                journal=tmp_path / "j.jsonl",
-            )
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

@@ -19,6 +19,8 @@ from repro.reads.library import LibraryType, SampleProfile
 from repro.reads.sra import SraArchive, SraRepository
 
 ACCESSIONS = ["SRR5000001", "SRR5000002", "SRR5000003", "SRR5000004"]
+#: test ids for how a run gets its reads
+SHAPES = ["sequential", "streamed"]
 
 
 @pytest.fixture(scope="module")
@@ -111,13 +113,16 @@ class TestJournaledBatch:
             comparable(r) for r in reference.run_batch(ACCESSIONS)
         ]
 
+    @pytest.mark.parametrize("resume_streamed", [False, True], ids=SHAPES)
+    @pytest.mark.parametrize("first_streamed", [False, True], ids=SHAPES)
     def test_shard_checkpoints_resume_without_realigning(
-        self, repository, aligner_r111, tmp_path
+        self, repository, aligner_r111, tmp_path, first_streamed, resume_streamed
     ):
         """Drop an accession's terminal record but keep its ``align.shard``
         checkpoints: resume must rebuild the result from the journal's
         shards (checkpoint hits, zero re-alignments) and match a plain
-        reference byte-identically."""
+        reference byte-identically — whether the first run, the resume,
+        or both streamed their reads."""
         import json
 
         journal_path = tmp_path / "run.jsonl"
@@ -130,7 +135,11 @@ class TestJournaledBatch:
 
         originals = first.run_batch(
             ACCESSIONS[:2],
-            BatchOptions(journal=journal_path, shard_checkpoints=True),
+            BatchOptions(
+                journal=journal_path,
+                shard_checkpoints=True,
+                streaming=first_streamed,
+            ),
         )
         assert first.shard_checkpoint_summary()["recorded"] > 0
 
@@ -154,7 +163,10 @@ class TestJournaledBatch:
         resumed = second.run_batch(
             ACCESSIONS[:2],
             BatchOptions(
-                journal=journal_path, resume=True, shard_checkpoints=True
+                journal=journal_path,
+                resume=True,
+                shard_checkpoints=True,
+                streaming=resume_streamed,
             ),
         )
         summary = second.shard_checkpoint_summary()

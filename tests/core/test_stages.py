@@ -89,33 +89,6 @@ class TestStageExecution:
         assert ctx.star_result is not None
         assert ctx.star_result.final.reads_processed > 0
 
-    def test_cost_hints(self, pipeline, tmp_path):
-        work = tmp_path / ACC
-        work.mkdir(parents=True, exist_ok=True)
-        ctx = StageContext(
-            pipeline=pipeline,
-            accession=ACC,
-            work=work,
-            state={"paired": False, "fastq_bytes": 0},
-        )
-        prefetch_stage, dump_stage, align_stage = default_stages()
-        hint = prefetch_stage.cost_hint(ctx)
-        assert hint == float(pipeline.repository.archive_bytes(ACC))
-        assert dump_stage.cost_hint(ctx) is None  # nothing downloaded yet
-        prefetch_stage.prepare(ctx)
-        prefetch_stage.run(ctx)
-        assert dump_stage.cost_hint(ctx) == float(ctx.sra_path.stat().st_size)
-        dump_stage.prepare(ctx)
-        dump_stage.run(ctx)
-        align_stage.prepare(ctx)
-        assert align_stage.cost_hint(ctx) == 150.0
-
-    def test_unknown_accession_cost_hint_is_none(self, pipeline, tmp_path):
-        ctx = StageContext(
-            pipeline=pipeline, accession="SRRNOPE", work=tmp_path, state={}
-        )
-        assert PrefetchStage().cost_hint(ctx) is None
-
     def test_deseq2_stage_matches_normalize(self, pipeline):
         pipeline.run_batch([ACC])
         matrix_a, factors_a, normalized_a = pipeline.normalize()
@@ -123,7 +96,6 @@ class TestStageExecution:
         assert matrix_a.gene_ids == matrix_b.gene_ids
         assert (factors_a == factors_b).all()
         assert (normalized_a == normalized_b).all()
-        assert Deseq2Stage().cost_hint(pipeline) == 1.0
 
 
 class TestStageMetrics:

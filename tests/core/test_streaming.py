@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import struct
+import sys
 import threading
 import zlib
 
@@ -79,6 +80,13 @@ def make_pipeline(repository, aligner, workspace, **overrides):
     return TranscriptomicsAtlasPipeline(
         repository, aligner, workspace, config=PipelineConfig(**base)
     )
+
+
+@pytest.fixture(scope="module")
+def reference(repository, aligner, tmp_path_factory):
+    """The sequential serial results for ALL, by ``comparable``."""
+    pipeline = make_pipeline(repository, aligner, tmp_path_factory.mktemp("ref"))
+    return [comparable(r) for r in pipeline.run_batch(ALL, BatchOptions())]
 
 
 def comparable(result):
@@ -211,6 +219,201 @@ class TestStreamedIdentity:
         assert [comparable(r) for r in b] == [comparable(r) for r in a]
 
 
+def journal_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def downloaders_exit(timeout=10.0):
+    """True once no stream downloader thread is left alive."""
+    threads = [t for t in threading.enumerate() if t.name == "stream-downloader"]
+    for thread in threads:
+        thread.join(timeout)
+    return not any(t.is_alive() for t in threads)
+
+
+class TestStreamedLanes:
+    """Streaming is a read source, not an execution shape: it composes
+    with every backend, with accession lanes and with shard checkpoints."""
+
+    @pytest.mark.parametrize("shard_checkpoints", [False, True])
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    @pytest.mark.parametrize("backend", ["serial", "engine", "faas"])
+    def test_every_combination_matches_sequential_serial(
+        self,
+        repository,
+        aligner,
+        reference,
+        tmp_path,
+        backend,
+        max_parallel,
+        shard_checkpoints,
+    ):
+        pipeline = make_pipeline(
+            repository,
+            aligner,
+            tmp_path / "w",
+            workers=2 if backend == "engine" else 1,
+        )
+        try:
+            results = pipeline.run_batch(
+                ALL,
+                BatchOptions(
+                    streaming=True,
+                    chunk_reads=32,
+                    backend=backend,
+                    max_parallel=max_parallel,
+                    shard_checkpoints=shard_checkpoints,
+                    journal=tmp_path / "run.jsonl" if shard_checkpoints else None,
+                ),
+            )
+        finally:
+            pipeline.close()
+        assert [comparable(r) for r in results] == reference
+        assert all(r.streamed for r in results)
+        if shard_checkpoints and backend != "serial":
+            assert pipeline.shard_checkpoint_summary()["recorded"] > 0
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_repeated_accession_runs_at_every_position(
+        self, repository, aligner, reference, tmp_path, streaming
+    ):
+        """Handles are keyed by batch position: the second run of an
+        accession gets a feed of its own, not the first run's spent one."""
+        by_accession = dict(zip(ALL, reference))
+        batch = [BULK[0], SC, BULK[0], PE, BULK[0]]
+        results = make_pipeline(repository, aligner, tmp_path).run_batch(
+            batch, BatchOptions(streaming=streaming, chunk_reads=32)
+        )
+        assert [comparable(r) for r in results] == [by_accession[a] for a in batch]
+
+    def test_four_lanes_with_fast_thread_switching(
+        self, repository, aligner, reference, tmp_path
+    ):
+        """Four lanes on a small box, the interpreter switching threads
+        every 10 µs: each position ends exactly once, equal to the
+        sequential result, within a time bound, and the downloader exits."""
+        journal_path = tmp_path / "run.jsonl"
+        pipeline = make_pipeline(repository, aligner, tmp_path / "w")
+        out = {}
+
+        def run():
+            out["results"] = pipeline.run_batch(
+                ALL,
+                BatchOptions(
+                    streaming=True,
+                    max_parallel=4,
+                    chunk_reads=16,
+                    buffer_chunks=2,
+                    download_chunk_bytes=1024,
+                    journal=journal_path,
+                ),
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "streamed batch did not finish in 120 s"
+        assert [comparable(r) for r in out["results"]] == reference
+        ended = [
+            r["acc"]
+            for r in journal_records(journal_path)
+            if r["t"] in ("completed", "failed", "drained")
+        ]
+        assert sorted(ended) == sorted(ALL)
+        assert pipeline.stage_health.stage("align").items == len(ALL)
+        assert downloaders_exit()
+
+    def test_a_lane_raising_before_its_body_does_not_stall_the_batch(
+        self, repository, aligner, tmp_path
+    ):
+        """A position whose harness raises before its streamed body runs
+        (its workspace entry is a file) is still released: the downloader
+        moves past it, the other lane finishes, and the error surfaces."""
+        workspace = tmp_path / "w"
+        workspace.mkdir()
+        (workspace / BULK[1]).write_text("not a directory")
+        pipeline = make_pipeline(repository, aligner, workspace)
+        out = {}
+
+        def run():
+            try:
+                pipeline.run_batch(
+                    ALL,
+                    BatchOptions(
+                        streaming=True,
+                        max_parallel=2,
+                        chunk_reads=8,
+                        buffer_chunks=1,
+                    ),
+                )
+            except FileExistsError as exc:
+                out["error"] = exc
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "streamed batch stalled"
+        assert "error" in out
+        assert downloaders_exit()
+
+    def test_drain_with_two_lanes_then_resume(
+        self, repository, aligner, reference, tmp_path
+    ):
+        journal_path = tmp_path / "run.jsonl"
+        throttled = ThrottledRepository(repository, bandwidth_bytes_per_s=5e4)
+        pipeline = make_pipeline(throttled, aligner, tmp_path / "w")
+        journal = RunJournal(journal_path)
+        first_done = threading.Event()
+        original = journal.record_completed
+
+        def spy(accession, payload):
+            original(accession, payload)
+            first_done.set()
+
+        journal.record_completed = spy
+
+        def drainer():
+            first_done.wait(timeout=60)
+            pipeline.request_drain(deadline=0.0)
+
+        thread = threading.Thread(target=drainer)
+        thread.start()
+        results = pipeline.run_batch(
+            ALL,
+            BatchOptions(
+                streaming=True,
+                max_parallel=2,
+                journal=journal,
+                download_chunk_bytes=1024,
+            ),
+        )
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert downloaders_exit()
+        assert 1 <= len(results) < len(ALL)
+        records = journal_records(journal_path)
+        started = sorted(r["acc"] for r in records if r["t"] == "started")
+        ended = sorted(
+            r["acc"]
+            for r in records
+            if r["t"] in ("completed", "failed", "drained")
+        )
+        assert started == ended == sorted(r.accession for r in results)
+
+        resumed = make_pipeline(repository, aligner, tmp_path / "b").run_batch(
+            ALL,
+            BatchOptions(
+                streaming=True, max_parallel=2, journal=journal_path, resume=True
+            ),
+        )
+        assert [comparable(r) for r in resumed] == reference
+
+
 def _first(old: str, new: str):
     return lambda text: text.replace(old, new, 1)
 
@@ -228,33 +431,51 @@ MALFORMED_PAYLOADS = {
 }
 
 
+#: every payload under one attempt (ids as before) and under three: a
+#: retried streamed align must not re-read a spent feed
+MALFORMED_CASES = [
+    pytest.param(name, attempts, id=name if attempts == 1 else f"{name}-{attempts}")
+    for attempts in (1, 3)
+    for name in sorted(MALFORMED_PAYLOADS)
+]
+
+
+def malformed_repository(simulator, mangle, n_reads=60):
+    """A repository whose one single-end archive, ``SRRMAL``, carries the
+    well-formed FASTQ text of ``n_reads`` reads passed through ``mangle``."""
+    sample = simulator.simulate(
+        SampleProfile(LibraryType.BULK_POLYA, n_reads=n_reads, read_length=80),
+        rng=870,
+        read_id_prefix="SRRMAL",
+    )
+    text = "".join(
+        f"@{r.read_id}\n{r.sequence_str}\n+\n{r.quality_str}\n"
+        for r in sample.records
+    )
+    header = json.dumps(
+        {"accession": "SRRMAL", "library": "bulk_polya", "n_reads": n_reads}
+    ).encode("ascii")
+    repo = SraRepository()
+    repo._blobs["SRRMAL"] = (
+        b"SRAR"
+        + struct.pack("<HI", 1, len(header))
+        + header
+        + zlib.compress(mangle(text).encode("ascii"))
+    )
+    return repo
+
+
 class TestMalformedArchives:
     """The sequential (fasterq-dump → iter_fastq) and streamed paths apply
     one rule to malformed archives: same status, same outputs if accepted."""
 
-    @pytest.mark.parametrize("name", sorted(MALFORMED_PAYLOADS))
-    def test_sequential_and_streamed_agree(self, simulator, aligner, tmp_path, name):
+    @pytest.mark.parametrize("name, max_attempts", MALFORMED_CASES)
+    def test_sequential_and_streamed_agree(
+        self, simulator, aligner, tmp_path, name, max_attempts
+    ):
         mangle, accepted = MALFORMED_PAYLOADS[name]
-        sample = simulator.simulate(
-            SampleProfile(LibraryType.BULK_POLYA, n_reads=60, read_length=80),
-            rng=870,
-            read_id_prefix="SRRMAL",
-        )
-        text = "".join(
-            f"@{r.read_id}\n{r.sequence_str}\n+\n{r.quality_str}\n"
-            for r in sample.records
-        )
-        header = json.dumps(
-            {"accession": "SRRMAL", "library": "bulk_polya", "n_reads": 60}
-        ).encode("ascii")
-        repo = SraRepository()
-        repo._blobs["SRRMAL"] = (
-            b"SRAR"
-            + struct.pack("<HI", 1, len(header))
-            + header
-            + zlib.compress(mangle(text).encode("ascii"))
-        )
-        retry = RetryPolicy(max_attempts=1)
+        repo = malformed_repository(simulator, mangle)
+        retry = RetryPolicy(max_attempts=max_attempts, base_delay=0.0, max_delay=0.0)
         (sequential,) = make_pipeline(
             repo, aligner, tmp_path / "seq", retry=retry
         ).run_batch(["SRRMAL"], BatchOptions())
@@ -269,6 +490,28 @@ class TestMalformedArchives:
             assert comparable(streamed) == comparable(sequential)
         else:
             assert sequential.status is RunStatus.FAILED
+
+    def test_truncated_record_fails_without_an_acceptance_bar(
+        self, simulator, aligner, tmp_path
+    ):
+        """Corruption found mid-stream, after reads were aligned, under
+        three attempts and no acceptance bar: a retry that re-read the
+        spent feed would align nothing and be *accepted* with an all-zero
+        count column.  Both paths must fail the accession instead."""
+        mangle, _ = MALFORMED_PAYLOADS["truncated_record"]
+        repo = malformed_repository(simulator, mangle, n_reads=600)
+        retry = RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0)
+        (sequential,) = make_pipeline(
+            repo, aligner, tmp_path / "seq", retry=retry, acceptance_threshold=None
+        ).run_batch(["SRRMAL"], BatchOptions())
+        (streamed,) = make_pipeline(
+            repo, aligner, tmp_path / "st", retry=retry, acceptance_threshold=None
+        ).run_batch(
+            ["SRRMAL"],
+            BatchOptions(streaming=True, chunk_reads=50, download_chunk_bytes=512),
+        )
+        assert sequential.status is RunStatus.FAILED
+        assert streamed.status is RunStatus.FAILED
 
     def test_trailing_bytes_fail_both_paths(self, simulator, aligner, tmp_path):
         """Bytes after the payload's zlib stream fail the accession on both

@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.reads.fastq import iter_fastq, write_fastq
+from repro.reads.fastq import iter_fastq
 from repro.reads.library import LibraryType, SampleProfile
 from repro.reads.paired import PairedProfile, PairedSraArchive, simulate_paired
 from repro.reads.sra import SraArchive, SraRepository, fasterq_dump, prefetch
-from repro.reads.stream import (
-    SraStream,
-    ThrottledRepository,
-    iter_chunks,
-    iter_fastq_chunks,
-)
+from repro.reads.stream import SraStream, ThrottledRepository, iter_chunks
 
 SE = "SRRSTREAM1"
 PE = "SRRSTREAM2"
@@ -63,14 +58,6 @@ class TestIterChunks:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             list(iter_chunks([1], 0))
-
-    def test_fastq_chunks_roundtrip(self, bulk_sample, tmp_path):
-        path = tmp_path / "sample.fastq"
-        write_fastq(bulk_sample.records, path)
-        flat = [r for chunk in iter_fastq_chunks(path, 32) for r in chunk]
-        direct = list(iter_fastq(path))
-        assert len(flat) == len(direct)
-        assert all(records_equal(a, b) for a, b in zip(flat, direct))
 
 
 class TestSraStreamSingleEnd:
