@@ -7,9 +7,10 @@ reads-per-second speedup over the per-read reference path — with
 *byte-identical* outcomes across single-end, paired-end, and
 early-stopped runs.  Serial and batch passes are interleaved within each
 trial so thermal throttling and scheduler drift cancel out of the
-per-trial ratio; the recorded ``speedup`` is the best per-trial ratio
-(adjacent-in-time measurements), alongside both paths' best absolute
-rates.  Records everything to ``BENCH_batch.json`` at the repo root.
+per-trial ratio; the recorded ``speedup`` is the median per-trial ratio
+(adjacent-in-time measurements) with its interquartile range, alongside
+both paths' median absolute rates, and the bar is asserted against the
+median.  Records everything to ``BENCH_batch.json`` at the repo root.
 
 Also runnable directly (the CI smoke path)::
 
@@ -18,6 +19,7 @@ Also runnable directly (the CI smoke path)::
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -35,6 +37,14 @@ from repro.util.rng import derive_rng, ensure_rng
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_batch.json"
 MIN_SPEEDUP = 5.0
+
+
+def median_iqr(values: list[float]) -> tuple[float, list[float]]:
+    """Median and [Q1, Q3] of ``values``."""
+    if len(values) == 1:
+        return values[0], [values[0], values[0]]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, [q1, q3]
 
 
 def _paired_identical(index, mate1, mate2) -> bool:
@@ -110,7 +120,6 @@ def measure(n_reads: int = 600, read_length: int = 100, trials: int = 5) -> dict
     identical_stop = _early_stop_identical(index, records)
     assert identical_stop, "early-stopped batch run diverged"
 
-    serial_best = batch_best = ratio_best = 0.0
     trial_rows = []
     for _ in range(trials):
         started = time.perf_counter()
@@ -121,22 +130,25 @@ def measure(n_reads: int = 600, read_length: int = 100, trials: int = 5) -> dict
         done = time.perf_counter()
         serial_rps = n_reads / (mid - started)
         batch_rps = n_reads / (done - mid)
-        serial_best = max(serial_best, serial_rps)
-        batch_best = max(batch_best, batch_rps)
-        ratio_best = max(ratio_best, batch_rps / serial_rps)
         trial_rows.append(
             {"serial_rps": serial_rps, "batch_rps": batch_rps,
              "ratio": batch_rps / serial_rps}
         )
+    serial, serial_iqr = median_iqr([row["serial_rps"] for row in trial_rows])
+    batch, batch_iqr = median_iqr([row["batch_rps"] for row in trial_rows])
+    speedup, speedup_iqr = median_iqr([row["ratio"] for row in trial_rows])
 
     return {
         "n_reads": n_reads,
         "read_length": read_length,
         "trials": trials,
         "genome_bases": index.n_bases,
-        "serial_reads_per_second": serial_best,
-        "batch_reads_per_second": batch_best,
-        "speedup": ratio_best,
+        "serial_reads_per_second": serial,
+        "serial_reads_per_second_iqr": serial_iqr,
+        "batch_reads_per_second": batch,
+        "batch_reads_per_second_iqr": batch_iqr,
+        "speedup": speedup,
+        "speedup_iqr": speedup_iqr,
         "min_speedup": MIN_SPEEDUP,
         "per_trial": trial_rows,
         "identical_single_end": identical_se,

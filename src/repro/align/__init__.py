@@ -41,7 +41,7 @@ from repro.align.paired import (
     PairedStarAligner,
     PairStatus,
 )
-from repro.align.outcome import AlignmentOutcome
+from repro.align.outcome import AlignmentOutcome, OutcomeBatch, PairedOutcomeBatch
 from repro.align.pseudo import PseudoAligner, PseudoIndex
 from repro.align.sam import (
     SamRecord,
@@ -70,9 +70,11 @@ __all__ = [
     "GeneCounts",
     "GeneCountsPartial",
     "GenomeIndex",
+    "OutcomeBatch",
     "PairStatus",
     "PairedAlignerBackend",
     "PairedOutcome",
+    "PairedOutcomeBatch",
     "PairedParameters",
     "PairedRunResult",
     "PairedStarAligner",

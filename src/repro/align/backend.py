@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
-from repro.align.counts import GeneCounts
 from repro.align.engine import (
     _align_pairs,
     _align_records,
@@ -490,14 +489,9 @@ class FaasAlignerBackend:
         """Fold two sub-shard worker tuples into one shard tuple."""
         a_out, a_partial, a_stats = a
         b_out, b_partial, b_stats = b
-        if a_partial is None and b_partial is None:
-            partial = None
-        else:
-            merged = GeneCounts(self.aligner.index.annotation)
-            for p in (a_partial, b_partial):
-                if p is not None:
-                    merged.merge_partial(p)
-            partial = merged.to_partial()
+        # both halves ran under one configuration: both carry a partial,
+        # or quantification is off and neither does
+        partial = None if a_partial is None else a_partial + b_partial
         stats = SeedSearchStats()
         stats.merge(a_stats)
         stats.merge(b_stats)

@@ -24,13 +24,18 @@ decision procedure with the per-symbol work hoisted into numpy:
   candidate placement of the batch in one fused comparison;
 * spliced stitching reuses one batched remainder seed per (read,
   orientation) where the serial path re-derives it per candidate
-  position — same deterministic result, computed once.
+  position — same deterministic result, computed once;
+* classification groups every accepted placement by read and applies
+  the per-read rules with reductions, emitting one
+  :class:`~repro.align.outcome.OutcomeBatch` — no per-candidate or
+  per-read Python objects.
 
 Every kernel is bit-identical to its per-read counterpart (the per-read
 path is retained as the reference oracle; see
 ``tests/align/test_batch.py``): seed walks stop at the same depth,
 extensions accept the same placements, stitching and the error bridge
-pick the same candidates, and classification is shared code.
+pick the same candidates, and classification reaches the same status,
+loci, strand and blocks.
 """
 
 from __future__ import annotations
@@ -41,10 +46,19 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.align.extend import batch_ungapped_extend
+from repro.align.outcome import (
+    FORWARD,
+    MULTIMAPPED,
+    REVERSE,
+    TOO_MANY_LOCI,
+    UNIQUE,
+    UNMAPPED,
+    OutcomeBatch,
+)
 from repro.genome.alphabet import BASE_A, BASE_G, BASE_N, BASE_T, complement
 
 if TYPE_CHECKING:
-    from repro.align.star import ReadAlignment, StarAligner
+    from repro.align.star import StarAligner
     from repro.reads.fastq import FastqRecord
 
 __all__ = ["PackedReadBatch", "align_read_batch", "batch_mmp"]
@@ -418,29 +432,30 @@ def _batch_stitch(
     rem_contig: np.ndarray,
     rem_mm: np.ndarray,
     rem_ok: np.ndarray,
-) -> tuple[list[int], list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Best spliced stitch per failing candidate, resolved in one pass.
 
     Mirrors :func:`repro.align.splice.stitch_spliced`'s candidate loop —
     same filters, same (mismatches, intron length) tie-break — over the
     cross product of every failing candidate position and its segment's
-    batch-precomputed remainder hits.  Returns per-candidate lists of
+    batch-precomputed remainder hits.  Returns per-candidate arrays of
     winning mismatch counts (-1 when no stitch exists) and acceptors.
     The serial loop is first-wins on ties, but a tied key means equal
     mismatches and equal intron length, which pins the same acceptor, so
     a plain minimum reproduces it.
     """
     n_cand = int(cand_q_arr.size)
-    no_stitch = [-1] * n_cand
+    best_mm = np.full(n_cand, -1, dtype=np.int64)
+    best_acc = np.zeros(n_cand, dtype=np.int64)
     if not r_pos.size:
-        return no_stitch, [0] * n_cand
+        return best_mm, best_acc
     seg_rcount = np.zeros(int(seed_len.size), dtype=np.int64)
     seg_rcount[stitch_q] = r_counts
     seg_rstart = np.zeros(int(seed_len.size), dtype=np.int64)
     seg_rstart[stitch_q] = r_starts[:-1]
     k_idx = np.nonzero(~ext_accepts & (seg_rcount[cand_q_arr] > 0))[0]
     if not k_idx.size:
-        return no_stitch, [0] * n_cand
+        return best_mm, best_acc
 
     kc = seg_rcount[cand_q_arr[k_idx]]  # remainder hits per candidate
     pstart = np.zeros(k_idx.size, dtype=np.int64)
@@ -497,57 +512,79 @@ def _batch_stitch(
     )
     best_key = np.minimum.reduceat(key, pstart)
     has = best_key < (np.int64(1) << 62)
-    best_mm = np.full(n_cand, -1, dtype=np.int64)
-    best_acc = np.zeros(n_cand, dtype=np.int64)
     best_mm[k_idx[has]] = (best_key >> 32)[has]
     best_acc[k_idx[has]] = donor_k[has] + (
         best_key & ((np.int64(1) << 32) - 1)
     )[has]
-    return best_mm.tolist(), best_acc.tolist()
+    return best_mm, best_acc
 
 
 def align_read_batch(
     aligner: "StarAligner", records: list["FastqRecord"]
-) -> list["ReadAlignment"]:
+) -> OutcomeBatch:
     """Align a batch of reads through the vectorized core.
 
-    Returns one :class:`~repro.align.star.ReadAlignment` per record, in
-    order, each identical to what ``aligner.align_read`` produces for
-    the same read.
+    Returns one :class:`~repro.align.outcome.OutcomeBatch` row per
+    record, in order; row ``i`` equals what ``aligner.align_read``
+    produces for ``records[i]``.
     """
-    from repro.align.star import AlignmentStatus, ReadAlignment, _Candidate
-
     index = aligner.index
-    ctx = index.search_context
     params = aligner.parameters
+    # zero-length reads can never seed (same early return as align_read)
+    live = [r for r, record in enumerate(records) if record.sequence.size]
+    placed = _Placements.empty()
+    if live:
+        placed = _place_reads(
+            index, index.search_context, params, [records[r].sequence for r in live]
+        )
+    return _outcomes_of(
+        index, params, [record.read_id for record in records], live, placed
+    )
+
+
+@dataclass(frozen=True)
+class _Placements:
+    """Every accepted placement of a batch's reads, in candidate order.
+
+    ``segment`` is the packed segment (read ``i`` forward, or ``n_live +
+    i`` reverse) each placement belongs to; a spliced placement's second
+    block starts at ``acceptor`` after a ``seed_length``-base first
+    block.
+    """
+
+    n_live: int
+    lengths: np.ndarray  # read length per live read
+    segment: np.ndarray
+    start: np.ndarray
+    score: np.ndarray
+    mismatches: np.ndarray
+    spliced: np.ndarray
+    seed_length: np.ndarray
+    acceptor: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "_Placements":
+        none = np.zeros(0, dtype=np.int64)
+        return cls(0, none, none, none, none, none, none.astype(bool), none, none)
+
+
+def _place_reads(index, ctx, params, sequences: list[np.ndarray]) -> _Placements:
+    """Seed, extend, stitch and error-bridge every orientation of a batch."""
     scoring = params.scoring
-
-    out: list[ReadAlignment | None] = [None] * len(records)
-    live: list[int] = []
-    sequences: list[np.ndarray] = []
-    for r, record in enumerate(records):
-        if record.sequence.size == 0:
-            # zero-length reads can never seed (same early return as
-            # align_read)
-            out[r] = ReadAlignment(record.read_id, AlignmentStatus.UNMAPPED)
-        else:
-            live.append(r)
-            sequences.append(np.asarray(record.sequence, dtype=np.uint8))
-    n_live = len(live)
-    if n_live == 0:
-        return out  # type: ignore[return-value]
-
-    batch = PackedReadBatch.pack(sequences)
+    batch = PackedReadBatch.pack(
+        [np.asarray(seq, dtype=np.uint8) for seq in sequences]
+    )
     bases = batch.bases
     offsets = batch.offsets[:-1]
     lengths = batch.lengths
     n_segments = batch.n_segments
+    n_live = batch.n_reads
 
     # -- round 1: prefix seeds for every orientation ------------------------
     depth, lo, hi = batch_mmp(ctx, bases, offsets, lengths)
     seed_len = depth
 
-    counts, cand_start, cand_pos_arr = _gather_positions(
+    counts, _, cand_pos_arr = _gather_positions(
         ctx, seed_len, lo, hi, params.seed_multimap_nmax
     )
     cand_q_arr = np.repeat(np.arange(n_segments, dtype=np.int64), counts)
@@ -574,7 +611,6 @@ def align_read_batch(
     match_s = scoring.match_score
     mis_p = scoring.mismatch_penalty
     ext_accepts = ext_ok & ((cand_len - ext_mm) >= min_frac * cand_len)
-    ext_score = (cand_len - ext_mm) * match_s - ext_mm * mis_p
     cand_contig = _contigs_of(index, cand_pos_arr)
 
     # -- round 2: one remainder seed per segment that needs stitching -------
@@ -583,8 +619,8 @@ def align_read_batch(
         cand_q_arr[path1_fails & (seed_len[cand_q_arr] < lengths[cand_q_arr])]
     ) if cand_q_arr.size else cand_q_arr
     # per-candidate stitch winners: mismatches (-1 = none) and acceptor
-    stitch_mm_l: list[int] = [-1] * int(cand_q_arr.size)
-    stitch_acc_l: list[int] = [0] * int(cand_q_arr.size)
+    stitch_mm = np.full(cand_q_arr.size, -1, dtype=np.int64)
+    stitch_acc = np.zeros(cand_q_arr.size, dtype=np.int64)
     if stitch_q.size:
         rem_depth, rem_lo, rem_hi = batch_mmp(
             ctx,
@@ -611,7 +647,7 @@ def align_read_batch(
             verified_prefix=rem_skip,
         )
         rem_contig = _contigs_of(index, r_pos)
-        stitch_mm_l, stitch_acc_l = _batch_stitch(
+        stitch_mm, stitch_acc = _batch_stitch(
             index,
             ctx,
             params,
@@ -629,64 +665,31 @@ def align_read_batch(
             rem_ok,
         )
 
-    # -- pass A: contiguous + spliced candidates per orientation ------------
-    # plain-python mirrors of every per-candidate array: scalar numpy
-    # reads cost ~100ns apiece, which would dominate this loop
-    cands_by_q: list[list] = [[] for _ in range(n_segments)]
-    bridge_q: list[int] = []
-    seed_l = seed_len.tolist()
-    len_l = lengths.tolist()
-    starts_l = cand_start.tolist()
-    pos_l = cand_pos_arr.tolist()
-    acc_l = ext_accepts.tolist()
-    mm_l = ext_mm.tolist()
-    score_l = ext_score.tolist()
-    max_mm = scoring.max_mismatches
-    for q in range(n_segments):
-        s, e = starts_l[q], starts_l[q + 1]
-        sl = seed_l[q]
-        n = len_l[q]
-        if s == e:
-            if 0 < sl < n:
-                bridge_q.append(q)
-            continue
-        cands = cands_by_q[q]
-        for k in range(s, e):
-            p = pos_l[k]
-            if acc_l[k]:
-                # hit positions are unique within a segment and nothing
-                # else appends contiguous candidates here, so the serial
-                # path's seen-set membership test is vacuously false
-                mm = mm_l[k]
-                cands.append(
-                    _Candidate(
-                        score=score_l[k],
-                        genome_start=p,
-                        mismatches=mm,
-                        blocks=((p, p + n),),
-                        spliced=False,
-                    )
-                )
-                continue
-            mm = stitch_mm_l[k]
-            if mm >= 0 and mm <= max_mm and n - mm >= min_frac * n:
-                acceptor = stitch_acc_l[k]
-                cands.append(
-                    _Candidate(
-                        score=(n - mm) * match_s - mm * mis_p,
-                        genome_start=p,
-                        mismatches=mm,
-                        blocks=((p, p + sl), (acceptor, acceptor + n - sl)),
-                        spliced=True,
-                    )
-                )
-        if not cands and 0 < sl < n:
-            bridge_q.append(q)
+    # -- pass A: a contiguous placement, else the segment's best stitch -----
+    # (hit positions are distinct within a segment, so the serial path's
+    # seen-set never rejects one)
+    stitch_keeps = (
+        ~ext_accepts
+        & (stitch_mm >= 0)
+        & (stitch_mm <= scoring.max_mismatches)
+        & ((cand_len - stitch_mm) >= min_frac * cand_len)
+    )
+    keep = ext_accepts | stitch_keeps
+    a_mm = np.where(ext_accepts, ext_mm, stitch_mm)[keep]
+    a_len = cand_len[keep]
+    a_seg = cand_q_arr[keep]
 
     # -- round 3: error-bridge re-seed for candidate-less orientations ------
-    bridge_set = [q for q in bridge_q if len_l[q] - (seed_l[q] + 1) >= 12]
-    if bridge_set:
-        bq_arr = np.asarray(bridge_set, dtype=np.int64)
+    has_cand = np.zeros(n_segments, dtype=bool)
+    has_cand[a_seg] = True
+    bq_arr = np.flatnonzero(
+        ~has_cand
+        & (seed_len > 0)
+        & (seed_len < lengths)
+        & (lengths - (seed_len + 1) >= 12)
+    )
+    b_seg = b_place = b_mm = b_len = np.zeros(0, dtype=np.int64)
+    if bq_arr.size:
         bridge_starts = seed_len[bq_arr] + 1
         b_depth, b_lo, b_hi = batch_mmp(
             ctx,
@@ -694,7 +697,7 @@ def align_read_batch(
             offsets[bq_arr] + bridge_starts,
             lengths[bq_arr] - bridge_starts,
         )
-        b_counts, b_starts, b_hits = _gather_positions(
+        b_counts, _, b_hits = _gather_positions(
             ctx, b_depth, b_lo, b_hi, params.seed_multimap_nmax
         )
         bq_flat = np.repeat(bq_arr, b_counts)
@@ -708,37 +711,123 @@ def align_read_batch(
             max_mismatches=scoring.max_mismatches,
         )
         b_len = lengths[bq_flat]
-        b_accepts = b_ok & ((b_len - b_mm) >= min_frac * b_len)
-        b_score = (b_len - b_mm) * match_s - b_mm * mis_p
-        b_starts_l = b_starts.tolist()
-        b_place_l = b_place.tolist()
-        b_acc_l = b_accepts.tolist()
-        b_mm_l = b_mm.tolist()
-        b_score_l = b_score.tolist()
-        for j, q in enumerate(bridge_set):
-            n = len_l[q]
-            cands = cands_by_q[q]
-            # the bridge only runs when pass A accepted nothing, so the
-            # serial path's seen-set is empty on entry and bridge hits are
-            # unique — only the off-genome placement guard has effect
-            for k in range(b_starts_l[j], b_starts_l[j + 1]):
-                p = b_place_l[k]
-                if p < 0:
-                    continue
-                if b_acc_l[k]:
-                    cands.append(
-                        _Candidate(
-                            score=b_score_l[k],
-                            genome_start=p,
-                            mismatches=b_mm_l[k],
-                            blocks=((p, p + n),),
-                            spliced=False,
-                        )
-                    )
-
-    # -- classification (shared with the per-read path) ----------------------
-    for i, r in enumerate(live):
-        out[r] = aligner._classify(
-            records[r].read_id, cands_by_q[i], cands_by_q[n_live + i]
+        # the bridge only runs when pass A accepted nothing, so the serial
+        # path's seen-set is empty on entry and bridge hits are distinct —
+        # only the off-genome placement guard has effect
+        b_keep = (b_place >= 0) & b_ok & ((b_len - b_mm) >= min_frac * b_len)
+        b_seg, b_place, b_mm, b_len = (
+            arr[b_keep] for arr in (bq_flat, b_place, b_mm, b_len)
         )
-    return out  # type: ignore[return-value]
+
+    mismatches = np.concatenate([a_mm, b_mm])
+    matched = np.concatenate([a_len, b_len]) - mismatches
+    return _Placements(
+        n_live=n_live,
+        lengths=lengths[:n_live],
+        segment=np.concatenate([a_seg, b_seg]),
+        start=np.concatenate([cand_pos_arr[keep], b_place]),
+        score=matched * match_s - mismatches * mis_p,
+        mismatches=mismatches,
+        spliced=np.concatenate([stitch_keeps[keep], np.zeros(b_seg.size, bool)]),
+        seed_length=seed_len[np.concatenate([a_seg, b_seg])],
+        acceptor=np.concatenate([stitch_acc[keep], np.zeros(b_seg.size, np.int64)]),
+    )
+
+
+def _outcomes_of(
+    index, params, read_ids: list[str], live: list[int], placed: _Placements
+) -> OutcomeBatch:
+    """Classify every read from its placements, by the per-read rules.
+
+    A read without a placement, or whose best score is below 0, is
+    unmapped.  Its loci are the distinct (start, strand) pairs among the
+    best-score placements — placements are distinct per orientation, so
+    counting them counts loci — and more than ``multimap_nmax`` loci is
+    too_many_loci.  Otherwise the chosen placement is the first minimum
+    of (mismatches, start) in forward-then-reverse order, and it alone
+    sets the strand, score and blocks.
+    """
+    n = len(read_ids)
+    status = np.full(n, UNMAPPED, dtype=np.int8)
+    strand = np.zeros(n, dtype=np.int8)
+    score = np.zeros(n, dtype=np.int64)
+    n_loci = np.zeros(n, dtype=np.int64)
+    mismatches = np.zeros(n, dtype=np.int64)
+    spliced = np.zeros(n, dtype=bool)
+    n_blocks = np.zeros(n, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    starts = ends = np.zeros(0, dtype=np.int64)
+
+    n_live = placed.n_live
+    reverse = placed.segment >= n_live
+    live_read = placed.segment - np.where(reverse, n_live, 0)
+    # group placements by read, forward before reverse, candidate order kept
+    order = np.argsort(2 * live_read + reverse, kind="stable")
+    if order.size:
+        read = live_read[order]
+        first = np.flatnonzero(np.concatenate([[True], read[1:] != read[:-1]]))
+        group = np.repeat(np.arange(first.size), np.diff(np.append(first, read.size)))
+        cand_score = placed.score[order]
+        best = np.maximum.reduceat(cand_score, first)
+        is_best = cand_score == best[group]
+        loci = np.bincount(group[is_best], minlength=first.size)
+        # first minimum of (mismatches, start) among the best placements,
+        # packed in one int64 key (genome positions stay below 2**40)
+        key = np.where(
+            is_best,
+            (placed.mismatches[order] << 40) + placed.start[order],
+            np.iinfo(np.int64).max,
+        )
+        lowest = np.minimum.reduceat(key, first)
+        at = np.where(key == lowest[group], np.arange(read.size), read.size)
+        chosen = order[np.minimum.reduceat(at, first)]
+
+        rows = np.asarray(live, dtype=np.int64)[read[first]]
+        mapped = best >= 0
+        crowded = mapped & (loci > params.multimap_nmax)
+        status[rows[crowded]] = TOO_MANY_LOCI
+        n_loci[rows[crowded]] = loci[crowded]
+        ok = mapped & ~crowded
+        rows, chosen = rows[ok], chosen[ok]
+        status[rows] = np.where(loci[ok] == 1, UNIQUE, MULTIMAPPED)
+        strand[rows] = np.where(reverse[chosen], REVERSE, FORWARD)
+        score[rows] = placed.score[chosen]
+        n_loci[rows] = loci[ok]
+        mismatches[rows] = placed.mismatches[chosen]
+        spliced[rows] = placed.spliced[chosen]
+        n_blocks[rows] = 1 + placed.spliced[chosen]
+        np.cumsum(n_blocks, out=offsets[1:])
+
+        # blocks in absolute coordinates: a contiguous placement covers the
+        # read; a spliced one splits it at the seed length
+        p = placed.start[chosen]
+        length = placed.lengths[live_read[chosen]]
+        second = spliced[rows]
+        split = np.where(second, placed.seed_length[chosen], length)
+        acceptor = placed.acceptor[chosen][second]
+        starts = np.empty(int(offsets[-1]), dtype=np.int64)
+        ends = np.empty_like(starts)
+        head = offsets[rows]
+        starts[head] = p
+        ends[head] = p + split
+        starts[head[second] + 1] = acceptor
+        ends[head[second] + 1] = acceptor + (length - split)[second]
+
+    if starts.size and (starts.min() < 0 or starts.max() >= index.n_bases):
+        raise IndexError(f"block start outside genome of {index.n_bases}")
+    contig = _contigs_of(index, starts)
+    local = starts - np.asarray(index.offsets, dtype=np.int64)[contig]
+    return OutcomeBatch(
+        read_ids=read_ids,
+        status=status,
+        strand=strand,
+        score=score,
+        n_loci=n_loci,
+        mismatches=mismatches,
+        spliced=spliced,
+        block_offsets=offsets,
+        block_contig=contig,
+        block_start=local,
+        block_end=local + (ends - starts),
+        contig_names=tuple(index.names),
+    )

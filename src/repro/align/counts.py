@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro.genome.annotation import Annotation, Gene, Strand
 from repro.genome.model import SequenceRegion
 
@@ -37,6 +39,79 @@ class GeneCountsPartial:
     n_no_feature: dict[str, int]
     n_ambiguous: dict[str, int]
     gene_counts: dict[str, dict[str, int]]
+
+    def __add__(self, other: "GeneCountsPartial") -> "GeneCountsPartial":
+        """The partial of two batches' reads together."""
+        genes = {g: dict(row) for g, row in self.gene_counts.items()}
+        for gene_id, row in other.gene_counts.items():
+            mine = genes.setdefault(gene_id, dict.fromkeys(row, 0))
+            for c, n in row.items():
+                mine[c] = mine.get(c, 0) + n
+        return GeneCountsPartial(
+            n_unmapped=self.n_unmapped + other.n_unmapped,
+            n_multimapping=self.n_multimapping + other.n_multimapping,
+            n_no_feature=_sum_columns(self.n_no_feature, other.n_no_feature),
+            n_ambiguous=_sum_columns(self.n_ambiguous, other.n_ambiguous),
+            gene_counts=genes,
+        )
+
+
+def _sum_columns(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+    return {c: a.get(c, 0) + b.get(c, 0) for c in dict.fromkeys([*a, *b])}
+
+
+def partial_from_blocks(
+    annotation: Annotation,
+    *,
+    n_unmapped: int,
+    n_multimapping: int,
+    assigned: np.ndarray,
+    forward: np.ndarray,
+    owner: np.ndarray,
+    contig_names: tuple[str, ...],
+    contig: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+) -> GeneCountsPartial:
+    """GeneCounts of many reads at once: :meth:`GeneCounts.record_unique`
+    over arrays.
+
+    ``assigned`` marks the reads to assign to genes and ``forward`` their
+    strand; block ``b`` (``contig_names[contig[b]]``, ``[start[b],
+    end[b])``) belongs to read ``owner[b]``.  A gene matches a read when
+    any of its blocks overlaps the gene's extent; each strand column then
+    resolves the read to one gene, ``N_noFeature`` or ``N_ambiguous``.
+    Every count is a Python int, so the partial JSON-encodes.
+    """
+    index = annotation.gene_index
+    n_genes = len(index.gene_ids)
+    block, gene = index.overlap_pairs(contig_names, contig, start, end)
+    # one (read, gene) pair per gene a read overlaps, however many blocks do
+    pairs = np.unique(owner[block] * max(n_genes, 1) + gene)
+    read, gene = np.divmod(pairs, max(n_genes, 1))
+    same = index.forward[gene] == forward[read]
+    no_feature: dict[str, int] = {}
+    ambiguous: dict[str, int] = {}
+    per_gene = np.zeros((len(STRAND_COLUMNS), n_genes), dtype=np.int64)
+    for row, (column, match) in enumerate(
+        zip(STRAND_COLUMNS, (np.ones_like(same), same, ~same))
+    ):
+        genes_of = np.bincount(read[match], minlength=assigned.size)
+        no_feature[column] = int(np.count_nonzero(assigned & (genes_of == 0)))
+        ambiguous[column] = int(np.count_nonzero(genes_of > 1))
+        single = genes_of[read[match]] == 1
+        per_gene[row] = np.bincount(gene[match][single], minlength=n_genes)
+    ids = index.gene_ids
+    return GeneCountsPartial(
+        n_unmapped=int(n_unmapped),
+        n_multimapping=int(n_multimapping),
+        n_no_feature=no_feature,
+        n_ambiguous=ambiguous,
+        gene_counts={
+            ids[g]: dict(zip(STRAND_COLUMNS, per_gene[:, g].tolist()))
+            for g in np.flatnonzero(per_gene.any(axis=0)).tolist()
+        },
+    )
 
 
 @dataclass

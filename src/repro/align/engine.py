@@ -48,8 +48,8 @@ import numpy as np
 from repro.align.counts import GeneCountsPartial
 from repro.align.index import GenomeIndex
 from repro.align.merge import merge_shards
+from repro.align.outcome import OutcomeBatch, PairedOutcomeBatch
 from repro.align.paired import (
-    PairedOutcome,
     PairedParameters,
     PairedRunResult,
     PairedStarAligner,
@@ -57,7 +57,6 @@ from repro.align.paired import (
 )
 from repro.align.star import (
     ProgressMonitorHook,
-    ReadAlignment,
     SingleEndTally,
     StarAligner,
     StarParameters,
@@ -245,18 +244,17 @@ def _init_worker(
 
 def _align_records(
     aligner: StarAligner, records: list[FastqRecord]
-) -> tuple[list[ReadAlignment], GeneCountsPartial | None, dict]:
+) -> tuple[OutcomeBatch, GeneCountsPartial | None, dict]:
     """Align one single-end batch with a given aligner (pure; no globals).
 
     Shared by pool workers, the parent's serial fallback and FaaS
     functions, so a batch produces identical results wherever it runs.
-    The GeneCounts partial is what crosses the process boundary (and
-    goes into a shard checkpoint); the third element is this batch's
-    seed-search counter delta (see
+    The outcome batch and its GeneCounts partial are what cross the
+    process boundary (and go into a shard checkpoint); the third element
+    is this batch's seed-search counter delta (see
     :class:`~repro.align.suffix_array.SeedSearchStats`), which the
     engine folds into :attr:`EngineHealth.seed_search`.
     """
-    counts = aligner._gene_counts()
     stats = aligner.index.search_context.stats
     before = stats.snapshot()
     # align_batch routes through the vectorized batch core when the
@@ -264,45 +262,42 @@ def _align_records(
     # outcomes are bit-identical, so workers and the parent's serial
     # fallback stay interchangeable.
     outcomes = aligner.align_batch(records)
-    if counts is not None:
-        for outcome in outcomes:
-            SingleEndTally.count(counts, outcome)
-    return (
-        outcomes,
-        counts.to_partial() if counts is not None else None,
-        stats.since(before),
+    annotation = aligner._counted_annotation()
+    partial = (
+        SingleEndTally.gene_partial(annotation, outcomes)
+        if annotation is not None
+        else None
     )
+    return outcomes, partial, stats.since(before)
 
 
 def _align_pairs(
     paired: PairedStarAligner,
     batch: tuple[list[FastqRecord], list[FastqRecord]],
-) -> tuple[list[PairedOutcome], GeneCountsPartial | None, dict]:
+) -> tuple[PairedOutcomeBatch, GeneCountsPartial | None, dict]:
     """Align one paired batch with a given paired aligner (pure; no globals)."""
-    counts = paired._gene_counts()
     stats = paired.aligner.index.search_context.stats
     before = stats.snapshot()
     outcomes = paired._pair_batch(batch)
-    if counts is not None:
-        for outcome in outcomes:
-            PairedTally.count(counts, outcome)
-    return (
-        outcomes,
-        counts.to_partial() if counts is not None else None,
-        stats.since(before),
+    annotation = paired._counted_annotation()
+    partial = (
+        PairedTally.gene_partial(annotation, outcomes)
+        if annotation is not None
+        else None
     )
+    return outcomes, partial, stats.since(before)
 
 
 def _align_batch(
     records: list[FastqRecord],
-) -> tuple[list[ReadAlignment], GeneCountsPartial | None, dict]:
+) -> tuple[OutcomeBatch, GeneCountsPartial | None, dict]:
     """Pool entry point: align one single-end batch with the worker aligner."""
     return _align_records(_WORKER["aligner"], records)
 
 
 def _align_batch_paired(
     batch: tuple[list[FastqRecord], list[FastqRecord]],
-) -> tuple[list[PairedOutcome], GeneCountsPartial | None, dict]:
+) -> tuple[PairedOutcomeBatch, GeneCountsPartial | None, dict]:
     """Pool entry point: align one paired batch with the worker aligner."""
     return _align_pairs(_WORKER["paired"], batch)
 
@@ -931,8 +926,8 @@ class ParallelStarAligner:
         ``checkpoint`` has the same contract as in :meth:`run`: paired
         shards already in the journal are merged from it instead of
         re-aligned, and each fully merged live shard is journaled as it
-        lands (the payload codec round-trips :class:`PairedOutcome`
-        lists — see :mod:`repro.core.replication`).
+        lands (the payload codec round-trips paired outcome batches —
+        see :mod:`repro.align.outcome`).
         """
         if len(mate1) != len(mate2):
             raise ValueError("mate lists must have equal length")

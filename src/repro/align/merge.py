@@ -3,17 +3,20 @@
 Serial, engine and FaaS runs cut an accession's reads into shards and
 differ only in *where* a shard is aligned: in this process, in a pool
 worker or in a simulated function.  A shard aligned elsewhere comes back
-as ``(outcomes, GeneCounts partial, seed-stat delta)`` from the pure
-helpers the engine's workers run (``_align_records`` / ``_align_pairs``
-in :mod:`repro.align.engine`); a shard aligned in process has nothing
-to ship, so it carries no partial and the run counts its outcomes.
+as ``(outcome batch, GeneCounts partial, seed-stat delta)`` from the
+pure helpers the engine's workers run (``_align_records`` /
+``_align_pairs`` in :mod:`repro.align.engine`); a shard aligned in
+process has nothing to ship, so it carries no partial and the run
+counts its outcomes.
 
 :class:`RunAccumulator` is the state STAR keeps while it maps — outcomes,
 a ``Log.progress.out`` record every ``progress_every`` reads, the
 monitor that may stop the run (the paper's early stopping, §III-B),
 GeneCounts and ``Log.final.out`` — and :func:`merge_shards` feeds it
 shard results strictly in read order, so the monitor sees the same
-records, and stops on the same read, on every backend.
+records, and stops on the same read, on every backend.  Outcomes stay
+batches throughout (:mod:`repro.align.outcome`): the tallies and the
+GeneCounts rule run over one progress window's arrays at a time.
 """
 
 from __future__ import annotations
@@ -23,13 +26,17 @@ from collections.abc import Callable, Iterable, Iterator
 from typing import Any
 
 from repro.align.counts import GeneCounts, GeneCountsPartial
+from repro.align.outcome import OutcomeBatch, PairedOutcomeBatch
 from repro.align.progress import FinalLogStats, ProgressRecord
 
 __all__ = ["RunAccumulator", "in_process", "merge_shards"]
 
-#: one aligned shard: outcomes, GeneCounts partial and seed-stat delta
-#: (both None in process; the partial also when quantification is off)
-ShardResult = tuple[list, GeneCountsPartial | None, dict | None]
+#: one aligned shard: an outcome batch, GeneCounts partial and seed-stat
+#: delta (both None in process; the partial also when quantification is
+#: off)
+ShardResult = tuple[
+    OutcomeBatch | PairedOutcomeBatch, GeneCountsPartial | None, dict | None
+]
 
 
 class RunAccumulator:
@@ -37,9 +44,15 @@ class RunAccumulator:
 
     ``tally`` is the layout strategy (:class:`~repro.align.star.
     SingleEndTally` or :class:`~repro.align.paired.PairedTally`): it
-    keeps the ``Log.final.out`` counters, owns the per-outcome
-    GeneCounts rule and names the result type.  ``counts`` is None when
+    keeps the ``Log.final.out`` counters, owns the GeneCounts rule and
+    names the batch and result types.  ``counts`` is None when
     quantification is off.
+
+    Merged outcomes collect in a window until the next progress record
+    (or the end of the run); closing the window tallies it, and counts
+    the genes of every read no shard partial covers, in one pass over
+    its arrays.  The per-read path merges one-read shards, so this keeps
+    its array work at one conversion per window.
     """
 
     def __init__(
@@ -58,53 +71,77 @@ class RunAccumulator:
         self.counts = counts
         self.monitor = monitor
         self.clock = clock
-        self.outcomes: list = []
+        self.reads_merged = 0
         self.progress: list[ProgressRecord] = []
         self.aborted = False
         self.started = clock()
+        self._windows: list = []  # tallied windows, in read order
+        self._window: list = []  # batches merged since the last window closed
+        self._uncounted: list = []  # those of them no partial covers
 
-    def merge(
-        self, shard: Any, outcomes: list, partial: GeneCountsPartial | None
-    ) -> bool:
-        """Merge one shard's results; False once the monitor stopped the run.
+    def merge(self, outcomes: Any, partial: GeneCountsPartial | None) -> bool:
+        """Merge one shard's outcome batch; False once the monitor stopped
+        the run.
 
         Outcomes merge up to the first progress record the monitor
         rejects.  GeneCounts take the shard's partial when the whole
         shard merged; otherwise — a shard without a partial, or one the
         monitor cut short — they count just the merged outcomes, so an
-        early-stopped run counts exactly the reads it processed.
+        early-stopped run counts every read it processed exactly once.
         """
+        n = len(outcomes)
+        uncounted = self.counts is not None and partial is None
         done = 0
-        while done < len(outcomes):
+        while done < n:
             # merge up to the next progress boundary, and report there
-            gap = self.progress_every - len(self.outcomes) % self.progress_every
-            stop = min(len(outcomes), done + gap)
-            self.tally.add(shard, outcomes, done, stop)
-            self.outcomes.extend(outcomes[done:stop])
+            gap = self.progress_every - self.reads_merged % self.progress_every
+            stop = min(n, done + gap)
+            piece = outcomes if stop - done == n else outcomes[done:stop]
+            self._window.append(piece)
+            if uncounted:
+                self._uncounted.append(piece)
+            self.reads_merged += stop - done
             at_boundary = stop - done == gap
             done = stop
-            if at_boundary and not self._report(self._snapshot()):
-                break
-        if self.counts is not None:
-            if done == len(outcomes) and partial is not None:
+            if at_boundary:
+                self._close_window()
+                if not self._report(self._snapshot()):
+                    break
+        if self.counts is not None and partial is not None:
+            if done == n:
                 self.counts.merge_partial(partial)
             else:
-                for outcome in outcomes[:done]:
-                    self.tally.count(self.counts, outcome)
+                self._count(outcomes[:done])
         return not self.aborted
+
+    def _close_window(self) -> None:
+        """Tally the window's outcomes and count the genes no partial did."""
+        if not self._window:
+            return
+        window = self.tally.batch_type.concat(self._window)
+        self.tally.add(window)
+        self._windows.append(window)
+        if self._uncounted:
+            same = len(self._uncounted) == len(self._window)
+            self._count(window if same else window.concat(self._uncounted))
+        self._window, self._uncounted = [], []
+
+    def _count(self, outcomes: Any) -> None:
+        self.counts.merge_partial(
+            self.tally.gene_partial(self.counts.annotation, outcomes)
+        )
 
     def finish(self) -> Any:
         """Close the run: last progress record, ``Log.final.out``, result."""
+        self._close_window()
         closing = self._snapshot()
         # STAR writes a last progress line at completion
-        if not self.progress or self.progress[-1].reads_processed != len(
-            self.outcomes
-        ):
+        if not self.progress or self.progress[-1].reads_processed != self.reads_merged:
             self._report(closing)
         tally = self.tally
         final = FinalLogStats(
             reads_total=self.reads_total,
-            reads_processed=len(self.outcomes),
+            reads_processed=self.reads_merged,
             mapped_unique=tally.mapped_unique,
             mapped_multi=tally.mapped_multi,
             too_many_loci=tally.too_many_loci,
@@ -115,7 +152,7 @@ class RunAccumulator:
             aborted=self.aborted,
         )
         return tally.result_type(
-            outcomes=self.outcomes,
+            outcomes=tally.batch_type.concat(self._windows),
             progress=self.progress,
             final=final,
             gene_counts=self.counts,
@@ -125,7 +162,7 @@ class RunAccumulator:
     def _snapshot(self) -> ProgressRecord:
         return ProgressRecord(
             elapsed_seconds=max(0.0, self.clock() - self.started),
-            reads_processed=len(self.outcomes),
+            reads_processed=self.reads_merged,
             reads_total=self.reads_total,
             mapped_unique=self.tally.mapped_unique,
             mapped_multi=self.tally.mapped_multi,
@@ -170,26 +207,26 @@ def merge_shards(
     """
     if checkpoint is None:
         live = source(shards)
-        ordered = ((None, shard, result, True) for shard, result in live)
+        ordered = ((None, result, True) for _, result in live)
     else:
         shards = list(shards)
         cached = [checkpoint.load(start, end) for start, end in spans]
         live = source(s for s, hit in zip(shards, cached) if hit is None)
 
         def interleave():
-            for span, shard, hit in zip(spans, shards, cached):
+            for span, hit in zip(spans, cached):
                 if hit is not None:
-                    yield span, shard, hit, False
+                    yield span, hit, False
                 else:
-                    yield (span, *next(live), True)
+                    yield span, next(live)[1], True
 
         ordered = interleave()
     try:
-        for span, shard, result, fresh in ordered:
+        for span, result, fresh in ordered:
             if on_result is not None:
                 on_result(result)
             outcomes, partial, seed_stats = result
-            if not run.merge(shard, outcomes, partial):
+            if not run.merge(outcomes, partial):
                 break
             if fresh and checkpoint is not None:
                 checkpoint.record(span[0], span[1], outcomes, partial, seed_stats)

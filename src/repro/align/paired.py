@@ -11,43 +11,38 @@ GeneCounts`` on paired data.
 
 from __future__ import annotations
 
-import enum
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.align.counts import GeneCounts
+import numpy as np
+
+from repro.align.counts import GeneCounts, GeneCountsPartial, partial_from_blocks
 from repro.align.merge import RunAccumulator, in_process, merge_shards
+from repro.align.outcome import (
+    DISCORDANT,
+    FORWARD,
+    MULTIMAPPED,
+    ONE_MATE,
+    PAIR_MULTIMAPPED,
+    PAIR_UNMAPPED,
+    PROPER_PAIR,
+    UNIQUE,
+    OutcomeBatch,
+    PairedOutcome,
+    PairedOutcomeBatch,
+    PairStatus,
+    pair_id_of,
+)
 from repro.align.progress import FinalLogStats, ProgressRecord
 from repro.align.star import (
     ReadAlignment,
     AlignmentStatus,
     StarAligner,
 )
-from repro.genome.annotation import Strand
+from repro.genome.annotation import Annotation, Strand
 from repro.reads.fastq import FastqRecord
 from repro.util.validation import check_positive
-
-
-class PairStatus(enum.Enum):
-    """Pair-level classification."""
-
-    PROPER_PAIR = "proper_pair"  # both unique, FR orientation, TLEN in bounds
-    DISCORDANT = "discordant"  # both mapped uniquely, geometry wrong
-    ONE_MATE = "one_mate"  # exactly one mate mapped uniquely
-    MULTIMAPPED = "multimapped"  # either mate multimapped (no unique pair)
-    UNMAPPED = "unmapped"  # neither mate mapped
-
-    @property
-    def is_mapped(self) -> bool:
-        """Counts toward the progress mapping rate (STAR counts pairs with
-        at least a unique or multi placement)."""
-        return self in (
-            PairStatus.PROPER_PAIR,
-            PairStatus.DISCORDANT,
-            PairStatus.ONE_MATE,
-            PairStatus.MULTIMAPPED,
-        )
 
 
 @dataclass(frozen=True)
@@ -67,30 +62,11 @@ class PairedParameters:
         check_positive("progress_every", self.progress_every)
 
 
-@dataclass(frozen=True)
-class PairedOutcome:
-    """Result of aligning one read pair."""
-
-    pair_id: str
-    status: PairStatus
-    mate1: ReadAlignment
-    mate2: ReadAlignment
-    template_length: int | None = None
-
-    @property
-    def contig(self) -> str | None:
-        if self.mate1.blocks:
-            return self.mate1.blocks[0].contig
-        if self.mate2.blocks:
-            return self.mate2.blocks[0].contig
-        return None
-
-
 @dataclass
 class PairedRunResult:
     """Whole-run output for a paired sample."""
 
-    outcomes: list[PairedOutcome]
+    outcomes: PairedOutcomeBatch
     progress: list[ProgressRecord]
     final: FinalLogStats
     gene_counts: GeneCounts | None
@@ -98,12 +74,10 @@ class PairedRunResult:
 
     @property
     def proper_pair_fraction(self) -> float:
-        if not self.outcomes:
+        if not len(self.outcomes):
             return 0.0
-        return (
-            sum(o.status is PairStatus.PROPER_PAIR for o in self.outcomes)
-            / len(self.outcomes)
-        )
+        proper = self.outcomes.status == PROPER_PAIR
+        return int(np.count_nonzero(proper)) / len(self.outcomes)
 
     @property
     def mapped_fraction(self) -> float:
@@ -111,23 +85,22 @@ class PairedRunResult:
 
     def template_lengths(self) -> list[int]:
         """TLENs of proper pairs (insert-size distribution)."""
-        return [
-            o.template_length
-            for o in self.outcomes
-            if o.status is PairStatus.PROPER_PAIR and o.template_length
-        ]
+        tlen = self.outcomes.template_length
+        return tlen[(self.outcomes.status == PROPER_PAIR) & (tlen > 0)].tolist()
 
 
 class PairedTally:
     """The ``Log.final.out`` counters of a paired-end run, per pair.
 
     The per-layout strategy a :class:`~repro.align.merge.RunAccumulator`
-    merges paired shards with; :meth:`count` is the per-pair GeneCounts
-    rule, shared by the run and the engine's shard helper.  STAR's paired
-    log has no too-many-loci bucket or mismatch rate, so both stay 0.
+    merges paired shards with: :meth:`add` counts a batch of pairs, and
+    :meth:`gene_partial` is the per-pair GeneCounts rule, shared by the
+    run and the engine's shard helper.  STAR's paired log has no
+    too-many-loci bucket or mismatch rate, so both stay 0.
     """
 
     result_type = PairedRunResult
+    batch_type = PairedOutcomeBatch
     too_many_loci = 0
     mismatch_rate = 0.0
 
@@ -137,42 +110,56 @@ class PairedTally:
         self.unmapped = 0
         self.spliced_reads = 0
 
-    def add(
-        self,
-        shard: tuple[list[FastqRecord], list[FastqRecord]],
-        outcomes: list[PairedOutcome],
-        start: int,
-        stop: int,
-    ) -> None:
-        """Count the pairs ``outcomes[start:stop]``."""
-        for outcome in outcomes[start:stop]:
-            if outcome.status is PairStatus.MULTIMAPPED:
-                self.mapped_multi += 1
-            elif outcome.status is PairStatus.UNMAPPED:
-                self.unmapped += 1
-            else:  # proper, one-mate and discordant pairs count as unique
-                self.mapped_unique += 1
-            if outcome.mate1.spliced or outcome.mate2.spliced:
-                self.spliced_reads += 1
+    def add(self, outcomes: PairedOutcomeBatch) -> None:
+        """Count a batch of pairs."""
+        buckets = np.bincount(outcomes.status, minlength=PAIR_UNMAPPED + 1).tolist()
+        self.mapped_multi += buckets[PAIR_MULTIMAPPED]
+        self.unmapped += buckets[PAIR_UNMAPPED]
+        # proper, one-mate and discordant pairs count as unique
+        self.mapped_unique += (
+            len(outcomes) - buckets[PAIR_MULTIMAPPED] - buckets[PAIR_UNMAPPED]
+        )
+        self.spliced_reads += int(
+            np.count_nonzero(outcomes.mate1.spliced | outcomes.mate2.spliced)
+        )
 
     @staticmethod
-    def count(counts: GeneCounts, outcome: PairedOutcome) -> None:
-        """GeneCounts bookkeeping for one pair: a proper pair counts its
-        joint blocks once, a one-mate pair its unique mate's blocks."""
-        if outcome.status is PairStatus.PROPER_PAIR:
-            blocks = list(outcome.mate1.blocks) + list(outcome.mate2.blocks)
-            counts.record_unique(blocks, outcome.mate1.strand)
-        elif outcome.status is PairStatus.ONE_MATE:
-            unique = (
-                outcome.mate1
-                if outcome.mate1.status is AlignmentStatus.UNIQUE
-                else outcome.mate2
+    def gene_partial(
+        annotation: Annotation, outcomes: PairedOutcomeBatch
+    ) -> GeneCountsPartial:
+        """GeneCounts of a batch of pairs: a proper pair counts both
+        mates' blocks under mate 1's strand, a one-mate pair its unique
+        mate's blocks; discordant and multimapped pairs count as
+        multimapping."""
+        status = outcomes.status
+        mate1, mate2 = outcomes.mate1, outcomes.mate2
+        proper = status == PROPER_PAIR
+        one_mate = status == ONE_MATE
+        by_mate1 = proper | (one_mate & (mate1.status == UNIQUE))
+        by_mate2 = proper | (one_mate & (mate1.status != UNIQUE))
+        strand = np.where(by_mate1, mate1.strand, mate2.strand)
+        owner1, owner2 = mate1.block_owner(), mate2.block_owner()
+        keep1, keep2 = by_mate1[owner1], by_mate2[owner2]
+
+        def blocks(column: str) -> np.ndarray:
+            return np.concatenate(
+                [getattr(mate1, column)[keep1], getattr(mate2, column)[keep2]]
             )
-            counts.record_unique(list(unique.blocks), unique.strand)
-        elif outcome.status in (PairStatus.DISCORDANT, PairStatus.MULTIMAPPED):
-            counts.record_multimapped()
-        else:
-            counts.record_unmapped()
+
+        return partial_from_blocks(
+            annotation,
+            n_unmapped=np.count_nonzero(status == PAIR_UNMAPPED),
+            n_multimapping=np.count_nonzero(
+                (status == DISCORDANT) | (status == PAIR_MULTIMAPPED)
+            ),
+            assigned=proper | one_mate,
+            forward=strand == FORWARD,
+            owner=np.concatenate([owner1[keep1], owner2[keep2]]),
+            contig_names=mate1.contig_names,
+            contig=blocks("block_contig"),
+            start=blocks("block_start"),
+            end=blocks("block_end"),
+        )
 
 
 def _span(outcome: ReadAlignment) -> tuple[int, int] | None:
@@ -180,6 +167,26 @@ def _span(outcome: ReadAlignment) -> tuple[int, int] | None:
     if not outcome.blocks:
         return None
     return outcome.blocks[0].start, outcome.blocks[-1].end
+
+
+def _footprints(
+    mates: OutcomeBatch,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per read: first block start, last block end, first block contig,
+    and whether the read has blocks at all (:func:`_span` over arrays)."""
+    offsets = mates.block_offsets
+    placed = offsets[1:] > offsets[:-1]
+    if not mates.block_start.size:
+        zero = np.zeros(placed.size, dtype=np.int64)
+        return zero, zero, zero, placed
+    first = np.minimum(offsets[:-1], offsets[-1] - 1)
+    last = np.maximum(offsets[1:] - 1, 0)
+    return (
+        mates.block_start[first],
+        mates.block_end[last],
+        mates.block_contig[first],
+        placed,
+    )
 
 
 class PairedStarAligner:
@@ -243,33 +250,80 @@ class PairedStarAligner:
 
     def _pair_batch(
         self, batch: tuple[list[FastqRecord], list[FastqRecord]]
-    ) -> list[PairedOutcome]:
-        """Align one shard's mate lists through the batch core, then pair
-        them one pair at a time."""
-        mates1 = self.aligner.align_batch(batch[0])
-        mates2 = self.aligner.align_batch(batch[1])
-        return [
-            self._pair_outcome(r1, m1, m2)
-            for r1, m1, m2 in zip(batch[0], mates1, mates2)
-        ]
+    ) -> PairedOutcomeBatch:
+        """Align one shard's mate lists and pair them: through the batch
+        core and :meth:`_pair_mates`, or pair by pair on the per-read
+        path."""
+        if not self.aligner.parameters.batch_align:
+            return PairedOutcomeBatch.of(
+                [self.align_pair(r1, r2) for r1, r2 in zip(*batch)]
+            )
+        return self._pair_mates(
+            self.aligner.align_batch(batch[0]), self.aligner.align_batch(batch[1])
+        )
+
+    def _pair_mates(
+        self, mates1: OutcomeBatch, mates2: OutcomeBatch
+    ) -> PairedOutcomeBatch:
+        """Pair two mate batches by :meth:`classify_pair`'s rules, over
+        arrays: FR orientation by first-block start, TLEN from the first
+        start to the last end, the contig from the first block."""
+        if mates1.contig_names != mates2.contig_names:
+            raise ValueError("mates were aligned against different indexes")
+        s1, s2 = mates1.status, mates2.status
+        mapped1 = (s1 == UNIQUE) | (s1 == MULTIMAPPED)
+        mapped2 = (s2 == UNIQUE) | (s2 == MULTIMAPPED)
+        unique1, unique2 = s1 == UNIQUE, s2 == UNIQUE
+        start1, end1, contig1, placed1 = _footprints(mates1)
+        start2, end2, contig2, placed2 = _footprints(mates2)
+        strand1, strand2 = mates1.strand, mates2.strand
+        one_left = start1 <= start2
+        tlen = np.where(one_left, end2 - start1, end1 - start2)
+        proper = (
+            unique1
+            & unique2
+            & placed1
+            & placed2
+            & (contig1 == contig2)
+            & (strand1 != 0)
+            & (strand2 != 0)
+            & (strand1 != strand2)
+            # FR orientation: the leftmost mate must be the forward one
+            & (
+                ((strand1 == FORWARD) & one_left)
+                | ((strand2 == FORWARD) & (start2 <= start1))
+            )
+            & (self.parameters.min_template <= tlen)
+            & (tlen <= self.parameters.max_template)
+        )
+        status = np.full(len(mates1), PAIR_MULTIMAPPED, dtype=np.int8)
+        status[(unique1 & ~mapped2) | (unique2 & ~mapped1)] = ONE_MATE
+        status[unique1 & unique2] = DISCORDANT
+        status[proper] = PROPER_PAIR
+        status[~mapped1 & ~mapped2] = PAIR_UNMAPPED
+        return PairedOutcomeBatch(mates1, mates2, status, np.where(proper, tlen, -1))
 
     def _pair_outcome(
         self, record1: FastqRecord, m1: ReadAlignment, m2: ReadAlignment
     ) -> PairedOutcome:
         """Pair two already-aligned mate outcomes."""
         status, tlen = self.classify_pair(m1, m2)
-        pair_id = record1.read_id.rsplit("/", 1)[0]
         return PairedOutcome(
-            pair_id=pair_id, status=status, mate1=m1, mate2=m2,
-            template_length=tlen,
+            pair_id=pair_id_of(record1.read_id), status=status, mate1=m1,
+            mate2=m2, template_length=tlen,
         )
+
+    def _counted_annotation(self) -> Annotation | None:
+        """The annotation pairs are counted against, or None when
+        quantification is off."""
+        if self.parameters.quant_gene_counts:
+            return self.aligner.index.annotation
+        return None
 
     def _gene_counts(self) -> GeneCounts | None:
         """A fresh GeneCounts, or None when quantification is off."""
-        annotation = self.aligner.index.annotation
-        if self.parameters.quant_gene_counts and annotation is not None:
-            return GeneCounts(annotation)
-        return None
+        annotation = self._counted_annotation()
+        return GeneCounts(annotation) if annotation is not None else None
 
     def _accumulator(
         self,

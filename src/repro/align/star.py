@@ -10,7 +10,6 @@ the integration point for the paper's early-stopping optimization.
 
 from __future__ import annotations
 
-import enum
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -18,10 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.align.counts import GeneCounts
+from repro.align.counts import GeneCounts, GeneCountsPartial, partial_from_blocks
 from repro.align.extend import ScoringParams, ungapped_extend
 from repro.align.index import GenomeIndex
 from repro.align.merge import RunAccumulator, in_process, merge_shards
+from repro.align.outcome import (
+    FORWARD,
+    MULTIMAPPED,
+    TOO_MANY_LOCI,
+    UNIQUE,
+    UNMAPPED,
+    AlignmentStatus,
+    OutcomeBatch,
+    ReadAlignment,
+)
 from repro.align.progress import (
     FinalLogStats,
     ProgressRecord,
@@ -36,24 +45,10 @@ from repro.align.splice import (
     stitch_spliced,
 )
 from repro.genome.alphabet import reverse_complement
-from repro.genome.annotation import Strand
+from repro.genome.annotation import Annotation, Strand
 from repro.genome.model import SequenceRegion
 from repro.reads.fastq import FastqRecord
 from repro.reads.stream import iter_chunks
-
-
-class AlignmentStatus(enum.Enum):
-    """Classification of one read, following STAR's Log.final.out buckets."""
-
-    UNIQUE = "unique"
-    MULTIMAPPED = "multimapped"
-    TOO_MANY_LOCI = "too_many_loci"
-    UNMAPPED = "unmapped"
-
-    @property
-    def is_mapped(self) -> bool:
-        """Counts toward the progress file's 'mapped %' (unique + multi)."""
-        return self in (AlignmentStatus.UNIQUE, AlignmentStatus.MULTIMAPPED)
 
 
 @dataclass(frozen=True)
@@ -88,20 +83,6 @@ class StarParameters:
 
 
 @dataclass(frozen=True)
-class ReadAlignment:
-    """Result of aligning one read."""
-
-    read_id: str
-    status: AlignmentStatus
-    strand: Strand | None = None
-    score: int = 0
-    n_loci: int = 0
-    mismatches: int = 0
-    blocks: tuple[SequenceRegion, ...] = ()
-    spliced: bool = False
-
-
-@dataclass(frozen=True)
 class _Candidate:
     """Internal: one scored placement of one read orientation."""
 
@@ -120,7 +101,7 @@ class RunAborted(Exception):
 class StarRunResult:
     """Everything a run produces (STAR's output directory, in-memory)."""
 
-    outcomes: list[ReadAlignment]
+    outcomes: OutcomeBatch
     progress: list[ProgressRecord]
     final: FinalLogStats
     gene_counts: GeneCounts | None
@@ -167,11 +148,13 @@ class SingleEndTally:
     """The ``Log.final.out`` counters of a single-end run.
 
     The per-layout strategy a :class:`~repro.align.merge.RunAccumulator`
-    merges single-end shards with; :meth:`count` is the per-read
-    GeneCounts rule, shared by the run and the engine's shard helper.
+    merges single-end shards with: :meth:`add` counts a batch of
+    outcomes, and :meth:`gene_partial` is the GeneCounts rule, shared by
+    the run and the engine's shard helper.
     """
 
     result_type = StarRunResult
+    batch_type = OutcomeBatch
 
     def __init__(self) -> None:
         self.mapped_unique = 0
@@ -182,28 +165,18 @@ class SingleEndTally:
         self.mismatch_bases = 0
         self.aligned_bases = 0
 
-    def add(
-        self,
-        records: list[FastqRecord],
-        outcomes: list[ReadAlignment],
-        start: int,
-        stop: int,
-    ) -> None:
-        """Count ``outcomes[start:stop]``, aligned from ``records[start:stop]``."""
-        for record, outcome in zip(records[start:stop], outcomes[start:stop]):
-            status = outcome.status
-            if status is AlignmentStatus.UNIQUE:
-                self.mapped_unique += 1
-                if outcome.spliced:
-                    self.spliced_reads += 1
-                self.mismatch_bases += outcome.mismatches
-                self.aligned_bases += record.length
-            elif status is AlignmentStatus.MULTIMAPPED:
-                self.mapped_multi += 1
-            elif status is AlignmentStatus.TOO_MANY_LOCI:
-                self.too_many_loci += 1
-            else:
-                self.unmapped += 1
+    def add(self, outcomes: OutcomeBatch) -> None:
+        """Count a batch of outcomes."""
+        status = outcomes.status
+        buckets = np.bincount(status, minlength=UNMAPPED + 1).tolist()
+        unique = status == UNIQUE
+        self.mapped_unique += buckets[UNIQUE]
+        self.mapped_multi += buckets[MULTIMAPPED]
+        self.too_many_loci += buckets[TOO_MANY_LOCI]
+        self.unmapped += buckets[UNMAPPED]
+        self.spliced_reads += int(np.count_nonzero(outcomes.spliced & unique))
+        self.mismatch_bases += int(outcomes.mismatches[unique].sum())
+        self.aligned_bases += outcomes.aligned_bases(unique)
 
     @property
     def mismatch_rate(self) -> float:
@@ -212,18 +185,30 @@ class SingleEndTally:
         return self.mismatch_bases / self.aligned_bases
 
     @staticmethod
-    def count(counts: GeneCounts, outcome: ReadAlignment) -> None:
-        """GeneCounts bookkeeping for one read (unique reads only are
-        assigned to genes, as in STAR)."""
-        if outcome.status is AlignmentStatus.UNIQUE:
-            counts.record_unique(list(outcome.blocks), outcome.strand)
-        elif outcome.status in (
-            AlignmentStatus.MULTIMAPPED,
-            AlignmentStatus.TOO_MANY_LOCI,
-        ):
-            counts.record_multimapped()
-        else:
-            counts.record_unmapped()
+    def gene_partial(
+        annotation: Annotation, outcomes: OutcomeBatch
+    ) -> GeneCountsPartial:
+        """GeneCounts of a batch: unique reads are assigned to genes by
+        their blocks and strand, as in STAR; multimapped and
+        too-many-loci reads count as multimapping."""
+        status = outcomes.status
+        unique = status == UNIQUE
+        owner = outcomes.block_owner()
+        counted = unique[owner]
+        return partial_from_blocks(
+            annotation,
+            n_unmapped=np.count_nonzero(status == UNMAPPED),
+            n_multimapping=np.count_nonzero(
+                (status == MULTIMAPPED) | (status == TOO_MANY_LOCI)
+            ),
+            assigned=unique,
+            forward=outcomes.strand == FORWARD,
+            owner=owner[counted],
+            contig_names=outcomes.contig_names,
+            contig=outcomes.block_contig[counted],
+            start=outcomes.block_start[counted],
+            end=outcomes.block_end[counted],
+        )
 
 
 #: Monitor signature: receives each progress record, returns False to abort.
@@ -253,18 +238,19 @@ class StarAligner:
         rev_cands = self._align_oriented(rev)
         return self._classify(record.read_id, fwd_cands, rev_cands)
 
-    def align_batch(self, records: list[FastqRecord]) -> list[ReadAlignment]:
+    def align_batch(self, records: list[FastqRecord]) -> OutcomeBatch:
         """Align a list of reads; uses the batch core when enabled.
 
         Dispatching whole batches amortizes per-read Python overhead into
         vectorized kernels (see :mod:`repro.align.batch`); results are
-        bit-identical to mapping :meth:`align_read` over ``records``.
+        bit-identical to mapping :meth:`align_read` over ``records``,
+        which the per-read path does and wraps as a batch.
         """
         if self.parameters.batch_align:
             from repro.align.batch import align_read_batch
 
             return align_read_batch(self, records)
-        return [self.align_read(record) for record in records]
+        return OutcomeBatch.of([self.align_read(record) for record in records])
 
     def _classify(
         self,
@@ -446,11 +432,17 @@ class StarAligner:
         params = self.parameters
         return params.align_batch_size if params.batch_align else 1
 
+    def _counted_annotation(self) -> Annotation | None:
+        """The annotation reads are counted against, or None when
+        quantification is off."""
+        if self.parameters.quant_gene_counts:
+            return self.index.annotation
+        return None
+
     def _gene_counts(self) -> GeneCounts | None:
         """A fresh GeneCounts, or None when quantification is off."""
-        if self.parameters.quant_gene_counts and self.index.annotation is not None:
-            return GeneCounts(self.index.annotation)
-        return None
+        annotation = self._counted_annotation()
+        return GeneCounts(annotation) if annotation is not None else None
 
     def _accumulator(
         self,

@@ -188,7 +188,10 @@ class JournalReplay:
     steps_done: dict[str, list[str]] = field(default_factory=dict)
     #: accession → (shard start, shard end) → ``align.shard`` record;
     #: completed read-shard outcomes the engine can merge instead of
-    #: re-aligning (first record per shard wins, like terminals)
+    #: re-aligning.  Only records made under :attr:`fingerprint` are
+    #: kept (every record when the journal has no ``batch-start``), the
+    #: first per shard winning like terminals: a checkpoint of another
+    #: configuration neither serves nor blocks re-checkpointing.
     align_shards: dict[str, dict[tuple[int, int], dict[str, Any]]] = field(
         default_factory=dict
     )
@@ -198,6 +201,9 @@ class JournalReplay:
     torn_tail: bool = False
     #: terminal records ignored because one was already present
     duplicate_terminal: int = 0
+    #: every ``align.shard`` record, in journal order, before the
+    #: fingerprint filter builds :attr:`align_shards`
+    _shard_records: list[dict[str, Any]] = field(default_factory=list, repr=False)
 
     @property
     def completed(self) -> dict[str, dict[str, Any]]:
@@ -390,6 +396,11 @@ class RunJournal:
             for acc in state.steps_done
             if acc not in state.terminal
         ]
+        for record in state._shard_records:
+            if state.fingerprint is None or record.get("fp") == state.fingerprint:
+                bounds = (int(record.get("lo", 0)), int(record.get("hi", 0)))
+                shards = state.align_shards.setdefault(record["acc"], {})
+                shards.setdefault(bounds, record)
         return state
 
     @staticmethod
@@ -407,9 +418,7 @@ class RunJournal:
         elif rtype == "step-done":
             state.steps_done.setdefault(acc, []).append(record.get("step", ""))
         elif rtype == "align.shard":
-            shards = state.align_shards.setdefault(acc, {})
-            bounds = (int(record.get("lo", 0)), int(record.get("hi", 0)))
-            shards.setdefault(bounds, record)
+            state._shard_records.append(record)
         elif rtype in TERMINAL_RECORD_TYPES:
             # idempotent re-runs append duplicate terminal records; the
             # first one wins so replay is stable under re-execution

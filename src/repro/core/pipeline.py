@@ -716,6 +716,11 @@ class TranscriptomicsAtlasPipeline:
                             acc, record["result"]
                         )
                 replayed_shards = replay.align_shards
+                # old-layout checkpoints are refused here, before any
+                # accession starts, never decoded into outcomes
+                from repro.core.replication import check_shard_format
+
+                check_shard_format(fingerprint, replayed_shards)
             run_journal.record_batch_start(list(accessions), fingerprint)
 
         self._drain_deadline_base = options.drain_deadline

@@ -30,11 +30,14 @@ lifts durability one level up, onto the simulated S3 service
 
 * :class:`ShardCheckpointer` + the ``align.shard`` record — partial-
   batch recovery inside the align step.  Completed read shards are
-  journaled with their serialized outcomes, keyed by accession + shard
-  bounds + config fingerprint; resume feeds only unfinished shards to
-  the engine pool and merges checkpointed outcomes byte-identically, so
-  rework after instance loss is bounded by one in-flight shard per
-  worker rather than a whole accession.
+  journaled with their outcome batch (encoded by
+  :func:`repro.align.outcome.encode_outcomes`), keyed by accession +
+  shard bounds + config fingerprint; resume feeds only unfinished shards
+  to the engine pool and merges checkpointed outcomes byte-identically,
+  so rework after instance loss is bounded by one in-flight shard per
+  worker rather than a whole accession.  A journal whose checkpoints use
+  another outcome layout is refused at resume
+  (:class:`ShardFormatIncompatible`), never decoded.
 """
 
 from __future__ import annotations
@@ -47,12 +50,16 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.align.counts import GeneCountsPartial
-from repro.align.paired import PairedOutcome, PairStatus
-from repro.align.star import AlignmentStatus, ReadAlignment
+from repro.align.merge import ShardResult
+from repro.align.outcome import (
+    OUTCOME_FORMAT,
+    OutcomeBatch,
+    PairedOutcomeBatch,
+    decode_outcomes,
+    encode_outcomes,
+)
 from repro.cloud.s3 import PreconditionFailed, S3Bucket
-from repro.core.journal import RunJournal
-from repro.genome.annotation import Strand
-from repro.genome.model import SequenceRegion
+from repro.core.journal import JournalIncompatible, RunJournal
 
 __all__ = [
     "BatchLease",
@@ -62,6 +69,8 @@ __all__ = [
     "ReplicatedJournal",
     "SegmentReplicator",
     "ShardCheckpointer",
+    "ShardFormatIncompatible",
+    "check_shard_format",
     "decode_shard_payload",
     "encode_shard_payload",
     "reconstruct_journal",
@@ -442,31 +451,42 @@ class BatchLease:
 # --------------------------------------------------------------------------
 
 
-def _encode_outcome(o: ReadAlignment) -> list:
-    return [
-        o.read_id,
-        o.status.value,
-        o.strand.value if o.strand is not None else None,
-        o.score,
-        o.n_loci,
-        o.mismatches,
-        [[b.contig, b.start, b.end] for b in o.blocks],
-        o.spliced,
-    ]
+class ShardFormatIncompatible(JournalIncompatible):
+    """The journal holds an ``align.shard`` checkpoint whose outcome
+    layout this build does not read (written before outcome batches
+    existed, or by a newer layout).
+
+    Resume refuses before any accession starts instead of decoding it:
+    start a fresh journal, or resume with the build that wrote it.
+    """
+
+    def __init__(
+        self, fingerprint: str, accession: str, bounds: tuple[int, int], found: Any
+    ) -> None:
+        # the config fingerprints agreed; the shard layout is what differs
+        self.journal_fingerprint = self.config_fingerprint = fingerprint
+        self.accession = accession
+        self.bounds = bounds
+        self.found_format = found
+        RuntimeError.__init__(
+            self,
+            f"journal holds an align.shard checkpoint for {accession} "
+            f"{list(bounds)} in outcome format {found!r}; this build reads "
+            f"format {OUTCOME_FORMAT}, so refusing to resume (start a fresh "
+            "journal)",
+        )
 
 
-def _decode_outcome(v: list) -> ReadAlignment:
-    read_id, status, strand, score, n_loci, mismatches, blocks, spliced = v
-    return ReadAlignment(
-        read_id=read_id,
-        status=AlignmentStatus(status),
-        strand=Strand(strand) if strand is not None else None,
-        score=score,
-        n_loci=n_loci,
-        mismatches=mismatches,
-        blocks=tuple(SequenceRegion(c, s, e) for c, s, e in blocks),
-        spliced=spliced,
-    )
+def check_shard_format(
+    fingerprint: str, align_shards: dict[str, dict[tuple[int, int], dict]]
+) -> None:
+    """Raise :class:`ShardFormatIncompatible` unless every replayed
+    ``align.shard`` record carries this build's outcome layout."""
+    for accession, shards in align_shards.items():
+        for bounds, record in shards.items():
+            found = record.get("shard", {}).get("v")
+            if found != OUTCOME_FORMAT:
+                raise ShardFormatIncompatible(fingerprint, accession, bounds, found)
 
 
 def _encode_partial(p: GeneCountsPartial | None) -> dict | None:
@@ -493,74 +513,38 @@ def _decode_partial(v: dict | None) -> GeneCountsPartial | None:
     )
 
 
-def _encode_pair(o: PairedOutcome) -> list:
-    return [
-        o.pair_id,
-        o.status.value,
-        _encode_outcome(o.mate1),
-        _encode_outcome(o.mate2),
-        o.template_length,
-    ]
-
-
-def _decode_pair(v: list) -> PairedOutcome:
-    pair_id, status, mate1, mate2, template_length = v
-    return PairedOutcome(
-        pair_id=pair_id,
-        status=PairStatus(status),
-        mate1=_decode_outcome(mate1),
-        mate2=_decode_outcome(mate2),
-        template_length=template_length,
-    )
-
-
 def encode_shard_payload(
-    outcomes: list,
+    outcomes: OutcomeBatch | PairedOutcomeBatch,
     partial: GeneCountsPartial | None,
     seed_stats: dict,
 ) -> dict:
     """JSON-safe form of one worker batch result (the ``shard`` field of
     an ``align.shard`` record).
 
-    Accepts both library layouts: single-end :class:`ReadAlignment`
-    lists land under ``"o"``, paired :class:`PairedOutcome` lists under
-    ``"po"`` — so a paired checkpoint can never be mistaken for a
-    single-end one on replay.
+    The outcomes are encoded by :func:`~repro.align.outcome.
+    encode_outcomes`: tagged by batch type (single-end under ``"o"``,
+    paired under ``"po"``, so a paired checkpoint can never be mistaken
+    for a single-end one on replay) and versioned under ``"v"``.
     """
     stats = dict(seed_stats)
     # JSON stringifies int dict keys; keep them explicit so decode is exact
     stats["fallback_depths"] = {
         str(d): c for d, c in seed_stats["fallback_depths"].items()
     }
-    payload: dict[str, Any] = {
-        "gc": _encode_partial(partial),
-        "ss": stats,
-    }
-    if outcomes and isinstance(outcomes[0], PairedOutcome):
-        payload["po"] = [_encode_pair(o) for o in outcomes]
-    else:
-        payload["o"] = [_encode_outcome(o) for o in outcomes]
+    payload = encode_outcomes(outcomes)
+    payload["gc"] = _encode_partial(partial)
+    payload["ss"] = stats
     return payload
 
 
-def decode_shard_payload(
-    payload: dict,
-) -> tuple[list, GeneCountsPartial | None, dict]:
+def decode_shard_payload(payload: dict) -> ShardResult:
     """Inverse of :func:`encode_shard_payload`: yields the exact tuple the
     engine's worker entry point would have returned."""
     stats = dict(payload["ss"])
     stats["fallback_depths"] = {
         int(d): c for d, c in stats["fallback_depths"].items()
     }
-    if "po" in payload:
-        outcomes = [_decode_pair(v) for v in payload["po"]]
-    else:
-        outcomes = [_decode_outcome(v) for v in payload["o"]]
-    return (
-        outcomes,
-        _decode_partial(payload["gc"]),
-        stats,
-    )
+    return decode_outcomes(payload), _decode_partial(payload["gc"]), stats
 
 
 # --------------------------------------------------------------------------
@@ -572,7 +556,8 @@ class ShardCheckpointer:
     """The engine's window onto journal shard checkpoints for one accession.
 
     ``cached`` holds the ``align.shard`` records a resume replayed
-    (``JournalReplay.align_shards[accession]``); :meth:`load` serves a
+    (``JournalReplay.align_shards[accession]``, which holds only records
+    made under the journal's current fingerprint); :meth:`load` serves a
     shard from it only when the bounds match exactly *and* the config
     fingerprint agrees — anything else is a miss and the shard re-runs,
     which is always safe (checkpoints are an optimization, never a
@@ -601,9 +586,7 @@ class ShardCheckpointer:
         #: and the kill-instance chaos's deterministic SIGKILL hook)
         self.on_record: Callable[[int, int], None] | None = None
 
-    def load(
-        self, start: int, end: int
-    ) -> tuple[list[ReadAlignment], GeneCountsPartial | None, dict] | None:
+    def load(self, start: int, end: int) -> ShardResult | None:
         record = self._cached.get((start, end))
         if record is None or record.get("fp") != self.fingerprint:
             return None
@@ -614,7 +597,7 @@ class ShardCheckpointer:
         self,
         start: int,
         end: int,
-        outcomes: list[ReadAlignment],
+        outcomes: OutcomeBatch | PairedOutcomeBatch,
         partial: GeneCountsPartial | None,
         seed_stats: dict,
     ) -> None:

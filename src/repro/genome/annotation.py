@@ -8,8 +8,6 @@ simulator and the splice-junction database (``sjdb``).
 from __future__ import annotations
 
 import enum
-import itertools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,51 +159,87 @@ class Gene:
         return SequenceRegion(self.contig, self.start, self.end)
 
 
-class _GeneIndex:
-    """Per-contig interval index over gene extents.
+#: key stride per contig in the gene index: contig rank * _SPAN + coordinate
+#: keeps every contig's keys in its own range (contigs stay below 2**40 bp)
+_SPAN = 1 << 40
 
-    Genes are sorted by start (ties in annotation order) beside the
-    running maximum of their ends, so a query bisects to the candidates
-    that start before the region ends and whose prefix reaches past its
-    start.  A query costs O(log G + m + k log k) for k hits (sorted back
-    to annotation order), where m counts the genes nested in the
-    earliest-starting hit that end before the region starts: m is 0 when
-    no gene nests in another, but one gene spanning a whole contig makes
-    every query on it O(G).
+
+class _GeneIndex:
+    """Interval index over gene extents, held as arrays.
+
+    Genes with an extent are sorted by (contig, start, annotation
+    position).  Each contig's genes own one key range, ``rank * _SPAN +
+    coordinate``, so one sorted array of start keys and one of the
+    running maximum of end keys serve every contig: a region's
+    candidates are the genes that start before it ends and whose prefix
+    reaches past its start, and a candidate overlaps when its own end
+    does.  :meth:`overlapping` answers one region; :meth:`overlap_pairs`
+    answers a whole batch of blocks with the same arrays.  A query costs
+    O(log G + m + k log k) for k hits (sorted back to annotation order),
+    where m counts the genes nested in the earliest-starting hit that end
+    before the region starts: m is 0 when no gene nests in another, but
+    one gene spanning a whole contig makes every query on it O(G).
     """
 
     def __init__(self, genes: list[Gene]) -> None:
-        self._position = {gene.gene_id: i for i, gene in enumerate(genes)}
-        rows: dict[str, list[tuple[int, int, int]]] = {}
-        for position, gene in enumerate(genes):
-            if gene.transcripts:  # a gene without transcripts has no extent
-                rows.setdefault(gene.contig, []).append(
-                    (gene.start, position, gene.end)
-                )
-        #: contig -> (starts, running max of ends, ends, genes), in start order
-        self._contigs: dict[str, tuple[list, list, list, list[Gene]]] = {}
-        for contig, entries in rows.items():
-            entries.sort()
-            starts, positions, ends = (list(col) for col in zip(*entries))
-            reach = list(itertools.accumulate(ends, max))
-            by_start = [genes[i] for i in positions]
-            self._contigs[contig] = (starts, reach, ends, by_start)
+        self.genes = genes
+        self.gene_ids = [gene.gene_id for gene in genes]
+        #: per annotation position: the gene lies on the forward strand
+        self.forward = np.array(
+            [gene.strand is Strand.FORWARD for gene in genes], dtype=bool
+        )
+        # a gene without transcripts has no extent
+        placed = [(p, g) for p, g in enumerate(genes) if g.transcripts]
+        self._rank = {
+            contig: rank
+            for rank, contig in enumerate(dict.fromkeys(g.contig for _, g in placed))
+        }
+        rows = sorted((self._rank[g.contig], g.start, p, g.end) for p, g in placed)
+        rank, start, position, end = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        self._start_key = rank * _SPAN + start
+        # contigs are sorted by rank and ends stay below _SPAN, so the
+        # global running maximum is each contig's own running maximum
+        self._reach_key = np.maximum.accumulate(rank * _SPAN + end)
+        self._end = end
+        self._position = position
 
     def overlapping(self, region: SequenceRegion) -> list[Gene]:
         """Genes overlapping ``region``, in annotation order."""
-        entry = self._contigs.get(region.contig)
-        if entry is None:
+        rank = self._rank.get(region.contig)
+        if rank is None:
             return []
-        starts, reach, ends, genes = entry
+        start = rank * _SPAN + min(region.start, _SPAN - 1)
+        end = rank * _SPAN + min(region.end, _SPAN - 1)
+        lo = int(np.searchsorted(self._reach_key, start, "right"))
+        hi = int(np.searchsorted(self._start_key, end, "left"))
         # overlap: gene.start < region.end and region.start < gene.end
-        start = region.start
-        hits = []
-        for k in range(bisect_right(reach, start), bisect_left(starts, region.end)):
-            if ends[k] > start:
-                hits.append(genes[k])
-        if len(hits) > 1:
-            hits.sort(key=lambda gene: self._position[gene.gene_id])
-        return hits
+        hits = self._position[lo:hi][self._end[lo:hi] > region.start]
+        return [self.genes[p] for p in np.sort(hits).tolist()]
+
+    def overlap_pairs(
+        self,
+        contig_names: tuple[str, ...],
+        contig: np.ndarray,
+        start: np.ndarray,
+        end: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every (block, gene) overlap among blocks ``[start, end)`` on
+        ``contig_names[contig]``: block indices and annotation positions."""
+        ranks = np.array(
+            [self._rank.get(name, -1) for name in contig_names], dtype=np.int64
+        )
+        rank = ranks[contig] if contig.size else contig
+        base = rank * _SPAN
+        lo = np.searchsorted(
+            self._reach_key, base + np.minimum(start, _SPAN - 1), "right"
+        )
+        hi = np.searchsorted(self._start_key, base + np.minimum(end, _SPAN - 1), "left")
+        width = np.where(rank >= 0, np.maximum(hi - lo, 0), 0)
+        block = np.repeat(np.arange(width.size), width)
+        first = np.cumsum(width) - width
+        k = np.repeat(lo, width) + np.arange(block.size) - np.repeat(first, width)
+        hit = self._end[k] > start[block]
+        return block[hit], self._position[k[hit]]
 
 
 @dataclass
@@ -264,11 +298,16 @@ class Annotation:
                 return g
         return None
 
-    def overlapping_genes(self, region: SequenceRegion) -> list[Gene]:
-        """All genes whose extent overlaps ``region``, in annotation order."""
+    @property
+    def gene_index(self) -> _GeneIndex:
+        """The gene interval index (built on first use)."""
         if self._index is None:
             self._index = _GeneIndex(self.genes)
-        return self._index.overlapping(region)
+        return self._index
+
+    def overlapping_genes(self, region: SequenceRegion) -> list[Gene]:
+        """All genes whose extent overlaps ``region``, in annotation order."""
+        return self.gene_index.overlapping(region)
 
     def splice_junctions(self) -> list[tuple[str, int, int]]:
         """The annotated junction database: (contig, donor_end, acceptor_start).

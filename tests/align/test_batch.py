@@ -8,16 +8,29 @@ crossing contig boundaries, reads shorter than the jump-table k-mer,
 paired mates, and early-stopped runs.
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.align.batch import align_read_batch
+from repro.align.counts import GeneCounts
 from repro.align.index import GenomeIndex
-from repro.align.paired import PairedParameters, PairedStarAligner
-from repro.align.star import StarAligner, StarParameters
+from repro.align.outcome import (
+    AlignmentStatus,
+    OutcomeBatch,
+    PairedOutcomeBatch,
+    PairStatus,
+    decode_outcomes,
+    encode_outcomes,
+)
+from repro.align.paired import PairedParameters, PairedStarAligner, PairedTally
+from repro.align.star import SingleEndTally, StarAligner, StarParameters
 from repro.align.suffix_array import build_suffix_array
 from repro.genome.alphabet import BASE_N, reverse_complement
 from repro.reads.fastq import FastqRecord
+from tests.align.repeats import repeat_cases
 
 
 def as_record(seq: np.ndarray, rid: str) -> FastqRecord:
@@ -204,3 +217,138 @@ class TestEarlyStopMidBatch:
         assert on.outcomes == off.outcomes
         assert len(on.outcomes) == 90
         assert on.final.reads_processed == off.final.reads_processed
+
+
+# -- the array rules against their per-read oracles --------------------------
+
+
+def oracle_tally(records, outcomes) -> dict:
+    """``Log.final.out`` counters read by read, the way the per-outcome
+    tally loop counted them."""
+    tally = dict.fromkeys(
+        ("unique", "multi", "too_many", "unmapped", "spliced", "mismatches", "bases"),
+        0,
+    )
+    for record, outcome in zip(records, outcomes):
+        if outcome.status is AlignmentStatus.UNIQUE:
+            tally["unique"] += 1
+            tally["spliced"] += outcome.spliced
+            tally["mismatches"] += outcome.mismatches
+            tally["bases"] += record.length
+        elif outcome.status is AlignmentStatus.MULTIMAPPED:
+            tally["multi"] += 1
+        elif outcome.status is AlignmentStatus.TOO_MANY_LOCI:
+            tally["too_many"] += 1
+        else:
+            tally["unmapped"] += 1
+    return tally
+
+
+def oracle_counts(annotation, outcomes) -> GeneCounts:
+    """GeneCounts read by read: unique reads through ``record_unique``."""
+    counts = GeneCounts(annotation)
+    for outcome in outcomes:
+        if outcome.status is AlignmentStatus.UNIQUE:
+            counts.record_unique(list(outcome.blocks), outcome.strand)
+        elif outcome.status is AlignmentStatus.UNMAPPED:
+            counts.record_unmapped()
+        else:
+            counts.record_multimapped()
+    return counts
+
+
+def oracle_pair_counts(annotation, pairs) -> GeneCounts:
+    """GeneCounts pair by pair: a proper pair counts both mates' blocks
+    under mate 1's strand, a one-mate pair its unique mate's blocks."""
+    counts = GeneCounts(annotation)
+    for pair in pairs:
+        if pair.status is PairStatus.PROPER_PAIR:
+            blocks = list(pair.mate1.blocks) + list(pair.mate2.blocks)
+            counts.record_unique(blocks, pair.mate1.strand)
+        elif pair.status is PairStatus.ONE_MATE:
+            unique = (
+                pair.mate1
+                if pair.mate1.status is AlignmentStatus.UNIQUE
+                else pair.mate2
+            )
+            counts.record_unique(list(unique.blocks), unique.strand)
+        elif pair.status is PairStatus.UNMAPPED:
+            counts.record_unmapped()
+        else:
+            counts.record_multimapped()
+    return counts
+
+
+def round_trip(batch):
+    return decode_outcomes(json.loads(json.dumps(encode_outcomes(batch))))
+
+
+class TestRepeatGenomes:
+    """Genomes of repeated, reverse-complemented and palindromic segments
+    (:mod:`tests.align.repeats`) reach what random genomes do not:
+    multimappers, ``multimap_nmax`` overflow, forward/reverse ties,
+    error-bridge and spliced placements, and every pair status."""
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(repeat_cases())
+    def test_batch_core_tallies_counts_and_codec_match_the_oracles(self, case):
+        aligner = StarAligner(
+            case.index, StarParameters(multimap_nmax=case.multimap_nmax)
+        )
+        annotation = case.index.annotation
+        outcomes = align_read_batch(aligner, case.reads)
+        expected = [aligner.align_read(r) for r in case.reads]
+        assert outcomes == expected
+
+        tally = SingleEndTally()
+        tally.add(outcomes)
+        assert oracle_tally(case.reads, expected) == {
+            "unique": tally.mapped_unique,
+            "multi": tally.mapped_multi,
+            "too_many": tally.too_many_loci,
+            "unmapped": tally.unmapped,
+            "spliced": tally.spliced_reads,
+            "mismatches": tally.mismatch_bases,
+            "bases": tally.aligned_bases,
+        }
+        partial = SingleEndTally.gene_partial(annotation, outcomes)
+        assert partial == oracle_counts(annotation, expected).to_partial()
+        # the partial is JSON-safe: a shard checkpoint journals it
+        assert json.loads(json.dumps(partial.gene_counts)) == partial.gene_counts
+
+        assert round_trip(outcomes) == outcomes == round_trip(OutcomeBatch.of(expected))
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(repeat_cases())
+    def test_pairing_tallies_counts_and_codec_match_the_oracles(self, case):
+        aligner = StarAligner(
+            case.index, StarParameters(multimap_nmax=case.multimap_nmax)
+        )
+        paired = PairedStarAligner(aligner, PairedParameters())
+        annotation = case.index.annotation
+        pairs = paired._pair_batch((case.mate1, case.mate2))
+        expected = [
+            paired.align_pair(r1, r2) for r1, r2 in zip(case.mate1, case.mate2)
+        ]
+        assert isinstance(pairs, PairedOutcomeBatch)
+        assert pairs == expected
+
+        tally = PairedTally()
+        tally.add(pairs)
+        statuses = [p.status for p in expected]
+        assert tally.mapped_multi == statuses.count(PairStatus.MULTIMAPPED)
+        assert tally.unmapped == statuses.count(PairStatus.UNMAPPED)
+        assert tally.mapped_unique + tally.mapped_multi + tally.unmapped == len(
+            expected
+        )
+        assert tally.spliced_reads == sum(
+            p.mate1.spliced or p.mate2.spliced for p in expected
+        )
+        partial = PairedTally.gene_partial(annotation, pairs)
+        assert partial == oracle_pair_counts(annotation, expected).to_partial()
+
+        assert round_trip(pairs) == pairs == round_trip(PairedOutcomeBatch.of(expected))

@@ -160,9 +160,10 @@ class TestPairedResume:
                 journal, "SRR1", "fp-other-config", cached=cached
             )
             got = run_with_checkpoint(engine, paired_sample, resumed)
-        # every shard misses (no stale serve) and none is re-journaled —
-        # those bounds are already durable and replay keeps the first
-        # record per bounds, so re-recording would be invisible bloat
+        # every shard misses (no stale serve) and none is re-journaled:
+        # the checkpointer skips bounds already in the cache it is handed
+        # (a replay of a journal under the new fingerprint would not have
+        # handed it these records at all)
         assert resumed.hits == 0
         assert resumed.recorded == 0
         assert_matches_reference(got, reference)

@@ -178,6 +178,50 @@ class TestJournaledBatch:
         by_acc = {r.accession: r for r in resumed}
         assert not by_acc[victim].resumed  # re-ran, but from checkpoints
 
+    def test_old_format_shard_checkpoint_is_refused_before_any_start(
+        self, repository, aligner_r111, tmp_path
+    ):
+        """An ``align.shard`` record in the per-record layout written
+        before outcome batches existed is never decoded: the resume
+        fails before anything is appended to the journal."""
+        from repro.core.journal import JournalIncompatible, config_fingerprint
+        from repro.core.replication import ShardFormatIncompatible
+
+        journal_path = tmp_path / "run.jsonl"
+        pipeline = make_pipeline(
+            repository, aligner_r111, tmp_path / "w", workers=2,
+            align_batch_size=32,
+        )
+        fingerprint = config_fingerprint(pipeline.config)
+        with RunJournal(journal_path) as journal:
+            journal.record_batch_start(ACCESSIONS[:1], fingerprint)
+            journal.record_started(ACCESSIONS[0])
+            journal.record_align_shard(
+                ACCESSIONS[0],
+                0,
+                32,
+                fingerprint,
+                {
+                    "o": [
+                        [f"{ACCESSIONS[0]}.1", "unique", "+", 160, 1, 0,
+                         [["1", 100, 180]], False],
+                    ],
+                    "gc": None,
+                    "ss": {"fallback_depths": {}},
+                },
+            )
+        before = journal_path.read_text()
+        with pytest.raises(ShardFormatIncompatible) as refused:
+            pipeline.run_batch(
+                ACCESSIONS[:1],
+                BatchOptions(
+                    journal=journal_path, resume=True, shard_checkpoints=True
+                ),
+            )
+        assert isinstance(refused.value, JournalIncompatible)
+        assert refused.value.accession == ACCESSIONS[0]
+        assert journal_path.read_text() == before
+
     def test_resume_parallel_matches_serial(
         self, repository, aligner_r111, tmp_path
     ):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.align.counts import GeneCountsPartial
+from repro.align.outcome import OutcomeBatch
 from repro.align.star import AlignmentStatus, ReadAlignment
 from repro.cloud.s3 import S3Bucket
 from repro.core.journal import RunJournal
@@ -197,7 +198,7 @@ class TestBatchLease:
 
 
 def make_outcomes():
-    return [
+    return OutcomeBatch.of([
         ReadAlignment(
             read_id="r1",
             status=AlignmentStatus.UNIQUE,
@@ -221,7 +222,7 @@ def make_outcomes():
             blocks=(),
             spliced=False,
         ),
-    ]
+    ])
 
 
 def make_seed_stats():
@@ -308,6 +309,36 @@ class TestShardCheckpointer:
         ckpt.record(0, 64, make_outcomes(), None, make_seed_stats())
         assert ckpt.recorded == 1
         assert journal.appends == 1
+
+    def test_record_under_another_fingerprint_neither_serves_nor_blocks(
+        self, tmp_path
+    ):
+        """A journal reused by a fresh run under another config, then
+        resumed: the old config's checkpoint of the same bounds must
+        neither hide the new config's checkpoint nor stop the new config
+        from writing one (the rework bound of one shard per worker)."""
+        journal = RunJournal(tmp_path / "run.jsonl")
+        journal.record_batch_start(["SRR1"], "fpA")
+        ShardCheckpointer(journal, "SRR1", "fpA").record(
+            0, 1, make_outcomes()[:1], None, make_seed_stats()
+        )
+        journal.record_batch_start(["SRR1"], "fpB")
+        cached = journal.replay().align_shards.setdefault("SRR1", {})
+        fresh = ShardCheckpointer(journal, "SRR1", "fpB", cached)
+        assert fresh.load(0, 1) is None
+        fresh.record(0, 1, make_outcomes()[:1], None, make_seed_stats())
+        assert fresh.recorded == 1
+
+        # the journal now holds fpA's and fpB's records of [0, 1), in
+        # that order; a resume under fpB is served fpB's
+        resumed = ShardCheckpointer(
+            journal, "SRR1", "fpB", journal.replay().align_shards["SRR1"]
+        )
+        loaded = resumed.load(0, 1)
+        assert resumed.hits == 1
+        assert loaded is not None and loaded[0] == make_outcomes()[:1]
+        resumed.record(0, 1, make_outcomes()[:1], None, make_seed_stats())
+        assert resumed.recorded == 0
 
     def test_on_record_hook_fires(self, tmp_path):
         journal = RunJournal(tmp_path / "run.jsonl")

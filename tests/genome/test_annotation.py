@@ -226,6 +226,18 @@ class TestOverlapIndex:
             found = annotation.overlapping_genes(region)
             expected = brute_force_overlaps(genes, region)
             assert [g.gene_id for g in found] == [g.gene_id for g in expected]
+        # the batch query answers every region at once from the same index
+        names = tuple(dict.fromkeys(region.contig for region in regions))
+        block, position = annotation.gene_index.overlap_pairs(
+            names,
+            np.array([names.index(region.contig) for region in regions]),
+            np.array([region.start for region in regions]),
+            np.array([region.end for region in regions]),
+        )
+        for b, region in enumerate(regions):
+            found = [genes[p] for p in sorted(position[block == b].tolist())]
+            expected = brute_force_overlaps(genes, region)
+            assert [g.gene_id for g in found] == [g.gene_id for g in expected]
 
     def test_nested_and_touching(self):
         def gene(gid, start, end):

@@ -1,5 +1,7 @@
 """CLI tests: every subcommand runs and prints its headline content."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -171,3 +173,39 @@ class TestPipelineCommand:
         )
         assert code == 2
         assert "refusing to resume" in capsys.readouterr().err
+
+    def test_old_format_shard_checkpoint_exits_2(self, capsys, tmp_path):
+        """A checkpoint in the per-record layout that predates outcome
+        batches is refused like a config mismatch, before any start."""
+        journal = tmp_path / "batch.jsonl"
+        assert main(["pipeline", "--accessions", "1", "--journal", str(journal)]) == 0
+        capsys.readouterr()
+        start = json.loads(journal.read_text().splitlines()[0])
+        record = {
+            "t": "align.shard",
+            "acc": start["accessions"][0],
+            "lo": 0,
+            "hi": 1,
+            "fp": start["fp"],
+            "shard": {
+                "o": [["r1", "unmapped", None, 0, 0, 0, [], False]],
+                "gc": None,
+                "ss": {"fallback_depths": {}},
+            },
+        }
+        journal.write_text(journal.read_text() + json.dumps(record) + "\n")
+        before = journal.read_text()
+        code = main(
+            [
+                "pipeline",
+                "--accessions",
+                "1",
+                "--journal",
+                str(journal),
+                "--resume",
+                "--shard-checkpoints",
+            ]
+        )
+        assert code == 2
+        assert "refusing to resume" in capsys.readouterr().err
+        assert journal.read_text() == before
