@@ -4,6 +4,9 @@ Measures the read throughput of the serial :class:`StarAligner` against
 the :class:`~repro.align.engine.ParallelStarAligner` at increasing worker
 counts on the same corpus, verifies the parallel results are identical,
 and records everything to ``BENCH_parallel.json`` at the repo root.
+Each configuration runs ``REPEATS`` times, a serial run right before
+each engine run, so the recorded rates are medians with their [Q1, Q3]
+and the ``speedup`` is the median per-repeat ratio of adjacent runs.
 
 The ≥2.5× speedup acceptance bar for 4 workers only holds where 4 cores
 exist, so the assertion is gated on ``os.cpu_count()``; the JSON record
@@ -17,6 +20,7 @@ Also runnable directly (the CI smoke path)::
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -33,6 +37,8 @@ from repro.reads.simulator import ReadSimulator
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_parallel.json"
 READ_LENGTH = 80
+#: timed runs per configuration
+REPEATS = 5
 
 
 def _corpus(n_reads: int):
@@ -50,47 +56,70 @@ def _corpus(n_reads: int):
     return index, sample.records
 
 
+def median_iqr(values: list[float]) -> tuple[float, list[float]]:
+    """Median and [Q1, Q3] of ``values``."""
+    if len(values) == 1:
+        return values[0], [values[0], values[0]]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, [q1, q3]
+
+
+def _timed(run, records) -> tuple[float, object]:
+    started = time.perf_counter()
+    result = run(records)
+    return time.perf_counter() - started, result
+
+
 def measure(worker_counts=(2, 4), n_reads: int = 800) -> dict:
     """Time serial vs parallel runs; returns the JSON-ready record."""
     index, records = _corpus(n_reads)
     parameters = StarParameters(progress_every=200)
 
     serial_aligner = StarAligner(index, parameters)
-    started = time.perf_counter()
-    serial = serial_aligner.run(records)
-    serial_seconds = time.perf_counter() - started
-
-    record = {
+    serial = serial_aligner.run(records)  # the reference, and a warm-up
+    serial_seconds: list[float] = []
+    parallel_rows = []
+    for workers in worker_counts:
+        with ParallelStarAligner(index, parameters, workers=workers) as engine:
+            engine.run(records[:64])  # warm the pool; steady-state timing
+            trials = []
+            for _ in range(REPEATS):
+                before, _ = _timed(serial_aligner.run, records)
+                seconds, parallel = _timed(engine.run, records)
+                assert parallel.outcomes == serial.outcomes, (
+                    f"{workers}-worker outcomes diverged from serial"
+                )
+                serial_seconds.append(before)
+                trials.append((seconds, before / seconds))
+            shared_bytes = engine.shared_bytes
+        seconds = statistics.median(t for t, _ in trials)
+        rate, rate_iqr = median_iqr([n_reads / t for t, _ in trials])
+        speedup, speedup_iqr = median_iqr([ratio for _, ratio in trials])
+        parallel_rows.append(
+            {
+                "workers": workers,
+                "seconds": seconds,
+                "reads_per_second": rate,
+                "reads_per_second_iqr": rate_iqr,
+                "speedup": speedup,
+                "speedup_iqr": speedup_iqr,
+                "shared_index_bytes": shared_bytes,
+            }
+        )
+    serial_rate, serial_iqr = median_iqr([n_reads / t for t in serial_seconds])
+    return {
         "n_reads": n_reads,
         "read_length": READ_LENGTH,
         "genome_bases": index.n_bases,
         "cpu_count": os.cpu_count(),
+        "repeats": REPEATS,
         "serial": {
-            "seconds": serial_seconds,
-            "reads_per_second": n_reads / serial_seconds,
+            "seconds": statistics.median(serial_seconds),
+            "reads_per_second": serial_rate,
+            "reads_per_second_iqr": serial_iqr,
         },
-        "parallel": [],
+        "parallel": parallel_rows,
     }
-    for workers in worker_counts:
-        with ParallelStarAligner(index, parameters, workers=workers) as engine:
-            engine.run(records[:64])  # warm the pool; steady-state timing
-            started = time.perf_counter()
-            parallel = engine.run(records)
-            seconds = time.perf_counter() - started
-            shared_bytes = engine.shared_bytes
-        assert parallel.outcomes == serial.outcomes, (
-            f"{workers}-worker outcomes diverged from serial"
-        )
-        record["parallel"].append(
-            {
-                "workers": workers,
-                "seconds": seconds,
-                "reads_per_second": n_reads / seconds,
-                "speedup": serial_seconds / seconds,
-                "shared_index_bytes": shared_bytes,
-            }
-        )
-    return record
 
 
 def test_bench_parallel_engine(once):

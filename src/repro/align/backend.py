@@ -31,6 +31,7 @@ the checkpoint schedule is positional).
 from __future__ import annotations
 
 import functools
+import json
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ from repro.align.engine import (
     _shard_size,
 )
 from repro.align.merge import in_process, merge_shards
+from repro.align.outcome import encode_outcomes
 from repro.align.paired import PairedStarAligner
 from repro.align.suffix_array import SeedSearchStats
 from repro.cloud.faas import (
@@ -53,12 +55,12 @@ from repro.cloud.faas import (
     PayloadTooLarge,
     TooManyRequests,
 )
+from repro.reads.fastq import FastqRecord, ReadBatch
 
 if TYPE_CHECKING:
     from repro.align.engine import ParallelStarAligner
     from repro.align.outcome import AlignmentOutcome
     from repro.align.star import ProgressMonitorHook, StarAligner
-    from repro.reads.fastq import FastqRecord
 
 __all__ = [
     "AlignerBackend",
@@ -223,7 +225,11 @@ class EngineBackend:
     """Shared-memory multi-process alignment via :class:`ParallelStarAligner`.
 
     Handles both library layouts — the engine already exposes matching
-    ``run`` / ``run_paired`` entry points.
+    ``run`` / ``run_paired`` entry points.  Single-end reads reach the
+    engine as a lazy feed, packed into a
+    :class:`~repro.reads.fastq.ReadBatch` shard by shard as the merge
+    pulls them (an early stop packs nothing past it); paired and
+    checkpointed runs materialize the feed and pack it once.
     """
 
     name = "engine"
@@ -257,9 +263,11 @@ class FaasAlignerBackend:
     """Serverless scatter-gather alignment over short-lived functions.
 
     The authors' follow-up paper replaces long-lived workers with FaaS:
-    one accession's reads are sharded along the engine's
-    ``_shard_bounds`` schedule and each shard becomes one function
-    invocation against a simulated :class:`~repro.cloud.faas.FaasService`.
+    one accession's reads are packed once into a
+    :class:`~repro.reads.fastq.ReadBatch` (one per mate), sharded along
+    the engine's ``_shard_bounds`` schedule as slices of it, and each
+    shard becomes one function invocation against a simulated
+    :class:`~repro.cloud.faas.FaasService`.
     The *function body* is the same pure batch helper a pool worker runs
     (``_align_records`` / ``_align_pairs``), and the gather side is the
     ordered shard merge every backend shares
@@ -278,10 +286,15 @@ class FaasAlignerBackend:
       schedule bounds — and therefore shard-checkpoint keys — are
       preserved.
 
-    Shards are pre-sized from the batch-core cost model (the engine's
-    sizing rule) *and* the service's payload/cap limits, so splits are
-    the exception; ``checkpoint`` compatibility means a resumed batch
-    skips every shard a previous invocation round completed.
+    Payloads are measured, not estimated: a request is the packed
+    shard's :attr:`~repro.reads.fastq.ReadBatch.nbytes` (both mates when
+    paired), a response the outcome codec's encoded bytes
+    (:func:`~repro.align.outcome.encode_outcomes`, the form an
+    ``align.shard`` checkpoint journals).  Shards are pre-sized from the
+    batch-core cost model (the engine's sizing rule) *and* the request
+    limit, so splits are the exception; ``checkpoint`` compatibility
+    means a resumed batch skips every shard a previous invocation round
+    completed.
 
     Durations are modeled (``seconds_per_read``), never wall-clock, so
     cap and billing behaviour is deterministic; the virtual clock also
@@ -304,7 +317,6 @@ class FaasAlignerBackend:
         parallelism: int = 8,
         batch_size: int | None = None,
         seconds_per_read: float = 2e-4,
-        response_bytes_per_outcome: int = 96,
     ) -> None:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
@@ -335,7 +347,6 @@ class FaasAlignerBackend:
         self.parallelism = parallelism
         self.batch_size = batch_size
         self.seconds_per_read = seconds_per_read
-        self.response_bytes_per_outcome = response_bytes_per_outcome
         #: virtual service time (advanced by modeled durations + backoff)
         self.virtual_now = 0.0
         self.cap_reshards = 0
@@ -354,23 +365,10 @@ class FaasAlignerBackend:
             self._paired = PairedStarAligner(self.aligner, self.paired_parameters)
         return self._paired
 
-    @staticmethod
-    def _records_bytes(records: list[FastqRecord]) -> int:
-        # sequence + qualities + id + framing: the wire-size estimate the
-        # shard sizer and the service's payload check both use
-        return sum(2 * r.length + len(r.read_id) + 8 for r in records)
-
-    def _request_bytes(self, payload, *, paired: bool) -> int:
-        if paired:
-            return self._records_bytes(payload[0]) + self._records_bytes(payload[1])
-        return self._records_bytes(payload)
-
-    def _response_bytes(self, outcomes: list) -> int:
-        return len(outcomes) * self.response_bytes_per_outcome
-
-    def shard_size(self, records: list[FastqRecord], mate2=None) -> int:
+    def shard_size(self, reads: ReadBatch, mate2: ReadBatch | None = None) -> int:
         """Reads per invocation: the engine's cost-model size, capped by
-        what fits the request-payload limit.
+        what fits the request-payload limit at the batch's mean packed
+        bytes per read (both mates when paired).
 
         Payload size is known exactly up front, so oversized requests
         are prevented here rather than discovered by a 413.  Execution
@@ -380,15 +378,15 @@ class FaasAlignerBackend:
         re-sharded, which is the ``cap_reshards`` metric the campaign
         reports.
         """
-        n = len(records)
+        n = len(reads)
         base = _shard_size(
             n, self.parallelism, self.batch_size, self.aligner.parameters.batch_align
         )
         if not n:
             return base
-        total_bytes = self._records_bytes(records)
+        total_bytes = reads.nbytes
         if mate2 is not None:
-            total_bytes += self._records_bytes(mate2)
+            total_bytes += mate2.nbytes
         avg = max(1.0, total_bytes / n)
         by_payload = max(1, int(self.limits.max_request_bytes / avg))
         return max(1, min(base, by_payload))
@@ -419,14 +417,14 @@ class FaasAlignerBackend:
         exactly what a pool worker would have produced for this shard,
         whatever combination of retries and splits it took to get there.
         """
+        request_bytes = (
+            payload[0].nbytes + payload[1].nbytes if paired else payload.nbytes
+        )
         attempt = 0
         while True:
             attempt += 1
             try:
-                invocation = self.function.invoke(
-                    self._request_bytes(payload, paired=paired),
-                    now=self.virtual_now,
-                )
+                invocation = self.function.invoke(request_bytes, now=self.virtual_now)
             except PayloadTooLarge:
                 self.payload_reshards += 1
                 return self._split_shard(payload, paired=paired)
@@ -448,12 +446,10 @@ class FaasAlignerBackend:
             self.virtual_now += invocation.cold_start_seconds + min(
                 duration, self.limits.max_execution_seconds
             )
+            response = json.dumps(encode_outcomes(value[0]), separators=(",", ":"))
             try:
                 self.function.complete(
-                    invocation,
-                    duration,
-                    self._response_bytes(value[0]),
-                    now=self.virtual_now,
+                    invocation, duration, len(response), now=self.virtual_now
                 )
             except FunctionCrashed:
                 if not self.retry.should_retry(attempt):
@@ -508,15 +504,17 @@ class FaasAlignerBackend:
         checkpoint: Any = None,
     ) -> AlignmentOutcome:
         records, mate2 = reads.materialize()
-        n = len(records)
+        mate1 = ReadBatch.of(records)
+        n = len(mate1)
         if mate2 is not None:
+            mate2 = ReadBatch.of(mate2)
             run = self._paired_aligner()._accumulator(n, monitor, time.monotonic)
-            spans = _shard_bounds(n, self.shard_size(records, mate2))
-            shards = [(records[s:e], mate2[s:e]) for s, e in spans]
+            spans = _shard_bounds(n, self.shard_size(mate1, mate2))
+            shards = [(mate1[s:e], mate2[s:e]) for s, e in spans]
         else:
             run = self.aligner._accumulator(n, monitor, time.monotonic)
-            spans = _shard_bounds(n, self.shard_size(records))
-            shards = [records[s:e] for s, e in spans]
+            spans = _shard_bounds(n, self.shard_size(mate1))
+            shards = [mate1[s:e] for s, e in spans]
         result = merge_shards(
             run,
             shards,

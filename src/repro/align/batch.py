@@ -11,9 +11,10 @@ narrowing.
 This module drives whole *batches* of reads through the identical
 decision procedure with the per-symbol work hoisted into numpy:
 
-* :class:`PackedReadBatch` packs a batch (both orientations) into
-  contiguous arrays — base codes, per-segment offsets and lengths — the
-  structure-of-arrays layout every kernel below gathers from;
+* :class:`PackedReadBatch` packs a :class:`~repro.reads.fastq.ReadBatch`
+  (both orientations) into contiguous arrays — base codes, per-segment
+  offsets and lengths — the structure-of-arrays layout every kernel
+  below gathers from;
 * :func:`batch_mmp` resolves all MMP queries level-by-level: one fused
   :class:`~repro.align.suffix_array.PrefixJumpTable` lookup per depth
   (vectorized base-6 encoding over the live queries), lock-step
@@ -56,6 +57,7 @@ from repro.align.outcome import (
     OutcomeBatch,
 )
 from repro.genome.alphabet import BASE_A, BASE_G, BASE_N, BASE_T, complement
+from repro.reads.fastq import ReadBatch
 
 if TYPE_CHECKING:
     from repro.align.star import StarAligner
@@ -109,15 +111,22 @@ class PackedReadBatch:
         return int(self.lengths.size)
 
     @classmethod
-    def pack(cls, sequences: list[np.ndarray]) -> "PackedReadBatch":
-        """Pack forward sequences plus their reverse complements."""
-        n_reads = len(sequences)
-        fwd_lengths = np.array([s.size for s in sequences], dtype=np.int64)
+    def pack(cls, reads: ReadBatch) -> "PackedReadBatch":
+        """Pack the non-empty reads of ``reads``, then their reverse
+        complements.
+
+        A zero-length read holds no bases, so the batch's concatenated
+        base codes are already the forward pool; a length mask drops
+        such reads from the segment table.
+        """
+        fwd = reads.sequence
+        read_lengths = reads.lengths
+        fwd_lengths = read_lengths[read_lengths > 0]
+        n_reads = int(fwd_lengths.size)
         lengths = np.concatenate([fwd_lengths, fwd_lengths])
         offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        if n_reads and int(fwd_lengths.sum()):
-            fwd = np.concatenate(sequences).astype(np.uint8, copy=False)
+        if fwd.size:
             # reverse each segment in place of a per-read [::-1]: position j
             # of the pool maps to its segment-mirrored twin
             starts = np.repeat(offsets[:n_reads], fwd_lengths)
@@ -520,26 +529,24 @@ def _batch_stitch(
 
 
 def align_read_batch(
-    aligner: "StarAligner", records: list["FastqRecord"]
+    aligner: "StarAligner", reads: ReadBatch | list["FastqRecord"]
 ) -> OutcomeBatch:
     """Align a batch of reads through the vectorized core.
 
-    Returns one :class:`~repro.align.outcome.OutcomeBatch` row per
-    record, in order; row ``i`` equals what ``aligner.align_read``
-    produces for ``records[i]``.
+    ``reads`` is a :class:`~repro.reads.fastq.ReadBatch`, or a list of
+    records packed into one here.  Returns one
+    :class:`~repro.align.outcome.OutcomeBatch` row per read, in order;
+    row ``i`` equals what ``aligner.align_read`` produces for read ``i``.
     """
+    reads = ReadBatch.of(reads)
     index = aligner.index
     params = aligner.parameters
     # zero-length reads can never seed (same early return as align_read)
-    live = [r for r, record in enumerate(records) if record.sequence.size]
+    live = np.flatnonzero(reads.lengths)
     placed = _Placements.empty()
-    if live:
-        placed = _place_reads(
-            index, index.search_context, params, [records[r].sequence for r in live]
-        )
-    return _outcomes_of(
-        index, params, [record.read_id for record in records], live, placed
-    )
+    if live.size:
+        placed = _place_reads(index, index.search_context, params, reads)
+    return _outcomes_of(index, params, reads.read_ids, live, placed)
 
 
 @dataclass(frozen=True)
@@ -568,12 +575,11 @@ class _Placements:
         return cls(0, none, none, none, none, none, none.astype(bool), none, none)
 
 
-def _place_reads(index, ctx, params, sequences: list[np.ndarray]) -> _Placements:
-    """Seed, extend, stitch and error-bridge every orientation of a batch."""
+def _place_reads(index, ctx, params, reads: ReadBatch) -> _Placements:
+    """Seed, extend, stitch and error-bridge both orientations of every
+    non-empty read of a batch."""
     scoring = params.scoring
-    batch = PackedReadBatch.pack(
-        [np.asarray(seq, dtype=np.uint8) for seq in sequences]
-    )
+    batch = PackedReadBatch.pack(reads)
     bases = batch.bases
     offsets = batch.offsets[:-1]
     lengths = batch.lengths
@@ -735,7 +741,7 @@ def _place_reads(index, ctx, params, sequences: list[np.ndarray]) -> _Placements
 
 
 def _outcomes_of(
-    index, params, read_ids: list[str], live: list[int], placed: _Placements
+    index, params, read_ids: list[str], live: np.ndarray, placed: _Placements
 ) -> OutcomeBatch:
     """Classify every read from its placements, by the per-read rules.
 
@@ -782,7 +788,7 @@ def _outcomes_of(
         at = np.where(key == lowest[group], np.arange(read.size), read.size)
         chosen = order[np.minimum.reduceat(at, first)]
 
-        rows = np.asarray(live, dtype=np.int64)[read[first]]
+        rows = live[read[first]]
         mapped = best >= 0
         crowded = mapped & (loci > params.multimap_nmax)
         status[rows[crowded]] = TOO_MANY_LOCI

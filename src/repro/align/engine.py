@@ -12,8 +12,11 @@ This module reproduces both levers for the in-process aligner:
   pickle;
 
 * :class:`ParallelStarAligner` shards a read stream into batches,
-  dispatches them to a persistent worker pool, and merges the per-batch
-  results **deterministically in read order** through the same
+  dispatches them to a persistent worker pool as packed
+  :class:`~repro.reads.fastq.ReadBatch` arrays (ids, base codes, Phred
+  scores, offsets — no per-read objects to pickle or rebuild), and
+  merges the per-batch results **deterministically in read order**
+  through the same
   :func:`~repro.align.merge.merge_shards` loop serial runs use, so the merged
   :class:`~repro.align.star.StarRunResult` is identical to what the
   serial :class:`~repro.align.star.StarAligner` produces — outcomes,
@@ -64,7 +67,7 @@ from repro.align.star import (
 )
 from repro.align.suffix_array import PrefixJumpTable, SeedSearchStats
 from repro.genome.annotation import Annotation
-from repro.reads.fastq import FastqRecord
+from repro.reads.fastq import FastqRecord, ReadBatch
 
 __all__ = [
     "EngineHealth",
@@ -243,7 +246,7 @@ def _init_worker(
 
 
 def _align_records(
-    aligner: StarAligner, records: list[FastqRecord]
+    aligner: StarAligner, reads: ReadBatch
 ) -> tuple[OutcomeBatch, GeneCountsPartial | None, dict]:
     """Align one single-end batch with a given aligner (pure; no globals).
 
@@ -261,7 +264,7 @@ def _align_records(
     # parameters enable it (the per-read loop otherwise) — either way the
     # outcomes are bit-identical, so workers and the parent's serial
     # fallback stay interchangeable.
-    outcomes = aligner.align_batch(records)
+    outcomes = aligner.align_batch(reads)
     annotation = aligner._counted_annotation()
     partial = (
         SingleEndTally.gene_partial(annotation, outcomes)
@@ -273,7 +276,7 @@ def _align_records(
 
 def _align_pairs(
     paired: PairedStarAligner,
-    batch: tuple[list[FastqRecord], list[FastqRecord]],
+    batch: tuple[ReadBatch, ReadBatch],
 ) -> tuple[PairedOutcomeBatch, GeneCountsPartial | None, dict]:
     """Align one paired batch with a given paired aligner (pure; no globals)."""
     stats = paired.aligner.index.search_context.stats
@@ -289,14 +292,14 @@ def _align_pairs(
 
 
 def _align_batch(
-    records: list[FastqRecord],
+    reads: ReadBatch,
 ) -> tuple[OutcomeBatch, GeneCountsPartial | None, dict]:
     """Pool entry point: align one single-end batch with the worker aligner."""
-    return _align_records(_WORKER["aligner"], records)
+    return _align_records(_WORKER["aligner"], reads)
 
 
 def _align_batch_paired(
-    batch: tuple[list[FastqRecord], list[FastqRecord]],
+    batch: tuple[ReadBatch, ReadBatch],
 ) -> tuple[PairedOutcomeBatch, GeneCountsPartial | None, dict]:
     """Pool entry point: align one paired batch with the worker aligner."""
     return _align_pairs(_WORKER["paired"], batch)
@@ -439,9 +442,13 @@ class ParallelStarAligner:
     :meth:`run` (or eagerly via :meth:`start`/``with``) and reused across
     runs, mirroring the paper's load-index-once-per-instance design.
 
-    ``batch_size`` reads are pickled per task; the index is never
-    re-sent.  ``batch_size=None`` (the default) sizes shards from the
-    batch-core cost model (see :func:`_shard_size`).  Results are
+    A task carries one shard of ``batch_size`` reads as a packed
+    :class:`~repro.reads.fastq.ReadBatch` (a pair of them when paired):
+    a materialized accession is packed once and cut into slices, a lazy
+    feed is packed shard by shard, and re-dispatch and the parent's
+    serial fallback reuse the same payload.  The index is never re-sent.
+    ``batch_size=None`` (the default) sizes shards from the batch-core
+    cost model (see :func:`_shard_size`).  Results are
     merged strictly in read order by :func:`~repro.align.merge.
     merge_shards`, so outputs — including the ``Log.progress.out``
     cadence the early-stopping monitor consumes — are identical to a
@@ -883,21 +890,24 @@ class ParallelStarAligner:
         decides *where outcomes come from*, never what they are.
         Requires materialized records (the shard schedule is positional),
         so a lazy feed is drained up front when a checkpoint is given.
+
+        Materialized records are packed into one
+        :class:`~repro.reads.fastq.ReadBatch` and dispatched as slices of
+        it; a lazy feed is packed one shard at a time as it is pulled.
         """
         if reads_total is None or checkpoint is not None:
-            if not isinstance(records, list):
-                records = list(records)
+            records = ReadBatch.of(records)
             reads_total = len(records)
         run = self._local_aligner()._accumulator(reads_total, monitor, clock)
         shard = _shard_size(
             reads_total, self.workers, self.batch_size, self.parameters.batch_align
         )
-        if checkpoint is None:
-            spans = None
-            shards = _iter_shards(records, shard)
-        else:
-            spans = _shard_bounds(reads_total, shard)
+        if isinstance(records, ReadBatch):
+            spans = _shard_bounds(len(records), shard)
             shards = [records[start:end] for start, end in spans]
+        else:
+            spans = None
+            shards = map(ReadBatch.of, _iter_shards(records, shard))
         result = merge_shards(
             run,
             shards,
@@ -914,8 +924,8 @@ class ParallelStarAligner:
 
     def run_paired(
         self,
-        mate1: list[FastqRecord],
-        mate2: list[FastqRecord],
+        mate1: list[FastqRecord] | ReadBatch,
+        mate2: list[FastqRecord] | ReadBatch,
         *,
         monitor: ProgressMonitorHook | None = None,
         clock: Callable[[], float] = time.monotonic,
@@ -927,10 +937,13 @@ class ParallelStarAligner:
         shards already in the journal are merged from it instead of
         re-aligned, and each fully merged live shard is journaled as it
         lands (the payload codec round-trips paired outcome batches —
-        see :mod:`repro.align.outcome`).
+        see :mod:`repro.align.outcome`).  Each mate list is packed once
+        into a :class:`~repro.reads.fastq.ReadBatch`; a shard is one slice
+        of each.
         """
         if len(mate1) != len(mate2):
             raise ValueError("mate lists must have equal length")
+        mate1, mate2 = ReadBatch.of(mate1), ReadBatch.of(mate2)
         run = self._local_paired_aligner()._accumulator(len(mate1), monitor, clock)
         shard = _shard_size(
             len(mate1), self.workers, self.batch_size, self.parameters.batch_align

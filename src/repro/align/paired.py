@@ -41,7 +41,7 @@ from repro.align.star import (
     StarAligner,
 )
 from repro.genome.annotation import Annotation, Strand
-from repro.reads.fastq import FastqRecord
+from repro.reads.fastq import FastqRecord, ReadBatch
 from repro.util.validation import check_positive
 
 
@@ -249,11 +249,13 @@ class PairedStarAligner:
         return self._pair_outcome(record1, m1, m2)
 
     def _pair_batch(
-        self, batch: tuple[list[FastqRecord], list[FastqRecord]]
+        self,
+        batch: tuple[list[FastqRecord], list[FastqRecord]]
+        | tuple[ReadBatch, ReadBatch],
     ) -> PairedOutcomeBatch:
-        """Align one shard's mate lists and pair them: through the batch
-        core and :meth:`_pair_mates`, or pair by pair on the per-read
-        path."""
+        """Align one shard's mates — two lists or two packed batches — and
+        pair them: through the batch core and :meth:`_pair_mates`, or
+        pair by pair on the per-read path."""
         if not self.aligner.parameters.batch_align:
             return PairedOutcomeBatch.of(
                 [self.align_pair(r1, r2) for r1, r2 in zip(*batch)]

@@ -47,7 +47,7 @@ from repro.align.splice import (
 from repro.genome.alphabet import reverse_complement
 from repro.genome.annotation import Annotation, Strand
 from repro.genome.model import SequenceRegion
-from repro.reads.fastq import FastqRecord
+from repro.reads.fastq import FastqRecord, ReadBatch
 from repro.reads.stream import iter_chunks
 
 
@@ -238,13 +238,15 @@ class StarAligner:
         rev_cands = self._align_oriented(rev)
         return self._classify(record.read_id, fwd_cands, rev_cands)
 
-    def align_batch(self, records: list[FastqRecord]) -> OutcomeBatch:
-        """Align a list of reads; uses the batch core when enabled.
+    def align_batch(self, records: list[FastqRecord] | ReadBatch) -> OutcomeBatch:
+        """Align a batch of reads; uses the batch core when enabled.
 
-        Dispatching whole batches amortizes per-read Python overhead into
-        vectorized kernels (see :mod:`repro.align.batch`); results are
-        bit-identical to mapping :meth:`align_read` over ``records``,
-        which the per-read path does and wraps as a batch.
+        ``records`` is a packed :class:`~repro.reads.fastq.ReadBatch` or
+        a list of records.  Dispatching whole batches amortizes per-read
+        Python overhead into vectorized kernels (see
+        :mod:`repro.align.batch`); results are bit-identical to mapping
+        :meth:`align_read` over ``records``, which the per-read path does
+        and wraps as a batch.
         """
         if self.parameters.batch_align:
             from repro.align.batch import align_read_batch

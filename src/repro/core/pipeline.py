@@ -692,13 +692,20 @@ class TranscriptomicsAtlasPipeline:
         """
         if options is None:
             options = BatchOptions()
-        run_journal: RunJournal | None = None
-        if options.journal is not None:
-            run_journal = (
-                options.journal
-                if isinstance(options.journal, RunJournal)
-                else RunJournal(options.journal)
-            )
+        if options.journal is None or isinstance(options.journal, RunJournal):
+            return self._run_batch(accessions, options, options.journal)
+        # a journal opened from a path is the batch's to close; a caller's
+        # journal (plain or replicated) stays open for its owner
+        with RunJournal(options.journal) as run_journal:
+            return self._run_batch(accessions, options, run_journal)
+
+    def _run_batch(
+        self,
+        accessions: list[str],
+        options: BatchOptions,
+        run_journal: RunJournal | None,
+    ) -> list[PipelineResult]:
+        """:meth:`run_batch` with its journal resolved."""
         replayed: dict[str, PipelineResult] = {}
         replayed_shards: dict[str, dict] = {}
         fingerprint = config_fingerprint(self.config)
@@ -780,6 +787,8 @@ class TranscriptomicsAtlasPipeline:
                     for future in [pool.submit(lane) for _ in range(lanes)]:
                         future.result()
         finally:
+            # the batch is over: no later accession checkpoints into its journal
+            self._shard_ckpt_state = None
             if source is not None:
                 source.close()
 

@@ -8,7 +8,7 @@ generates the RNA-seq content (bulk poly-A and single-cell 3' libraries,
 whose mapping-rate gap is what the early-stopping optimization exploits).
 """
 
-from repro.reads.fastq import FastqRecord, read_fastq, write_fastq
+from repro.reads.fastq import FastqRecord, ReadBatch, read_fastq, write_fastq
 from repro.reads.library import LibraryType, SampleProfile, SraRunMetadata
 from repro.reads.paired import (
     PairedProfile,
@@ -27,6 +27,7 @@ __all__ = [
     "PairedProfile",
     "PairedSample",
     "PairedSraArchive",
+    "ReadBatch",
     "ReadSimulator",
     "SampleProfile",
     "SimulatorConfig",

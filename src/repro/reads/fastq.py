@@ -14,6 +14,10 @@ qualities — is read and written here and nowhere else:
   text in dumped form, without building any per-read object.
 * :func:`render_fastq` is the one writer.
 
+:class:`ReadBatch` holds many reads as a struct of arrays — ids,
+concatenated base codes and Phred scores, offsets — the form reads take
+into the batch core and across a process boundary.
+
 Line ends are ``\\n`` or ``\\r\\n``; the text must be ASCII.  A missing
 ``@`` or ``+``, unequal sequence and quality lengths, a quality below
 Phred+33 or a truncated final record raise :class:`ValueError`.  Read ids
@@ -25,7 +29,7 @@ both stream, and so does :func:`iter_fastq`.
 from __future__ import annotations
 
 import gzip
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,6 +121,113 @@ class FastqRecord:
         if (q < PHRED_OFFSET).any():
             raise ValueError(f"read {read_id}: quality characters below Phred+33 range")
         return cls(read_id, encode(sequence), (q - PHRED_OFFSET).astype(np.uint8))
+
+
+class ReadBatch(Sequence):
+    """Consecutive reads as a struct of arrays.
+
+    Read ``i`` is ``read_ids[i]`` with base codes
+    ``sequence[offsets[i] : offsets[i + 1]]`` and the Phred scores at the
+    same positions of ``qualities``; ``offsets`` runs from 0 to the
+    arrays' length.  A contiguous slice is a view: its arrays share this
+    batch's memory and its offsets are rebased to 0, so pickling a slice
+    writes only its own reads.  Indexing and iteration give
+    :class:`FastqRecord` views.
+    """
+
+    __slots__ = ("read_ids", "sequence", "qualities", "offsets")
+
+    def __init__(
+        self,
+        read_ids: list[str],
+        sequence: np.ndarray,
+        qualities: np.ndarray,
+        offsets: np.ndarray,
+    ) -> None:
+        self.read_ids = read_ids
+        self.sequence = np.asarray(sequence, dtype=np.uint8)
+        self.qualities = np.asarray(qualities, dtype=np.uint8)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        if self.sequence.shape != self.qualities.shape:
+            raise ValueError("base and quality arrays differ in length")
+        if (
+            self.offsets.shape != (len(read_ids) + 1,)
+            or self.offsets[0] != 0
+            or self.offsets[-1] != self.sequence.size
+            or (np.diff(self.offsets) < 0).any()
+        ):
+            raise ValueError(
+                "offsets must rise from 0 to the bases' length, one per read plus one"
+            )
+
+    @classmethod
+    def of(cls, records: Iterable[FastqRecord]) -> "ReadBatch":
+        """Pack ``records`` into one batch; a batch is returned as it is."""
+        if isinstance(records, ReadBatch):
+            return records
+        records = list(records)
+        lengths = np.fromiter(
+            (r.sequence.size for r in records), np.int64, len(records)
+        )
+        offsets = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        if not records:
+            sequence = qualities = np.zeros(0, dtype=np.uint8)
+        else:
+            sequence = np.concatenate([r.sequence for r in records])
+            qualities = np.concatenate([r.qualities for r in records])
+        return cls([r.read_id for r in records], sequence, qualities, offsets)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Read length per read."""
+        return np.diff(self.offsets)
+
+    @property
+    def nbytes(self) -> int:
+        """Exact size of the packed reads: id text (UTF-8), base codes,
+        Phred scores and offsets."""
+        return (
+            len("".join(self.read_ids).encode())
+            + self.sequence.nbytes
+            + self.qualities.nbytes
+            + self.offsets.nbytes
+        )
+
+    def __len__(self) -> int:
+        return len(self.read_ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                return ReadBatch.of([self[i] for i in range(start, stop, step)])
+            stop = max(start, stop)
+            lo, hi = self.offsets[start], self.offsets[stop]
+            return ReadBatch(
+                self.read_ids[start:stop],
+                self.sequence[lo:hi],
+                self.qualities[lo:hi],
+                self.offsets[start : stop + 1] - lo,
+            )
+        n = len(self)
+        i = key + n if key < 0 else key
+        if not 0 <= i < n:
+            raise IndexError("read index out of range")
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return FastqRecord._framed(
+            self.read_ids[i], self.sequence[lo:hi], self.qualities[lo:hi]
+        )
+
+    def __iter__(self) -> Iterator[FastqRecord]:
+        bounds = self.offsets.tolist()
+        for read_id, lo, hi in zip(self.read_ids, bounds, bounds[1:]):
+            yield FastqRecord._framed(
+                read_id, self.sequence[lo:hi], self.qualities[lo:hi]
+            )
+
+    def __repr__(self) -> str:
+        return f"ReadBatch(<{len(self)} reads>)"
 
 
 @dataclass

@@ -9,6 +9,8 @@ runs, journal-resume interchange) is asserted byte-identical against
 the serial reference.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,12 +23,13 @@ from repro.align.backend import (
     ReadChunkStream,
     SerialAlignerBackend,
 )
-from repro.align.engine import ParallelStarAligner
+from repro.align.engine import ParallelStarAligner, _shard_bounds
+from repro.align.outcome import encode_outcomes
 from repro.align.paired import PairedStarAligner
 from repro.cloud.faas import FaasLimits, FaasService
 from repro.core.early_stopping import EarlyStopMonitor, EarlyStoppingPolicy
 from repro.genome.alphabet import encode
-from repro.reads.fastq import FastqRecord
+from repro.reads.fastq import FastqRecord, ReadBatch
 from repro.reads.library import LibraryType
 from repro.reads.paired import PairedProfile, simulate_paired
 
@@ -213,6 +216,46 @@ class TestFaasChaosEquivalence:
         got = faas.align(ReadChunkStream.of(bulk_sample.records))
         assert faas.cap_reshards > 0
         assert_equivalent(got, want)
+
+
+class TestFaasPayloadSizes:
+    """A function's request and response sizes are measured, not estimated."""
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["single", "paired"])
+    def test_invoke_and_complete_see_the_measured_sizes(
+        self, build_backend, bulk_sample, paired_sample, paired
+    ):
+        mates = (
+            [paired_sample.mate1, paired_sample.mate2]
+            if paired
+            else [bulk_sample.records]
+        )
+        want = build_backend("serial", paired=paired).align(ReadChunkStream.of(*mates))
+        faas = build_backend("faas", batch_size=48)
+        seen = []
+        invoke, complete = faas.function.invoke, faas.function.complete
+
+        def sized_invoke(request_bytes, **kwargs):
+            seen.append(("request", request_bytes))
+            return invoke(request_bytes, **kwargs)
+
+        def sized_complete(invocation, duration, response_bytes, **kwargs):
+            seen.append(("response", response_bytes))
+            return complete(invocation, duration, response_bytes, **kwargs)
+
+        faas.function.invoke = sized_invoke
+        faas.function.complete = sized_complete
+        assert_equivalent(faas.align(ReadChunkStream.of(*mates)), want)
+
+        packed = [ReadBatch.of(reads) for reads in mates]
+        expected = []
+        for start, end in _shard_bounds(len(packed[0]), 48):
+            request = sum(reads[start:end].nbytes for reads in packed)
+            encoded = json.dumps(
+                encode_outcomes(want.outcomes[start:end]), separators=(",", ":")
+            )
+            expected += [("request", request), ("response", len(encoded))]
+        assert seen == expected
 
 
 class TestPropertyEquivalence:

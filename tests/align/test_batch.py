@@ -5,7 +5,9 @@ with the serial path — every test here compares ``align_read_batch``
 against a list comprehension over :meth:`StarAligner.align_read` (the
 reference oracle) on adversarial inputs: random genomes, N runs, reads
 crossing contig boundaries, reads shorter than the jump-table k-mer,
-paired mates, and early-stopped runs.
+paired mates, and early-stopped runs.  Each batch goes in both as a list
+of records and as one packed :class:`~repro.reads.fastq.ReadBatch`, the
+form engine workers and FaaS functions receive.
 """
 
 import json
@@ -29,7 +31,7 @@ from repro.align.paired import PairedParameters, PairedStarAligner, PairedTally
 from repro.align.star import SingleEndTally, StarAligner, StarParameters
 from repro.align.suffix_array import build_suffix_array
 from repro.genome.alphabet import BASE_N, reverse_complement
-from repro.reads.fastq import FastqRecord
+from repro.reads.fastq import FastqRecord, ReadBatch
 from tests.align.repeats import repeat_cases
 
 
@@ -43,7 +45,9 @@ def oracle(aligner: StarAligner, records: list[FastqRecord]):
 
 
 def assert_batch_matches(aligner: StarAligner, records: list[FastqRecord]):
-    assert align_read_batch(aligner, records) == oracle(aligner, records)
+    expected = oracle(aligner, records)
+    assert align_read_batch(aligner, records) == expected
+    assert align_read_batch(aligner, ReadBatch.of(records)) == expected
 
 
 def random_index(rng: np.random.Generator, *, n_contigs=3, contig_len=400,
@@ -301,6 +305,7 @@ class TestRepeatGenomes:
         outcomes = align_read_batch(aligner, case.reads)
         expected = [aligner.align_read(r) for r in case.reads]
         assert outcomes == expected
+        assert align_read_batch(aligner, ReadBatch.of(case.reads)) == expected
 
         tally = SingleEndTally()
         tally.add(outcomes)
@@ -336,6 +341,8 @@ class TestRepeatGenomes:
         ]
         assert isinstance(pairs, PairedOutcomeBatch)
         assert pairs == expected
+        packed = (ReadBatch.of(case.mate1), ReadBatch.of(case.mate2))
+        assert paired._pair_batch(packed) == expected
 
         tally = PairedTally()
         tally.add(pairs)

@@ -8,6 +8,7 @@ identical between the serial aligner and the multiprocess engine.
 import os
 import signal
 from multiprocessing import shared_memory
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.align.paired import PairedParameters, PairedStarAligner
 from repro.align.sam import write_paired_sam
 from repro.align.star import StarAligner, StarParameters
 from repro.core.early_stopping import EarlyStoppingPolicy, EarlyStopMonitor
+from repro.reads.fastq import ReadBatch
 from repro.reads.library import LibraryType
 from repro.reads.paired import PairedProfile, simulate_paired
 
@@ -180,6 +182,74 @@ class TestSerialParallelEquivalence:
         assert par.outcomes == serial.outcomes
         assert par.progress == serial.progress
         assert par.gene_counts.to_tab() == serial.gene_counts.to_tab()
+
+
+class TestPackedRequests:
+    """Shards reach workers as packed ReadBatch arrays."""
+
+    def test_paired_request_pickles_near_its_read_bytes(
+        self, index_r111, simulator
+    ):
+        """The pool's pickle of a 625-pair shard of 100-base reads stays
+        within 1.1x of the reads' own bytes: ids, bases and scores."""
+        sample = simulate_paired(
+            simulator,
+            PairedProfile(
+                LibraryType.BULK_POLYA,
+                n_pairs=625,
+                read_length=100,
+                insert_mean=300,
+                insert_sd=30,
+            ),
+            rng=11,
+        )
+        reads = [*sample.mate1, *sample.mate2]
+        read_bytes = sum(len(r.read_id) + 2 * r.length for r in reads)
+        sent = []
+        with ParallelStarAligner(
+            index_r111, StarParameters(), workers=1, batch_size=625
+        ) as eng:
+            apply_async = eng._pool.apply_async
+
+            def recording(fn, args=(), *rest, **kwargs):
+                sent.append((args, ForkingPickler.dumps((fn, args))))
+                return apply_async(fn, args, *rest, **kwargs)
+
+            eng._pool.apply_async = recording
+            eng.run_paired(sample.mate1, sample.mate2)
+        assert len(sent) == 1
+        (payload,), wire = sent[0]
+        assert all(isinstance(mates, ReadBatch) for mates in payload)
+        assert len(wire) <= 1.1 * read_bytes
+
+    def test_spawned_workers_match_serial(
+        self, index_r111, aligner_r111, bulk_sample, paired_sample
+    ):
+        """Spawned workers start from a fresh import and unpickle every
+        payload there; single-end and paired runs stay serial-identical."""
+        records = bulk_sample.records
+        mate1, mate2 = paired_sample.mate1, paired_sample.mate2
+        serial = aligner_r111.run(records, clock=frozen)
+        serial_pairs = PairedStarAligner(
+            aligner_r111, PairedParameters(progress_every=50)
+        ).run(mate1, mate2, clock=frozen)
+        with ParallelStarAligner(
+            index_r111,
+            StarParameters(progress_every=50),
+            workers=2,
+            batch_size=64,
+            paired_parameters=PairedParameters(progress_every=50),
+            mp_context="spawn",
+        ) as eng:
+            par = eng.run(records, clock=frozen)
+            par_pairs = eng.run_paired(mate1, mate2, clock=frozen)
+            assert eng.health.serial_fallback_batches == 0
+        assert par.outcomes == serial.outcomes
+        assert par.final.to_text() == serial.final.to_text()
+        assert par.gene_counts.to_tab() == serial.gene_counts.to_tab()
+        assert par_pairs.outcomes == serial_pairs.outcomes
+        assert par_pairs.final.to_text() == serial_pairs.final.to_text()
+        assert par_pairs.gene_counts.to_tab() == serial_pairs.gene_counts.to_tab()
 
 
 class TestAbortAndReuse:

@@ -1,8 +1,11 @@
 """Checkpoint/resume and graceful-drain semantics of the journaled batch."""
 
+import gc
+import os
 import signal
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -46,6 +49,22 @@ def make_pipeline(repository, aligner, workspace, **overrides):
     )
 
 
+def open_paths() -> set[str]:
+    """The files this process holds open."""
+    paths = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            paths.add(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the listing's own descriptor, already closed
+            pass
+    return paths
+
+
+needs_proc_fd = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="lists open files via /proc"
+)
+
+
 def comparable(result):
     final = result.star_result.final if result.star_result else None
     return (
@@ -69,6 +88,41 @@ class TestJournaledBatch:
         assert replay.in_flight == []
         # batch-start + per accession: started + 3 step-done + completed
         assert replay.n_records == 1 + 2 * 5
+
+    @needs_proc_fd
+    @pytest.mark.parametrize("shard_checkpoints", [False, True])
+    def test_journal_opened_from_a_path_is_closed(
+        self, repository, aligner_r111, tmp_path, shard_checkpoints
+    ):
+        """A journal ``run_batch`` opened from a path is closed when the
+        batch returns — not left to garbage collection, and not held
+        open by the batch's shard-checkpoint state."""
+        journal_path = tmp_path / "run.jsonl"
+        pipeline = make_pipeline(repository, aligner_r111, tmp_path / "w")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            pipeline.run_batch(
+                ACCESSIONS[:1],
+                BatchOptions(
+                    journal=journal_path, shard_checkpoints=shard_checkpoints
+                ),
+            )
+            assert str(journal_path.resolve()) not in open_paths()
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @needs_proc_fd
+    def test_callers_journal_stays_open_for_its_owner(
+        self, repository, aligner_r111, tmp_path
+    ):
+        journal_path = tmp_path / "run.jsonl"
+        pipeline = make_pipeline(repository, aligner_r111, tmp_path / "w")
+        with RunJournal(journal_path) as journal:
+            pipeline.run_batch(
+                ACCESSIONS[:1], BatchOptions(journal=journal, shard_checkpoints=True)
+            )
+            assert str(journal_path.resolve()) in open_paths()
+        assert str(journal_path.resolve()) not in open_paths()
 
     def test_resume_replays_completed_batch(
         self, repository, aligner_r111, tmp_path

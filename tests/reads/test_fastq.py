@@ -1,5 +1,7 @@
 """FASTQ record and I/O tests, with a property-based round-trip."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from repro.genome.alphabet import encode
 from repro.reads.fastq import (
     FastqRecord,
     MAX_PHRED,
+    ReadBatch,
     fastq_byte_size,
     iter_fastq,
     read_fastq,
@@ -130,3 +133,89 @@ class TestByteSize:
         path = tmp_path / "sz.fastq"
         write_fastq(records, path)
         assert fastq_byte_size(records) == path.stat().st_size
+
+
+def same_reads(got, want) -> bool:
+    got, want = list(got), list(want)
+    return len(got) == len(want) and all(
+        a.read_id == b.read_id
+        and np.array_equal(a.sequence, b.sequence)
+        and np.array_equal(a.qualities, b.qualities)
+        for a, b in zip(got, want)
+    )
+
+
+class TestReadBatch:
+    records = [
+        record("a", "ACGT", (30, 31, 32, 33)),
+        record("bb", "", ()),
+        record("c c", "NNA", (2, 3, 4)),
+        record("d", "T", (40,)),
+    ]
+
+    @given(st.lists(record_strategy, max_size=12))
+    def test_round_trip_against_the_records(self, records):
+        batch = ReadBatch.of(records)
+        assert len(batch) == len(records)
+        assert same_reads(batch, records)
+        assert same_reads([batch[i] for i in range(len(records))], records)
+        assert batch.lengths.tolist() == [r.length for r in records]
+
+    def test_of_a_batch_is_the_batch(self):
+        batch = ReadBatch.of(self.records)
+        assert ReadBatch.of(batch) is batch
+
+    def test_slices_are_views_with_rebased_offsets(self):
+        batch = ReadBatch.of(self.records)
+        part = batch[1:4]
+        assert part.offsets.tolist() == [0, 0, 3, 4]
+        assert np.shares_memory(part.sequence, batch.sequence)
+        assert np.shares_memory(part.qualities, batch.qualities)
+        assert same_reads(part, self.records[1:4])
+        assert same_reads(part[1:], self.records[2:4])
+        assert same_reads(batch[::2], self.records[::2])
+        assert same_reads(batch[-2:], self.records[-2:])
+        assert len(batch[3:1]) == 0
+        # a record is a view too
+        assert np.shares_memory(batch[-1].sequence, batch.sequence)
+        with pytest.raises(IndexError):
+            batch[4]
+
+    def test_empty_batch(self):
+        batch = ReadBatch.of([])
+        assert len(batch) == 0
+        assert list(batch) == []
+        assert batch.offsets.tolist() == [0]
+        assert batch.sequence.dtype == np.uint8 and batch.sequence.size == 0
+        assert batch.nbytes == batch.offsets.nbytes
+        assert len(ReadBatch.of(self.records)[2:2]) == 0
+
+    def test_zero_length_reads_keep_their_place(self):
+        batch = ReadBatch.of([record("e1", "", ()), *self.records, record("e2", "", ())])
+        assert batch.lengths.tolist() == [0, 4, 0, 3, 1, 0]
+        assert [r.read_id for r in batch] == ["e1", "a", "bb", "c c", "d", "e2"]
+        assert batch[2].length == 0
+
+    def test_pickle_round_trip_of_a_slice(self):
+        batch = ReadBatch.of(self.records)
+        part = batch[2:]
+        back = pickle.loads(pickle.dumps(part))
+        assert same_reads(back, self.records[2:])
+        assert back.offsets.tolist() == [0, 3, 4]
+        # only the slice's own bases travel, not its parent's
+        assert back.sequence.size == 4
+
+    def test_nbytes_is_exact(self):
+        batch = ReadBatch.of(self.records + [record("é", "A", (9,))])
+        ids = len("abbc cdé".encode())
+        assert batch.nbytes == ids + 2 * 9 + 8 * 6
+
+    def test_inconsistent_arrays_rejected(self):
+        seq = encode("ACGT")
+        quals = np.zeros(4, dtype=np.uint8)
+        with pytest.raises(ValueError):
+            ReadBatch(["a"], seq, quals[:3], [0, 4])
+        with pytest.raises(ValueError):
+            ReadBatch(["a", "b"], seq, quals, [0, 4])
+        with pytest.raises(ValueError):
+            ReadBatch(["a", "b", "c"], seq, quals, [0, 3, 2, 4])
