@@ -8,7 +8,13 @@ narrowing — with *bit-identical* seed decompositions — plus an
 ``IndexCache`` reload that skips suffix-array construction entirely.
 Both paths' rates are the median of the repeats, recorded with their
 interquartile ranges, and the bar is asserted against the ratio of the
-medians.  Records everything to ``BENCH_seed.json`` at the repo root.
+medians.
+
+The batch kernel :func:`~repro.align.batch.batch_mmp` is timed on the
+same queries (every seed start of every read's decomposition, in one
+call), with its seeds and :class:`SeedSearchStats` deltas asserted
+identical to the per-read search's; its rate is recorded with no bar.
+Records everything to ``BENCH_seed.json`` at the repo root.
 
 Also runnable directly (the CI smoke path)::
 
@@ -22,6 +28,9 @@ import time
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
+import numpy as np
+
+from repro.align.batch import batch_mmp
 from repro.align.cache import IndexCache
 from repro.align.index import genome_generate
 from repro.align.seeds import SeedHit, seed_decomposition
@@ -74,6 +83,33 @@ def _reference_decomposition(ctx, read, sa_list, *, max_seeds=8, max_hits=50):
     return seeds
 
 
+def _batch_seeds(ctx, reads, decompositions, max_hits=50):
+    """Every seed query of ``decompositions`` through one ``batch_mmp``
+    call: returns the call's arguments and a function that turns its
+    result into the same :class:`SeedHit` lists."""
+    lengths = np.array([read.size for read in reads], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.int64)
+    owner = np.repeat(np.arange(len(reads)), [len(d) for d in decompositions])
+    starts = np.array(
+        [seed.read_start for d in decompositions for seed in d], dtype=np.int64
+    )
+    args = (np.concatenate(reads), offsets[owner] + starts, lengths[owner] - starts)
+
+    def as_hits(depth, lo, hi):
+        hits = [[] for _ in reads]
+        for q, read in enumerate(owner.tolist()):
+            length, a, b = int(depth[q]), int(lo[q]), int(hi[q])
+            if length == 0:
+                hit = SeedHit(int(starts[q]), 0, (), 0)
+            else:
+                shown = tuple(sorted(ctx.sa_arr[a : min(b, a + max_hits)].tolist()))
+                hit = SeedHit(int(starts[q]), length, shown, b - a)
+            hits[read].append(hit)
+        return hits
+
+    return args, as_hits
+
+
 def _reads_per_second(fn, reads, repeats) -> tuple[float, list[float]]:
     """Median rate over ``repeats`` runs, and its [Q1, Q3]."""
     rates = []
@@ -124,6 +160,22 @@ def measure(n_reads: int = 600, read_length: int = 100, repeats: int = 5) -> dic
     jump_rps, jump_iqr = _reads_per_second(run_jump, reads, repeats)
     stats = jump_index.search_context.stats.since(stats_before)
 
+    # the batch kernel on the same queries: identical seeds and counters
+    ctx = jump_index.search_context
+    before = ctx.stats.snapshot()
+    decompositions = [seed_decomposition(jump_index, read) for read in reads]
+    per_read_stats = ctx.stats.since(before)
+    args, as_hits = _batch_seeds(ctx, reads, decompositions)
+    before = ctx.stats.snapshot()
+    assert as_hits(*batch_mmp(ctx, *args)) == decompositions
+    batch_stats = ctx.stats.since(before)
+    assert batch_stats.pop("batch_queries") == len(args[1])
+    assert per_read_stats.pop("batch_queries") == 0
+    assert batch_stats == per_read_stats
+    batch_rps, batch_iqr = _reads_per_second(
+        lambda _: batch_mmp(ctx, *args), reads, repeats
+    )
+
     # cache: a second load must attach via mmap, not rebuild the SA
     with TemporaryDirectory() as tmp:
         cache = IndexCache(tmp)
@@ -150,6 +202,10 @@ def measure(n_reads: int = 600, read_length: int = 100, repeats: int = 5) -> dic
         "speedup": jump_rps / reference_rps,
         "min_speedup": MIN_SPEEDUP,
         "seed_search_stats": stats,
+        "batch_queries": len(args[1]),
+        "batch_reads_per_second": batch_rps,
+        "batch_reads_per_second_iqr": batch_iqr,
+        "batch_speedup_over_jump": batch_rps / jump_rps,
         "cache_build_seconds": build_seconds,
         "cache_reload_seconds": reload_seconds,
         "cpu_count": os.cpu_count(),

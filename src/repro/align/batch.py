@@ -15,12 +15,15 @@ decision procedure with the per-symbol work hoisted into numpy:
   (both orientations) into contiguous arrays — base codes, per-segment
   offsets and lengths — the structure-of-arrays layout every kernel
   below gathers from;
-* :func:`batch_mmp` resolves all MMP queries level-by-level: one fused
-  :class:`~repro.align.suffix_array.PrefixJumpTable` lookup per depth
-  (vectorized base-6 encoding over the live queries), lock-step
-  vectorized binary narrowing past the table, and a batched
-  compare-and-argmax longest-common-extension scan once intervals hold
-  a single suffix;
+* :func:`batch_mmp` resolves all MMP queries at once, in four regimes:
+  the first ten symbols against the index's sorted suffix keys (one
+  ``searchsorted`` for the insertion point, an XOR with the two
+  neighbouring keys for the longest match, two more for its SA
+  interval, every per-read counter in closed form); then, for the lanes
+  still live at depth ten, lock-step vectorized binary narrowing of
+  wide intervals, a closed-form per-suffix scan of narrow ones, and a
+  batched compare-and-argmax longest-common-extension scan once
+  intervals hold a single suffix;
 * :func:`repro.align.extend.batch_ungapped_extend` verifies every
   candidate placement of the batch in one fused comparison;
 * spliced stitching reuses one batched remainder seed per (read,
@@ -33,10 +36,11 @@ decision procedure with the per-symbol work hoisted into numpy:
 
 Every kernel is bit-identical to its per-read counterpart (the per-read
 path is retained as the reference oracle; see
-``tests/align/test_batch.py``): seed walks stop at the same depth,
-extensions accept the same placements, stitching and the error bridge
-pick the same candidates, and classification reaches the same status,
-loci, strand and blocks.
+``tests/align/test_batch.py``): seed walks stop at the same depth with
+the same :class:`~repro.align.suffix_array.SeedSearchStats` deltas
+(``tests/align/test_seed_parity.py``), extensions accept the same
+placements, stitching and the error bridge pick the same candidates,
+and classification reaches the same status, loci, strand and blocks.
 """
 
 from __future__ import annotations
@@ -55,6 +59,13 @@ from repro.align.outcome import (
     UNIQUE,
     UNMAPPED,
     OutcomeBatch,
+)
+from repro.align.splice import REMAINDER_MAX_HITS
+from repro.align.suffix_array import (
+    SUFFIX_KEY_LENGTH,
+    key_intervals,
+    pack_query_keys,
+    shared_key_symbols,
 )
 from repro.genome.alphabet import BASE_A, BASE_G, BASE_N, BASE_T, complement
 from repro.reads.fastq import ReadBatch
@@ -155,69 +166,54 @@ def batch_mmp(
     Query ``i`` searches ``bases[qoff[i] : qoff[i] + qlen[i]]``; returns
     ``(depth, lo, hi)`` arrays matching what
     :func:`repro.align.seeds.maximal_mappable_prefix` computes per query
-    — same final depth, same SA interval, same early-stop decisions —
-    with the per-symbol Python loop replaced by one vectorized pass per
-    depth level across all still-live queries.
+    — same final depth, same SA interval — and advances
+    ``ctx.stats`` by the same counter deltas the per-read walk would.
+
+    The first :data:`~repro.align.suffix_array.SUFFIX_KEY_LENGTH`
+    symbols resolve against the context's sorted suffix keys: one
+    ``searchsorted`` finds each query's insertion point, the highest set
+    bit of the XOR with the two neighbouring keys gives the longest match
+    M, and one more ``searchsorted`` pass gives M's SA interval.  Every
+    counter of the per-read walk up to that depth follows in closed form
+    from M and the second-best match S (see :func:`_key_walk_counters`).
+    Only lanes that match all ten symbols and have more to read go on to
+    lock-step bisection, the closed-form scan and the LCE regime.
     """
+    if ctx.jump_length > SUFFIX_KEY_LENGTH:
+        # the closed-form table counters assume the walk leaves the table
+        # within the keys (a table this deep needs > 8.7 G bases)
+        raise ValueError(
+            f"jump table of depth {ctx.jump_length} is deeper than the "
+            f"{SUFFIX_KEY_LENGTH}-symbol suffix keys"
+        )
     qoff = np.asarray(qoff, dtype=np.int64)
     qlen = np.asarray(qlen, dtype=np.int64)
     n_queries = int(qoff.size)
     stats = ctx.stats
     stats.queries += n_queries
     stats.batch_queries += n_queries
-
-    lo = np.zeros(n_queries, dtype=np.int64)
-    hi = np.full(n_queries, ctx.n, dtype=np.int64)
-    depth = np.zeros(n_queries, dtype=np.int64)
     if n_queries == 0:
-        return depth, lo, hi
-    dead = np.zeros(n_queries, dtype=bool)
+        none = np.zeros(0, dtype=np.int64)
+        return none, none.copy(), none.copy()
 
-    # -- regime 1: fused jump-table lookups ---------------------------------
-    jump_length = ctx.jump_length
-    if jump_length and ctx.n:
-        bounds = ctx.jump_bounds_arr
-        strides = ctx.jump_strides
-        limit = np.minimum(qlen, jump_length)
-        code = np.zeros(n_queries, dtype=np.int64)
-        level = 0
-        walking = limit > 0
-        while True:
-            live = np.nonzero(walking)[0]
-            if live.size == 0:
-                break
-            sym = bases[qoff[live] + level].astype(np.int64)
-            code[live] = code[live] * 6 + sym + 1
-            stride = strides[level + 1]
-            base = code[live] * stride
-            nlo = bounds[base]
-            nhi = bounds[base + stride]
-            alive = nlo < nhi
-            died = live[~alive]
-            dead[died] = True
-            walking[died] = False
-            kept = live[alive]
-            lo[kept] = nlo[alive]
-            hi[kept] = nhi[alive]
-            depth[kept] = level + 1
-            level += 1
-            walking &= level < limit
-        stats.binary_steps_saved += 2 * int(depth.sum())
-        n_dead = int(dead.sum())
-        stats.table_fallbacks += n_dead
-        stats.table_hits += n_queries - n_dead
-        if n_dead:
-            for d, count in enumerate(np.bincount(depth[dead])):
-                if count:
-                    stats.fallback_depths[d] = (
-                        stats.fallback_depths.get(d, 0) + int(count)
-                    )
+    # -- regime 1: the first ten symbols against the sorted suffix keys ----
+    keys = ctx.keys
+    span = np.minimum(qlen, SUFFIX_KEY_LENGTH)
+    qkey = pack_query_keys(bases, qoff, span)
+    at = np.searchsorted(keys, qkey)
+    best = np.maximum(
+        shared_key_symbols(keys, qkey, at - 1), shared_key_symbols(keys, qkey, at)
+    )
+    depth = np.clip(best, 0, span).astype(np.int64)
+    lo, hi = key_intervals(keys, qkey, depth)
+    past = (depth == SUFFIX_KEY_LENGTH) & (qlen > SUFFIX_KEY_LENGTH)
+    _key_walk_counters(ctx, qkey, qlen, depth, lo, hi, past)
 
     # -- regime 2: lock-step binary narrowing of wide intervals --------------
     genome = ctx.genome_arr
     sa = ctx.sa_arr
     n = ctx.n
-    active = ~dead & (depth < qlen) & (hi > lo)
+    active = past
     lce_idx: list[np.ndarray] = []
     level_count = 0
     while True:
@@ -343,6 +339,57 @@ def batch_mmp(
         stats.lce_skips += int(matched.sum())
 
     return depth, lo, hi
+
+
+def _key_walk_counters(ctx, qkey, qlen, depth, lo, hi, past) -> None:
+    """Advance ``ctx.stats`` by what the per-read walk counts up to ``depth``.
+
+    ``depth`` is each query's longest match M among the keys and
+    ``[lo, hi)`` its SA interval; ``past`` marks lanes that matched all
+    ten symbols and keep searching, whose later counters the deeper
+    regimes add.  Narrowing keeps every suffix whose match is at least
+    the depth, so the interval stays at two or more suffixes up to the
+    second-best match S (S = M when M's interval is wider than one) and
+    holds M's suffix alone after it.  With L' = min(L, qlen) for a jump
+    table of depth L, the per-read walk therefore:
+
+    * resolves min(M, L') symbols in the table and dies there iff M < L';
+    * on a tie, narrows once per level from L' to M, plus a failing step
+      when the query goes on (and does not, for a ``past`` lane);
+    * on a unique best, narrows from L' to S + 1 and fast-forwards the
+      rest by longest common extension.
+    """
+    stats = ctx.stats
+    keys = ctx.keys
+    # an empty index has no table to walk, as in the per-read search
+    table = ctx.jump_length if ctx.n else 0
+    reach = np.minimum(qlen, table)
+    searched = np.ones(depth.size, dtype=bool)
+    if table:
+        dead = depth < reach
+        n_dead = int(dead.sum())
+        stats.binary_steps_saved += 2 * int(np.minimum(depth, reach).sum())
+        stats.table_fallbacks += n_dead
+        stats.table_hits += depth.size - n_dead
+        if n_dead:
+            for d, count in enumerate(np.bincount(depth[dead])):
+                if count:
+                    stats.fallback_depths[d] = (
+                        stats.fallback_depths.get(d, 0) + int(count)
+                    )
+        searched = ~dead
+    unique = np.flatnonzero((hi - lo == 1) & searched)
+    tie = np.flatnonzero((hi - lo != 1) & searched)
+    m, r = depth[tie], reach[tie]
+    stats.extend_steps += int((m - r + ((m < qlen[tie]) & ~past[tie])).sum())
+    m, r, q = depth[unique], reach[unique], qkey[unique]
+    second = np.maximum(
+        shared_key_symbols(keys, q, lo[unique] - 1),
+        shared_key_symbols(keys, q, hi[unique]),
+    )
+    single_from = np.maximum(second + 1, r)
+    stats.extend_steps += int((single_from - r).sum())
+    stats.lce_skips += int((m - single_from).sum())
 
 
 def _batched_lce(
@@ -502,15 +549,8 @@ def _batch_stitch(
     need_sjdb = np.nonzero(valid & ~canonical)[0]
     ok = canonical
     if need_sjdb.size:
-        is_ann = index.is_annotated_junction
-        ann = [
-            is_ann(d, a)
-            for d, a in zip(
-                donor[need_sjdb].tolist(), acceptor[need_sjdb].tolist()
-            )
-        ]
         ok = canonical.copy()
-        ok[need_sjdb] = ann
+        ok[need_sjdb] = index.annotated_junctions(donor[need_sjdb], acceptor[need_sjdb])
 
     # lexicographic (mismatches, intron length) minimum per candidate via
     # one packed int64 key; intron <= max_intron < 2**32 keeps it exact
@@ -634,10 +674,10 @@ def _place_reads(index, ctx, params, reads: ReadBatch) -> _Placements:
             offsets[stitch_q] + seed_len[stitch_q],
             lengths[stitch_q] - seed_len[stitch_q],
         )
-        # stitch_spliced seeds the remainder with its own max_candidates
-        # cap (20), not seed_multimap_nmax
+        # stitch_spliced seeds the remainder with its own hit cap, not
+        # seed_multimap_nmax
         r_counts, r_starts, r_pos = _gather_positions(
-            ctx, rem_depth, rem_lo, rem_hi, 20
+            ctx, rem_depth, rem_lo, rem_hi, REMAINDER_MAX_HITS
         )
         rq_arr = np.repeat(stitch_q, r_counts)
         rem_off = offsets[stitch_q] + seed_len[stitch_q]

@@ -14,6 +14,12 @@ through the OS page cache, mirroring the /dev/shm attach.
 
 Entries are written atomically (temp directory + ``os.replace``), so a
 crashed build never leaves a half-entry that a later load would trust.
+
+Format version 2 adds the sorted suffix-key column the batch seed search
+runs on (:func:`~repro.align.suffix_array.build_suffix_keys`).  The
+version is part of the fingerprint, so an entry of the old format is
+simply not found and the index is rebuilt on first use; loading one by
+its fingerprint is refused rather than attached without keys.
 """
 
 from __future__ import annotations
@@ -32,10 +38,10 @@ from repro.align.suffix_array import PrefixJumpTable
 from repro.genome.annotation import Annotation
 from repro.genome.model import Assembly
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 _META = "meta.json"
-_ARRAYS = ("genome", "suffix_array", "offsets", "jump_bounds")
+_ARRAYS = ("genome", "suffix_array", "offsets", "jump_bounds", "suffix_keys")
 
 
 def index_fingerprint(assembly: Assembly, annotation: Annotation | None = None) -> str:
@@ -131,6 +137,7 @@ class IndexCache:
             "jump_bounds": np.ascontiguousarray(
                 index.jump_table.bounds, dtype=np.int64
             ),
+            "suffix_keys": np.ascontiguousarray(index.sorted_keys(), dtype=np.int32),
         }
         for name in _ARRAYS:
             np.save(tmp / f"{name}.npy", arrays[name])
@@ -161,10 +168,10 @@ class IndexCache:
     def load(self, fingerprint: str) -> GenomeIndex:
         """Attach to a stored entry without rebuilding anything.
 
-        The genome, suffix array, and jump-table bounds come back as
-        read-only ``np.memmap`` views — ``SearchContext`` wraps them
-        zero-copy, so the resident cost of a cache hit is the pages the
-        search actually touches.
+        The genome, suffix array, jump-table bounds and suffix keys come
+        back as read-only ``np.memmap`` views — ``SearchContext`` wraps
+        them zero-copy, so the resident cost of a cache hit is the pages
+        the search actually touches.
         """
         entry = self.path_for(fingerprint)
         meta = json.loads((entry / _META).read_text())
@@ -176,6 +183,7 @@ class IndexCache:
         genome = np.load(entry / "genome.npy", mmap_mode="r")
         suffix_array = np.load(entry / "suffix_array.npy", mmap_mode="r")
         jump_bounds = np.load(entry / "jump_bounds.npy", mmap_mode="r")
+        suffix_keys = np.load(entry / "suffix_keys.npy", mmap_mode="r")
         offsets = np.load(entry / "offsets.npy")
         with open(entry / "aux.pkl", "rb") as fh:
             aux = pickle.load(fh)
@@ -188,6 +196,7 @@ class IndexCache:
             annotation=aux["annotation"],
             sjdb=aux["sjdb"],
             jump_table=PrefixJumpTable(meta["jump_length"], jump_bounds),
+            suffix_keys=suffix_keys,
         )
 
 

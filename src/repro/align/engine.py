@@ -6,10 +6,10 @@ This module reproduces both levers for the in-process aligner:
 
 * :class:`SharedIndexBlocks` publishes a :class:`~repro.align.index.
   GenomeIndex`'s big arrays — the genome (1 byte/base), the suffix
-  array (8 bytes/base), and the prefix jump table — into POSIX shared
-  memory once.  Worker processes *attach* to the blocks and wrap them
-  in zero-copy numpy views instead of each receiving a ~9 byte/base
-  pickle;
+  array (8 bytes/base), the sorted suffix keys (4 bytes/base) and the
+  prefix jump table — into POSIX shared memory once.  Worker processes
+  *attach* to the blocks and wrap them in zero-copy numpy views instead
+  of each receiving a ~13 byte/base pickle or rebuilding the keys;
 
 * :class:`ParallelStarAligner` shards a read stream into batches,
   dispatches them to a persistent worker pool as packed
@@ -87,13 +87,15 @@ __all__ = [
 class SharedIndexSpec:
     """Everything a worker needs to reconstruct the index.
 
-    The two block names point at the shared-memory copies of the big
+    The block names point at the shared-memory copies of the big
     arrays; the remaining fields (contig table, annotation, sjdb) are
     small and travel with the spec itself.
     """
 
     genome_block: str
     suffix_block: str
+    #: the sorted suffix keys (int32, one per SA entry)
+    keys_block: str
     n_bases: int
     assembly_name: str
     names: list[str]
@@ -121,9 +123,11 @@ def attach_shared_index(spec: SharedIndexSpec) -> tuple[GenomeIndex, list]:
     """
     genome_shm = shared_memory.SharedMemory(name=spec.genome_block)
     suffix_shm = shared_memory.SharedMemory(name=spec.suffix_block)
+    keys_shm = shared_memory.SharedMemory(name=spec.keys_block)
     genome = np.ndarray((spec.n_bases,), dtype=np.uint8, buffer=genome_shm.buf)
     suffix = np.ndarray((spec.n_bases,), dtype=np.int64, buffer=suffix_shm.buf)
-    handles = [genome_shm, suffix_shm]
+    keys = np.ndarray((spec.n_bases,), dtype=np.int32, buffer=keys_shm.buf)
+    handles = [genome_shm, suffix_shm, keys_shm]
     jump_table = None
     if spec.jump_block is not None:
         jump_shm = shared_memory.SharedMemory(name=spec.jump_block)
@@ -143,6 +147,7 @@ def attach_shared_index(spec: SharedIndexSpec) -> tuple[GenomeIndex, list]:
         # the publisher decides whether a table exists; a worker must not
         # quietly rebuild one the parent chose to omit
         auto_jump_table=False,
+        suffix_keys=keys,
     )
     return index, handles
 
@@ -160,33 +165,21 @@ class SharedIndexBlocks:
         suffix = np.ascontiguousarray(index.suffix_array, dtype=np.int64)
         if index.jump_table is None and index.auto_jump_table and index.n_bases:
             index.jump_table = PrefixJumpTable.build(genome, suffix)
-        # shared_memory rejects zero-sized segments; a degenerate empty
-        # index still gets valid (1-byte) blocks and n_bases=0 views.
-        self._genome_shm = shared_memory.SharedMemory(
-            create=True, size=max(1, genome.nbytes)
-        )
-        self._suffix_shm = shared_memory.SharedMemory(
-            create=True, size=max(1, suffix.nbytes)
-        )
-        np.ndarray(genome.shape, dtype=np.uint8, buffer=self._genome_shm.buf)[
-            :
-        ] = genome
-        np.ndarray(suffix.shape, dtype=np.int64, buffer=self._suffix_shm.buf)[
-            :
-        ] = suffix
-        self._shms = [self._genome_shm, self._suffix_shm]
+        keys = np.ascontiguousarray(index.sorted_keys(), dtype=np.int32)
+        self._shms = [_publish(genome), _publish(suffix), _publish(keys)]
+        genome_shm, suffix_shm, keys_shm = self._shms
         jump_block = None
         jump_length = 0
         if index.jump_table is not None:
             bounds = np.ascontiguousarray(index.jump_table.bounds, dtype=np.int64)
-            jump_shm = shared_memory.SharedMemory(create=True, size=bounds.nbytes)
-            np.ndarray(bounds.shape, dtype=np.int64, buffer=jump_shm.buf)[:] = bounds
+            jump_shm = _publish(bounds)
             self._shms.append(jump_shm)
             jump_block = jump_shm.name
             jump_length = index.jump_table.length
         self.spec = SharedIndexSpec(
-            genome_block=self._genome_shm.name,
-            suffix_block=self._suffix_shm.name,
+            genome_block=genome_shm.name,
+            suffix_block=suffix_shm.name,
+            keys_block=keys_shm.name,
             n_bases=index.n_bases,
             assembly_name=index.assembly_name,
             names=list(index.names),
@@ -204,12 +197,23 @@ class SharedIndexBlocks:
         return sum(shm.size for shm in self._shms)
 
     def close(self) -> None:
-        """Release both segments (close + unlink); safe to call twice."""
+        """Release every segment (close + unlink); safe to call twice."""
         self._finalizer()
 
     @property
     def closed(self) -> bool:
         return not self._finalizer.alive
+
+
+def _publish(array: np.ndarray) -> shared_memory.SharedMemory:
+    """A new shared-memory block holding a copy of ``array``.
+
+    shared_memory rejects zero-sized segments; a degenerate empty index
+    still gets valid (1-byte) blocks and n_bases=0 views.
+    """
+    shm = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
+    np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)[:] = array
+    return shm
 
 
 def _release_blocks(*blocks: shared_memory.SharedMemory) -> None:

@@ -16,7 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.align.suffix_array import PrefixJumpTable, build_suffix_array
+from repro.align.suffix_array import (
+    PrefixJumpTable,
+    build_suffix_array,
+    build_suffix_keys,
+)
 from repro.genome.annotation import Annotation
 from repro.genome.model import Assembly
 
@@ -43,6 +47,10 @@ class GenomeIndex:
     #: build the jump table on first search when one was not supplied;
     #: benchmarks disable this to measure the pure binary-search path
     auto_jump_table: bool = True
+    #: sorted suffix-key column (see build_suffix_keys), the batch seed
+    #: search's index: built by genome_generate, lazily on first search
+    #: otherwise, and never rebuilt by a cache load or shared-memory attach
+    suffix_keys: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.offsets.size != len(self.names) + 1:
@@ -58,6 +66,7 @@ class GenomeIndex:
         # per junction check, where bisect on a list beats a one-element
         # np.searchsorted by ~100x
         self._offsets_list = [int(o) for o in self.offsets]
+        self._sjdb_keys: np.ndarray | None = None
 
     @property
     def search_context(self):
@@ -71,9 +80,15 @@ class GenomeIndex:
                     self.genome, self.suffix_array
                 )
             self._search_context = SearchContext(
-                self.genome, self.suffix_array, self.jump_table
+                self.genome, self.suffix_array, self.jump_table, self.sorted_keys()
             )
         return self._search_context
+
+    def sorted_keys(self) -> np.ndarray:
+        """The sorted suffix-key column, built on first use when absent."""
+        if self.suffix_keys is None:
+            self.suffix_keys = build_suffix_keys(self.genome, self.suffix_array)
+        return self.suffix_keys
 
     # -- coordinates -----------------------------------------------------
 
@@ -132,6 +147,42 @@ class GenomeIndex:
         except ValueError:
             return False
 
+    def annotated_junctions(
+        self, donors: np.ndarray, acceptors: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`is_annotated_junction` over arrays of absolute positions.
+
+        One membership test against the sjdb in absolute coordinates, each
+        junction packed as ``donor * n_bases + acceptor`` (uint64, exact up
+        to 2**32 bases) and sorted once per index.  Only entries with both
+        ends inside their contig are kept, so a pair matches exactly when
+        its per-contig key would; a position outside the genome matches
+        nothing.
+        """
+        if self._sjdb_keys is None:
+            n = self.n_bases
+            keys = []
+            for contig, start, end in self.sjdb:
+                c = self._name_to_ordinal.get(contig)
+                if c is None:
+                    continue
+                length = self._offsets_list[c + 1] - self._offsets_list[c]
+                if 0 <= start < length and 0 <= end < length:
+                    base = self._offsets_list[c]
+                    keys.append((base + start) * n + base + end)
+            self._sjdb_keys = np.unique(np.asarray(keys, dtype=np.uint64))
+        table = self._sjdb_keys
+        donors = np.asarray(donors, dtype=np.int64)
+        acceptors = np.asarray(acceptors, dtype=np.int64)
+        n = self.n_bases
+        inside = (donors >= 0) & (donors < n) & (acceptors >= 0) & (acceptors < n)
+        if not table.size:
+            return np.zeros(inside.shape, dtype=bool)
+        # outside lanes wrap when cast, and the mask drops them
+        query = donors.astype(np.uint64) * np.uint64(n) + acceptors.astype(np.uint64)
+        at = np.minimum(np.searchsorted(table, query), table.size - 1)
+        return inside & (table[at] == query)
+
     # -- size accounting ---------------------------------------------------
 
     def size_bytes(self, *, include_search_context: bool = False) -> int:
@@ -146,10 +197,10 @@ class GenomeIndex:
         live objects when they exist rather than estimated: the
         :class:`~repro.align.suffix_array.SearchContext` (a ``bytes``
         copy of the genome; its packed suffix-array memoryview adds
-        nothing when the index's own int64 array is already contiguous)
-        and the :class:`~repro.align.suffix_array.PrefixJumpTable`
-        (8 bytes per ``6**L`` table entry).  Instance right-sizing
-        budgets against this number.
+        nothing when the index's own int64 array is already contiguous),
+        the :class:`~repro.align.suffix_array.PrefixJumpTable` (8 bytes
+        per ``6**L`` table entry) and the sorted suffix keys (4 bytes per
+        base).  Instance right-sizing budgets against this number.
         """
         size = int(
             self.genome.nbytes
@@ -167,6 +218,10 @@ class GenomeIndex:
                 size += self.jump_table.nbytes
             elif self.auto_jump_table and self.n_bases:
                 size += PrefixJumpTable.predicted_nbytes(self.n_bases)
+            if self.suffix_keys is not None:
+                size += int(self.suffix_keys.nbytes)
+            else:
+                size += 4 * self.n_bases
         return size
 
     # -- persistence -------------------------------------------------------
@@ -174,9 +229,10 @@ class GenomeIndex:
     def save(self, path: Path | str) -> int:
         """Serialize to disk; returns bytes written.
 
-        The jump table is intentionally excluded (it rebuilds in O(L)
-        vectorized passes on first search); :class:`repro.align.cache.
-        IndexCache` is the store that persists it for mmap'd loads.
+        The jump table and suffix keys are intentionally excluded (they
+        rebuild in a few vectorized passes on first search);
+        :class:`repro.align.cache.IndexCache` is the store that persists
+        them for mmap'd loads.
         """
         path = Path(path)
         payload = {
@@ -213,7 +269,8 @@ def genome_generate(
     prefix jump table is built eagerly alongside the suffix array (as
     real STAR builds its SA prefix index during ``genomeGenerate``);
     ``jump_table=False`` skips it *and* disables the lazy rebuild, which
-    benchmarks use to measure the pure binary-search path.
+    benchmarks use to measure the pure binary-search path.  The sorted
+    suffix keys the batch seed search runs on are built either way.
     """
     genome, offsets, names = assembly.concatenate()
     sa = build_suffix_array(genome)
@@ -233,4 +290,5 @@ def genome_generate(
         sjdb=sjdb,
         jump_table=table,
         auto_jump_table=jump_table,
+        suffix_keys=build_suffix_keys(genome, sa),
     )

@@ -21,13 +21,15 @@ one-symbol-at-a-time interval narrowing (see the equivalence suite in
    is the longest common extension of read and genome there, computed
    with chunked ``bytes`` comparison instead of per-symbol searches.
 
-This module is the *per-read* search; :func:`repro.align.batch.batch_mmp`
-runs the same three regimes level-synchronously over a whole read batch
-with fused numpy kernels.  The two are contractually interchangeable:
-identical seed decompositions *and* identical
+This module is the *per-read* search and the reference oracle;
+:func:`repro.align.batch.batch_mmp` resolves a whole read batch at once,
+the first ten symbols of every query through the index's sorted suffix
+keys and the rest through vectorized forms of regimes 2 and 3.  The two
+are contractually interchangeable: identical seeds *and* identical
 :class:`~repro.align.suffix_array.SeedSearchStats` counter deltas
-(``batch_queries`` aside, which only the batch path increments) — the
-batch equivalence suite asserts both.
+(``batch_queries`` aside, which only the batch path increments), the
+batch path deriving its table, narrowing and LCE counts in closed form.
+``tests/align/test_seed_parity.py`` asserts both on the same queries.
 """
 
 from __future__ import annotations

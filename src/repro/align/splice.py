@@ -24,6 +24,9 @@ from repro.genome.alphabet import BASE_A, BASE_G, BASE_T
 DEFAULT_MIN_INTRON = 21
 DEFAULT_MAX_INTRON = 100_000
 
+#: hits of the remainder seed a spliced stitch tries as acceptors
+REMAINDER_MAX_HITS = 20
+
 
 @dataclass(frozen=True)
 class SplicedSegment:
@@ -87,7 +90,7 @@ def stitch_spliced(
     scoring: ScoringParams,
     min_intron: int = DEFAULT_MIN_INTRON,
     max_intron: int = DEFAULT_MAX_INTRON,
-    max_candidates: int = 20,
+    max_candidates: int = REMAINDER_MAX_HITS,
 ) -> SplicedAlignment | None:
     """Try to stitch ``read`` as prefix@prefix_position + spliced remainder.
 

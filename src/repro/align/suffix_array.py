@@ -13,7 +13,11 @@ The :class:`PrefixJumpTable` is the analogue of STAR's SA prefix index
 (``--genomeSAindexNbases``): the SA interval of every k-mer up to an
 auto-sized length L is precomputed at ``genomeGenerate`` time, so the
 first L symbols of each MMP query resolve with O(1) table lookups
-instead of 2·L binary searches.
+instead of 2·L binary searches.  The batch search resolves its queries
+through a second structure built beside it, the sorted suffix-key
+column (:func:`build_suffix_keys`): the first ten symbols of every
+suffix packed into one int32, so one ``searchsorted`` per query finds
+its longest match among them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,12 @@ import numpy as np
 #: alphabet size (ACGTN) plus one code for the implicit end-of-suffix
 #: sentinel, which sorts before every real symbol
 _CODE_BASE = 6
+
+#: symbols packed into one suffix key (see :func:`build_suffix_keys`)
+SUFFIX_KEY_LENGTH = 10
+
+#: bits per packed symbol: the six codes (sentinel + ACGTN) fit in three
+_KEY_BITS = 3
 
 
 def build_suffix_array(sequence: np.ndarray) -> np.ndarray:
@@ -178,6 +188,78 @@ class PrefixJumpTable:
 
 
 # --------------------------------------------------------------------------
+# sorted suffix keys
+# --------------------------------------------------------------------------
+
+
+def build_suffix_keys(genome: np.ndarray, sa: np.ndarray) -> np.ndarray:
+    """Sorted suffix-key column: one int32 per suffix-array entry.
+
+    Key ``i`` packs the first :data:`SUFFIX_KEY_LENGTH` symbols of suffix
+    ``sa[i]`` at three bits each, most significant first: 0 past the end
+    of the genome, otherwise the base code + 1.  That is the jump table's
+    code order (the sentinel sorts below every symbol), so the keys are
+    non-decreasing along the suffix array, and the SA interval of any
+    prefix of up to ten symbols is one pair of ``searchsorted`` calls.
+    """
+    genome = np.asarray(genome, dtype=np.uint8)
+    sa = np.asarray(sa, dtype=np.int64)
+    n = int(sa.size)
+    codes = np.zeros(n + SUFFIX_KEY_LENGTH, dtype=np.int32)
+    codes[:n] = genome
+    codes[:n] += 1
+    keys = np.zeros(n, dtype=np.int32)
+    for d in range(SUFFIX_KEY_LENGTH):
+        keys <<= _KEY_BITS
+        keys |= codes[sa + d]
+    return keys
+
+
+def pack_query_keys(
+    bases: np.ndarray, qoff: np.ndarray, span: np.ndarray
+) -> np.ndarray:
+    """Key of each query's first ``span[i]`` symbols of ``bases[qoff[i]:]``,
+    packed like :func:`build_suffix_keys` with zeros past the span."""
+    keys = np.zeros(qoff.size, dtype=np.int32)
+    if not bases.size:
+        return keys
+    cols = np.arange(SUFFIX_KEY_LENGTH, dtype=np.int64)
+    at = np.minimum(qoff[:, None] + cols, bases.size - 1)
+    codes = np.where(cols < span[:, None], bases[at].astype(np.int32) + 1, 0)
+    shifts = (_KEY_BITS * (SUFFIX_KEY_LENGTH - 1 - cols)).astype(np.int32)
+    return (codes << shifts).sum(axis=1, dtype=np.int32)
+
+
+def shared_key_symbols(
+    keys: np.ndarray, qkey: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """Leading symbols ``qkey[i]`` shares with ``keys[at[i]]``; -1 where
+    ``at[i]`` is outside the column.
+
+    The first differing symbol holds the highest set bit of the XOR, whose
+    position ``frexp`` reads exactly (a zero XOR shares all ten).
+    """
+    if not keys.size:
+        return np.full(at.shape, -1, dtype=np.int64)
+    inside = (at >= 0) & (at < keys.size)
+    differ = qkey ^ keys[np.clip(at, 0, keys.size - 1)]
+    top_bit = np.frexp(differ)[1]
+    shared = (_KEY_BITS * SUFFIX_KEY_LENGTH - top_bit) // _KEY_BITS
+    return np.where(inside, shared, -1)
+
+
+def key_intervals(
+    keys: np.ndarray, qkey: np.ndarray, depth: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """SA interval ``[lo, hi)`` of each query's first ``depth[i]`` symbols
+    (``depth <= SUFFIX_KEY_LENGTH``), in one ``searchsorted`` pass."""
+    shift = (_KEY_BITS * (SUFFIX_KEY_LENGTH - depth)).astype(np.int32)
+    prefix = (qkey >> shift) << shift
+    bounds = np.searchsorted(keys, np.concatenate([prefix, prefix + (1 << shift)]))
+    return bounds[: qkey.size], bounds[qkey.size :]
+
+
+# --------------------------------------------------------------------------
 # seed-search instrumentation
 # --------------------------------------------------------------------------
 
@@ -260,15 +342,16 @@ class SearchContext:
     C-speed element access with *no per-position int objects*, so the
     resident overhead beyond the index's own arrays is just the 1-byte/
     base genome copy (the old ``list`` held ~40 bytes/position).  It also
-    precomputes the depth-0 symbol boundaries and carries the optional
-    :class:`PrefixJumpTable` plus a :class:`SeedSearchStats` counter set
-    updated by the seed search.
+    carries the optional :class:`PrefixJumpTable`, the sorted suffix keys
+    (:func:`build_suffix_keys`; built here only when the caller has none
+    to hand over) and a :class:`SeedSearchStats` counter set updated by
+    the seed search.  The depth-0 symbol boundaries come from the keys.
 
-    The ``*_arr`` attributes (``genome_arr``, ``sa_arr``,
-    ``jump_bounds_arr``) are zero-copy numpy views over the same buffers,
-    exposed for the structure-of-arrays kernels in
+    ``genome_arr`` and ``sa_arr`` are zero-copy numpy views over the same
+    buffers; with ``keys`` they serve the structure-of-arrays kernels in
     :mod:`repro.align.batch`, which resolve whole batches of MMP queries
-    with fancy-indexed gathers instead of scalar element access.
+    with ``searchsorted`` and fancy-indexed gathers instead of scalar
+    element access.
     """
 
     __slots__ = (
@@ -277,10 +360,10 @@ class SearchContext:
         "sa_view",
         "sa_arr",
         "n",
+        "keys",
         "first_bounds",
         "jump_length",
         "jump_bounds",
-        "jump_bounds_arr",
         "jump_strides",
         "stats",
         "_sa_copy_bytes",
@@ -291,6 +374,7 @@ class SearchContext:
         genome: np.ndarray,
         sa: np.ndarray,
         jump_table: PrefixJumpTable | None = None,
+        keys: np.ndarray | None = None,
     ) -> None:
         genome_arr = np.asarray(genome, dtype=np.uint8)
         self.genome_bytes = genome_arr.tobytes()
@@ -305,22 +389,25 @@ class SearchContext:
         self.sa_view = memoryview(packed)
         self.sa_arr = packed
         self.n = int(packed.size)
-        firsts = genome_arr[packed] if self.n else np.empty(0, dtype=np.uint8)
+        if keys is None:
+            keys = build_suffix_keys(genome_arr, packed)
+        if keys.size != self.n:
+            raise ValueError("suffix keys must have one entry per SA position")
+        self.keys = np.ascontiguousarray(keys, dtype=np.int32)
         # boundaries: first_bounds[s] = first SA index whose suffix starts
-        # with a symbol >= s (6 entries cover symbols 0..4 plus the end)
-        self.first_bounds = [
-            int(np.searchsorted(firsts, s, side="left")) for s in range(5)
-        ] + [self.n]
+        # with a symbol >= s, i.e. whose key's leading field is >= s + 1
+        # (6 entries cover symbols 0..4 plus the end)
+        lead = _KEY_BITS * (SUFFIX_KEY_LENGTH - 1)
+        firsts = np.arange(1, 6, dtype=np.int32) << lead
+        self.first_bounds = np.searchsorted(self.keys, firsts).tolist() + [self.n]
         if jump_table is None:
             self.jump_length = 0
             self.jump_bounds = None
-            self.jump_bounds_arr = None
             self.jump_strides: tuple[int, ...] = ()
         else:
             self.jump_length = jump_table.length
             bounds_arr = np.ascontiguousarray(jump_table.bounds, dtype=np.int64)
             self.jump_bounds = memoryview(bounds_arr)
-            self.jump_bounds_arr = bounds_arr
             self.jump_strides = tuple(
                 _CODE_BASE ** (jump_table.length - d)
                 for d in range(jump_table.length + 1)

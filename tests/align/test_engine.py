@@ -343,6 +343,37 @@ class TestSharedMemoryLifecycle:
             for shm in handles:
                 shm.close()
             blocks.close()
+
+    def test_suffix_keys_published_attached_and_released(
+        self, index_r111, monkeypatch
+    ):
+        import repro.align.index as index_mod
+        import repro.align.suffix_array as suffix_array_mod
+
+        blocks = SharedIndexBlocks(index_r111)
+        spec = blocks.spec
+
+        def boom(*a, **k):  # pragma: no cover - failure path
+            raise AssertionError("suffix keys rebuilt at attach")
+
+        monkeypatch.setattr(index_mod, "build_suffix_keys", boom)
+        monkeypatch.setattr(suffix_array_mod, "build_suffix_keys", boom)
+        attached, handles = attach_shared_index(spec)
+        try:
+            assert not attached.suffix_keys.flags.owndata
+            assert np.array_equal(attached.suffix_keys, index_r111.suffix_keys)
+            ctx = attached.search_context  # takes the keys, builds none
+            assert np.shares_memory(ctx.keys, attached.suffix_keys)
+            assert blocks.nbytes == (
+                index_r111.n_bases * 13 + index_r111.jump_table.nbytes
+            )
+        finally:
+            del attached, ctx
+            for shm in handles:
+                shm.close()
+            blocks.close()
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=spec.keys_block)
         for name in (spec.genome_block, spec.suffix_block, spec.jump_block):
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)

@@ -72,6 +72,36 @@ class TestSjdb:
         assert index_r111.is_annotated_junction(donor, acceptor)
         assert not index_r111.is_annotated_junction(donor + 1, acceptor)
 
+    def test_annotated_junctions_match_the_per_pair_lookup(self, index_r111):
+        """The array lookup agrees with is_annotated_junction on every sjdb
+        junction, its near misses and cross-contig pairs."""
+        donors, acceptors = [], []
+        for contig, start, end in sorted(index_r111.sjdb):
+            donor = index_r111.to_absolute(contig, start)
+            acceptor = index_r111.to_absolute(contig, end)
+            for dd, da in ((0, 0), (1, 0), (0, -1), (-1, 1)):
+                donors.append(donor + dd)
+                acceptors.append(acceptor + da)
+        rng = np.random.default_rng(3)
+        donors += rng.integers(0, index_r111.n_bases, 500).tolist()
+        acceptors += rng.integers(0, index_r111.n_bases, 500).tolist()
+        expected = [
+            index_r111.is_annotated_junction(d, a) for d, a in zip(donors, acceptors)
+        ]
+        got = index_r111.annotated_junctions(np.array(donors), np.array(acceptors))
+        assert got.tolist() == expected
+        assert sum(expected) == len(index_r111.sjdb)
+
+    def test_annotated_junctions_ignore_entries_outside_their_contig(self):
+        # an entry whose acceptor runs past its contig's end would alias the
+        # next contig's first base in absolute coordinates
+        contigs = [Contig("1", encode("ACGT" * 10)), Contig("2", encode("TT"))]
+        index = genome_generate(Assembly("two", contigs))
+        index.sjdb = {("1", 2, 40), ("1", 2, 30), ("9", 0, 1)}
+        got = index.annotated_junctions(np.array([2, 2, 2]), np.array([40, 30, 99]))
+        assert got.tolist() == [False, True, False]
+        assert not index.is_annotated_junction(2, 40)
+
 
 class TestSize:
     def test_size_dominated_by_suffix_array(self, small_index):
@@ -87,19 +117,19 @@ class TestSize:
     def test_search_context_accounting(self, small_index):
         base = small_index.size_bytes()
         full = small_index.size_bytes(include_search_context=True)
-        # bytes-genome copy (1 B/base) + the jump table's bounds array; the
-        # packed SA memoryview is zero-copy over the index's own array
-        assert full - base == small_index.n_bases + small_index.jump_table.nbytes
+        # bytes-genome copy (1 B/base) + the sorted suffix keys (4 B/base)
+        # + the jump table's bounds array; the packed SA memoryview is
+        # zero-copy over the index's own array
+        assert full - base == 5 * small_index.n_bases + small_index.jump_table.nbytes
 
     def test_search_context_accounting_matches_live_context(self, small_index):
         ctx = small_index.search_context  # force the build
         base = small_index.size_bytes()
         full = small_index.size_bytes(include_search_context=True)
         assert ctx._sa_copy_bytes == 0  # contiguous int64 SA -> no copy
-        assert (
-            full - base
-            == ctx.resident_extra_bytes() + small_index.jump_table.nbytes
-        )
+        keys = small_index.suffix_keys.nbytes
+        jump = small_index.jump_table.nbytes
+        assert full - base == ctx.resident_extra_bytes() + jump + keys
 
     def test_search_context_estimate_matches_actual(self):
         # the pre-build estimate must equal the post-build measurement,

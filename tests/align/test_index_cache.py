@@ -53,6 +53,8 @@ class TestRoundTrip:
         assert np.array_equal(direct.offsets, cached.offsets)
         assert np.array_equal(direct.jump_table.bounds, cached.jump_table.bounds)
         assert direct.jump_table.length == cached.jump_table.length
+        assert cached.suffix_keys.dtype == np.int32
+        assert np.array_equal(direct.suffix_keys, cached.suffix_keys)
         assert direct.names == cached.names
         assert direct.sjdb == cached.sjdb
 
@@ -62,9 +64,11 @@ class TestRoundTrip:
         assert isinstance(cached.genome, np.memmap)
         assert isinstance(cached.suffix_array, np.memmap)
         assert isinstance(cached.jump_table.bounds, np.memmap)
+        assert isinstance(cached.suffix_keys, np.memmap)
         # zero-copy search context over the memmaps
         ctx = cached.search_context
         assert ctx._sa_copy_bytes == 0
+        assert np.shares_memory(ctx.keys, cached.suffix_keys)
 
     def test_second_load_skips_sa_construction(
         self, tmp_path, universe, assembly, monkeypatch
@@ -120,6 +124,34 @@ class TestRoundTrip:
         assert loaded.jump_table is not None
         rebuilt = index_mod.genome_generate(asm)
         assert np.array_equal(loaded.jump_table.bounds, rebuilt.jump_table.bounds)
+        assert np.array_equal(loaded.suffix_keys, rebuilt.suffix_keys)
+
+    def test_old_format_entry_is_rebuilt_not_attached(self, tmp_path):
+        """An entry of format 1 (no suffix keys) is refused by fingerprint,
+        and the lookup builds a current entry beside it."""
+        import json
+
+        import repro.align.cache as cache_mod
+
+        asm = Assembly("old", [Contig("1", encode("ACGTTGCANNACGT" * 20))])
+        cache = IndexCache(tmp_path)
+        fresh = index_mod.genome_generate(asm)
+        current = cache.fingerprint(asm)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cache_mod, "_FORMAT_VERSION", 1)
+            old = cache.fingerprint(asm)
+            cache.store(old, index_mod.genome_generate(asm))
+        entry = cache.path_for(old)
+        (entry / "suffix_keys.npy").unlink()
+        meta = json.loads((entry / "meta.json").read_text())
+        assert old != current and meta["version"] == 1
+        with pytest.raises(ValueError, match="format version"):
+            cache.load(old)
+
+        loaded = cache.get_or_build(asm)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert cache.entries() == sorted([old, current])
+        assert np.array_equal(loaded.suffix_keys, fresh.suffix_keys)
 
     def test_version_mismatch_rejected(self, tmp_path, universe, assembly):
         import json

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align.suffix_array import (
+    SUFFIX_KEY_LENGTH,
     PrefixJumpTable,
     SeedSearchStats,
     build_suffix_array,
+    build_suffix_keys,
     extend_interval,
     occurrences,
     prefix_length,
@@ -242,6 +244,49 @@ class TestPrefixJumpTable:
                 assert got[0] >= got[1]
             else:
                 assert got == want
+
+
+class TestSuffixKeys:
+    @staticmethod
+    def decode(key: int) -> list[int]:
+        """A key's symbols, most significant first; -1 past the end."""
+        fields = [(key >> (3 * (SUFFIX_KEY_LENGTH - 1 - d))) & 7 for d in range(10)]
+        return [f - 1 for f in fields]
+
+    @given(dna)
+    @settings(max_examples=50, deadline=None)
+    def test_property_keys_pack_the_first_ten_symbols_in_sa_order(self, s):
+        codes = encode(s)
+        sa = build_suffix_array(codes)
+        keys = build_suffix_keys(codes, sa)
+        assert keys.dtype == np.int32 and keys.size == codes.size
+        assert np.all(np.diff(keys) >= 0)  # sorted along the suffix array
+        for i, start in enumerate(sa.tolist()):
+            head = codes[start : start + SUFFIX_KEY_LENGTH].tolist()
+            padding = [-1] * (SUFFIX_KEY_LENGTH - len(head))
+            assert self.decode(int(keys[i])) == head + padding
+
+    def test_context_takes_keys_without_rebuilding(self, monkeypatch):
+        from repro.align import suffix_array
+
+        codes = encode("ACGTNACGTTTGCA" * 5)
+        sa = build_suffix_array(codes)
+        keys = build_suffix_keys(codes, sa)
+
+        def boom(*a, **k):  # pragma: no cover - failure path
+            raise AssertionError("suffix keys rebuilt")
+
+        monkeypatch.setattr(suffix_array, "build_suffix_keys", boom)
+        ctx = suffix_array.SearchContext(codes, sa, keys=keys)
+        assert np.shares_memory(ctx.keys, keys)
+
+    def test_wrong_key_count_rejected(self):
+        from repro.align.suffix_array import SearchContext
+
+        codes = encode("ACGTACGT")
+        sa = build_suffix_array(codes)
+        with pytest.raises(ValueError, match="one entry per SA position"):
+            SearchContext(codes, sa, keys=build_suffix_keys(codes, sa)[:-1])
 
 
 class TestSeedSearchStats:

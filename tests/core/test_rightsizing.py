@@ -56,10 +56,10 @@ class TestMeasured:
 
     def test_measured_budget_tracks_packed_context(self, advisor, index_r111):
         # the packed SearchContext adds only the 1 B/base genome copy on
-        # top of the index arrays + jump table — not the old ~40 B/position
-        # Python-list blow-up
+        # top of the index arrays + jump table + 4 B/base suffix keys —
+        # not the old ~40 B/position Python-list blow-up
         measured = advisor.measured_memory_required(index_r111)
-        expected_extra = index_r111.n_bases + index_r111.jump_table.nbytes
+        expected_extra = 5 * index_r111.n_bases + index_r111.jump_table.nbytes
         assert measured == (
             index_r111.size_bytes()
             + expected_extra
