@@ -25,7 +25,10 @@ decision procedure with the per-symbol work hoisted into numpy:
   batched compare-and-argmax longest-common-extension scan once
   intervals hold a single suffix;
 * :func:`repro.align.extend.batch_ungapped_extend` verifies every
-  candidate placement of the batch in one fused comparison;
+  candidate placement of the batch under the mismatch budget: chunked
+  comparisons against the resident genome from which a candidate
+  retires as soon as it is over the budget, as STAR's ``extendAlign``
+  drops it, so spurious multimapping hits cost a few columns each;
 * spliced stitching reuses one batched remainder seed per (read,
   orientation) where the serial path re-derives it per candidate
   position — same deterministic result, computed once;

@@ -19,7 +19,8 @@ Format version 2 adds the sorted suffix-key column the batch seed search
 runs on (:func:`~repro.align.suffix_array.build_suffix_keys`).  The
 version is part of the fingerprint, so an entry of the old format is
 simply not found and the index is rebuilt on first use; loading one by
-its fingerprint is refused rather than attached without keys.
+its fingerprint is refused rather than attached without keys.  Storing a
+current entry deletes every entry of an older format.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class IndexCache:
 
         If a concurrent builder already published the entry, theirs wins
         and this build is discarded — both are byte-identical by
-        construction.
+        construction.  Either way, entries of an older format go.
         """
         if index.jump_table is None:
             index.jump_table = PrefixJumpTable.build(index.genome, index.suffix_array)
@@ -163,7 +164,31 @@ class IndexCache:
             if fingerprint not in self:
                 raise
             shutil.rmtree(tmp)
+        self._remove_older_formats()
         return final
+
+    def _remove_older_formats(self) -> None:
+        """Delete every complete entry of an older format version.
+
+        The version is part of the fingerprint, so no lookup can reach such
+        an entry again; left in place it would still be listed by
+        :meth:`entries` and hold its disk space.  Entries of a newer
+        version, entries whose ``meta.json`` cannot be read and in-progress
+        ``.tmp-*`` builds are left alone.
+        """
+        for entry in self.root.iterdir():
+            if entry.name.startswith(".tmp-"):
+                continue
+            try:
+                meta = json.loads((entry / _META).read_text())
+                older = meta["version"] < _FORMAT_VERSION
+            except (OSError, ValueError, KeyError, TypeError):
+                continue
+            if older:
+                try:
+                    shutil.rmtree(entry)
+                except FileNotFoundError:
+                    pass  # a concurrent store removed it first
 
     def load(self, fingerprint: str) -> GenomeIndex:
         """Attach to a stored entry without rebuilding anything.

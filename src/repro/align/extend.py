@@ -15,6 +15,16 @@ import numpy as np
 from repro.align.index import GenomeIndex
 from repro.genome.alphabet import BASE_N
 
+#: width of the first comparison chunk of the batch extension: a spurious
+#: candidate usually passes the mismatch budget within a few columns
+#: (90% within 8 on the perfbench workloads), so the opening chunk stays
+#: narrow and later chunks double for the rows still within budget
+_FIRST_CHUNK = 8
+
+#: widest comparison chunk; bounds the (rows x columns) gather however
+#: long a segment is
+_MAX_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class ScoringParams:
@@ -64,16 +74,28 @@ def batch_ungapped_extend(
     max_mismatches: int,
     verified_prefix: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`ungapped_extend` over many (segment, position) pairs.
+    """Mismatch-budgeted :func:`ungapped_extend` over many (segment, position) pairs.
 
     ``bases`` is a packed pool of uint8 base codes; pair ``i`` compares
     ``bases[seg_offsets[i] : seg_offsets[i] + seg_lengths[i]]`` against
     the genome at ``genome_starts[i]``.  Returns ``(mismatches, ok)``
-    arrays whose elements match what :func:`ungapped_extend` reports for
-    the same pair — including the contig-boundary/off-genome failure mode
-    (``ok=False`` with ``mismatches == length``) and the zero-length
-    ``ok=True`` convention.  One fused comparison over a column-masked
-    2-D gather replaces one Python-level numpy round-trip per pair.
+    arrays:
+
+    * ``ok[i]`` is exactly what :func:`ungapped_extend` reports for the
+      same pair, including the zero-length ``ok=True`` convention;
+    * ``mismatches[i]`` is that function's count whenever it is within
+      ``max_mismatches``, some count above ``max_mismatches`` when the
+      pair is over the budget, and the segment length when the segment
+      crosses a contig boundary or runs off the genome.
+
+    Pairs that fail the span checks never reach the comparison.  The
+    others are compared in column chunks gathered from the search
+    context's resident genome: the first chunk is :data:`_FIRST_CHUNK`
+    columns wide, each next one twice as wide up to :data:`_MAX_CHUNK`,
+    and a pair retires as soon as its count passes the budget or its
+    segment ends.  A spurious seed hit is thus dropped after a few
+    columns instead of being compared over the whole segment, as STAR's
+    ``extendAlign`` drops a candidate past its mismatch limit.
 
     The always-mismatch rule for ``N`` is folded into the comparison by
     remapping read-side ``N`` (code 4) to the out-of-alphabet code 5:
@@ -108,40 +130,39 @@ def batch_ungapped_extend(
     contig = np.clip(contig, 0, len(offsets) - 2)
     ok_span = in_genome & (genome_starts + seg_lengths <= offsets[contig + 1])
 
-    if verified_prefix is None:
-        cmp_offsets, cmp_starts, cmp_lengths = seg_offsets, genome_starts, seg_lengths
-    else:
-        cmp_offsets = seg_offsets + verified_prefix
-        cmp_starts = genome_starts + verified_prefix
-        cmp_lengths = seg_lengths - verified_prefix
-    width = int(cmp_lengths.max()) if n_bases else 0
-    full_width = int(seg_lengths.max())
-    # pad both pools so no gather needs clamping: a pair that would read
-    # out of bounds already has ok_span=False, so the values compared in
-    # the padding are never observed in the result.  The read pool copy
-    # doubles as the N remap (read N -> 5; genome N stays 4), which folds
-    # the always-mismatch N rule into plain inequality.
-    pool = np.zeros(bases.size + width, dtype=np.uint8)
+    mismatches = np.where(ok_span, 0, seg_lengths)
+    skip = (
+        np.zeros(n_pairs, dtype=np.int64)
+        if verified_prefix is None
+        else np.asarray(verified_prefix, dtype=np.int64)
+    )
+    # one row per pair still to compare, compacted as rows retire
+    rows = np.flatnonzero(ok_span & (seg_lengths > skip))
+    g_at = genome_starts[rows] + skip[rows]
+    r_at = seg_offsets[rows] + skip[rows]
+    left = seg_lengths[rows] - skip[rows]
+    count = np.zeros(rows.size, dtype=np.int64)
+    # the read pool is batch-sized, so it alone is padded (no chunk reads
+    # past its end) and copied for the N remap; the genome is gathered in
+    # place through clamped indices (a clamped column lies past its row's
+    # segment end, so it is masked)
+    pool = np.zeros(bases.size + _MAX_CHUNK, dtype=np.uint8)
     np.add(bases, bases == BASE_N, out=pool[: bases.size], casting="unsafe")
-    genome = np.zeros(full_width + n_bases + width, dtype=np.uint8)
-    genome[full_width : full_width + n_bases] = index.genome
-    mismatches = np.zeros(n_pairs, dtype=np.int64)
-    # column-chunked so pathological segment lengths cannot allocate an
-    # unbounded (pairs x width) matrix
-    for col in range(0, width, 256):
-        cols = np.arange(col, min(col + 256, width), dtype=np.int64)
-        live = cmp_lengths > col
-        rows = np.nonzero(live)[0]
-        if rows.size == 0:
-            break
-        col_valid = cols[None, :] < cmp_lengths[rows, None]
-        g = genome[cmp_starts[rows, None] + (cols[None, :] + full_width)]
-        r = pool[cmp_offsets[rows, None] + cols[None, :]]
-        diff = (g != r) & col_valid
-        mismatches[rows] += diff.sum(axis=1)
-
-    mismatches = np.where(ok_span, mismatches, seg_lengths)
-    ok = np.where(seg_lengths == 0, True, ok_span & (mismatches <= max_mismatches))
+    genome = index.search_context.genome_arr
+    last = genome.size - 1
+    chunk = _FIRST_CHUNK
+    while rows.size:
+        cols = np.arange(chunk, dtype=np.int64)
+        g = genome[np.minimum(g_at[:, None] + cols, last)]
+        diff = (g != pool[r_at[:, None] + cols]) & (cols < left[:, None])
+        count += np.count_nonzero(diff, axis=1)
+        left -= chunk
+        going = (left > 0) & (count <= max_mismatches)
+        mismatches[rows[~going]] = count[~going]
+        rows, count, left = rows[going], count[going], left[going]
+        g_at, r_at = g_at[going] + chunk, r_at[going] + chunk
+        chunk = min(2 * chunk, _MAX_CHUNK)
+    ok = (seg_lengths == 0) | (ok_span & (mismatches <= max_mismatches))
     return mismatches, ok
 
 

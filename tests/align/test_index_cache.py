@@ -128,7 +128,7 @@ class TestRoundTrip:
 
     def test_old_format_entry_is_rebuilt_not_attached(self, tmp_path):
         """An entry of format 1 (no suffix keys) is refused by fingerprint,
-        and the lookup builds a current entry beside it."""
+        and the lookup builds a current entry in its place."""
         import json
 
         import repro.align.cache as cache_mod
@@ -150,8 +150,26 @@ class TestRoundTrip:
 
         loaded = cache.get_or_build(asm)
         assert (cache.hits, cache.misses) == (0, 1)
-        assert cache.entries() == sorted([old, current])
+        assert cache.entries() == [current]
+        assert not entry.exists()
         assert np.array_equal(loaded.suffix_keys, fresh.suffix_keys)
+
+    def test_store_keeps_newer_unreadable_and_unfinished_entries(self, tmp_path):
+        import json
+
+        asm = Assembly("keep", [Contig("1", encode("ACGTTGCANNACGT" * 20))])
+        cache = IndexCache(tmp_path)
+        siblings = {
+            "newer": {"version": 999},
+            "unreadable": None,
+            ".tmp-old-1": {"version": 1},
+        }
+        for name, meta in siblings.items():
+            (tmp_path / name).mkdir()
+            text = "{not json" if meta is None else json.dumps(meta)
+            (tmp_path / name / "meta.json").write_text(text)
+        cache.get_or_build(asm)
+        assert all((tmp_path / name / "meta.json").is_file() for name in siblings)
 
     def test_version_mismatch_rejected(self, tmp_path, universe, assembly):
         import json

@@ -1,13 +1,15 @@
 """perfbench's hook counters against the program's own counters.
 
-``perfbench/spans.py`` counts batch reads and seed queries by reading
-arguments of the functions it wraps: ``len(args[1])`` of
-``align_read_batch`` and ``len(args[2])`` of ``batch_mmp``.  A reordered
-signature would still resolve, so the benchmark's "hooks not found"
-check would pass while the counts went wrong.  This test installs the
-benchmark's hooks, aligns one small batch through the batch core, and
-holds those counts to :class:`~repro.align.suffix_array.SeedSearchStats`
-and to the number of reads aligned.
+``perfbench/spans.py`` counts batch reads, seed queries and extensions
+by reading arguments and results of the functions it wraps:
+``len(args[1])`` of ``align_read_batch``, ``len(args[2])`` of
+``batch_mmp``, and ``len(args[2])`` and ``value[1].sum()`` of
+``batch_ungapped_extend``.  A reordered signature or result would still
+resolve, so the benchmark's "hooks not found" check would pass while the
+counts went wrong.  This test installs the benchmark's hooks, aligns one
+small batch through the batch core, and holds those counts to
+:class:`~repro.align.suffix_array.SeedSearchStats`, to the number of
+reads aligned and to the per-pair extension oracle.
 """
 
 import importlib.util
@@ -16,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+import repro.align.batch as batch_mod
+from repro.align.extend import ungapped_extend
 from repro.align.star import StarAligner, StarParameters
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -34,10 +38,24 @@ def spans():
         del sys.modules[spec.name]
 
 
-def test_hook_counters_match_the_search_counters(spans, index_r111, bulk_sample):
+def test_hook_counters_match_the_search_counters(
+    spans, index_r111, bulk_sample, monkeypatch
+):
     records = list(bulk_sample.records[:48])
     aligner = StarAligner(index_r111, StarParameters(batch_align=True))
     stats = index_r111.search_context.stats
+    # every (segment, position) pair the batch core extends, with its budget
+    pairs = []
+    kernel = batch_mod.batch_ungapped_extend
+
+    def recording_kernel(index, bases, offsets, lengths, starts, **kwargs):
+        budget = kwargs["max_mismatches"]
+        for off, length, start in zip(offsets, lengths, starts):
+            pairs.append((bases[off : off + length].copy(), int(start), budget))
+        return kernel(index, bases, offsets, lengths, starts, **kwargs)
+
+    # installed under the hook, so the hook sees the kernel's own arguments
+    monkeypatch.setattr(batch_mod, "batch_ungapped_extend", recording_kernel)
     tracer = spans.Tracer()
     installation = spans.Installation(tracer, spans.HOOKS, spans=True)
     try:
@@ -52,3 +70,10 @@ def test_hook_counters_match_the_search_counters(spans, index_r111, bulk_sample)
     # every query of the batch core goes through batch_mmp
     assert delta["batch_queries"] == delta["queries"] >= 2 * len(records)
     assert tracer.counters["batch.seed_queries"] == delta["queries"]
+    # every extension of the batch goes through batch_ungapped_extend
+    assert tracer.counters["extend.candidates"] == len(pairs) > 0
+    accepted = sum(
+        ungapped_extend(index_r111, seg, start, max_mismatches=budget).ok
+        for seg, start, budget in pairs
+    )
+    assert tracer.counters["extend.accepted"] == accepted
