@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.atlas import AtlasConfig
 from repro.core.hpc import HpcConfig, run_hpc
 from repro.experiments.corpus import CorpusSpec, generate_corpus
 from repro.genome.ensembl import EnsemblRelease
@@ -18,7 +19,8 @@ from repro.util.tables import Table
 
 def run_hpc_grid(n_jobs: int = 120, seed: int = 0):
     jobs = generate_corpus(CorpusSpec(n_runs=n_jobs), rng=seed)
-    base = HpcConfig(n_nodes=8, vcpus_per_node=16, seed=seed)
+    base = AtlasConfig(seed=seed)
+    cluster = HpcConfig(n_nodes=8, vcpus_per_node=16)
     variants = {
         "r111 + early-stop": base,
         "r111, no early-stop": replace(base, early_stopping=None),
@@ -27,7 +29,7 @@ def run_hpc_grid(n_jobs: int = 120, seed: int = 0):
             base, release=EnsemblRelease.R108, early_stopping=None
         ),
     }
-    return {name: run_hpc(jobs, cfg) for name, cfg in variants.items()}
+    return {name: run_hpc(jobs, cfg, cluster) for name, cfg in variants.items()}
 
 
 def test_bench_hpc(once):

@@ -186,12 +186,15 @@ def _cmd_pseudo(args: argparse.Namespace) -> int:
 
 
 def _cmd_hpc(args: argparse.Namespace) -> int:
+    from repro.core.atlas import AtlasConfig
     from repro.core.hpc import HpcConfig, run_hpc
     from repro.experiments.corpus import CorpusSpec, generate_corpus
     from repro.util.tables import Table
 
     jobs = generate_corpus(CorpusSpec(n_runs=args.jobs), rng=args.seed)
-    report = run_hpc(jobs, HpcConfig(n_nodes=args.nodes, seed=args.seed))
+    report = run_hpc(
+        jobs, AtlasConfig(seed=args.seed), HpcConfig(n_nodes=args.nodes)
+    )
     table = Table(["metric", "value"], title=f"HPC campaign — {args.nodes} nodes")
     table.add_row(["jobs", report.n_jobs])
     table.add_row(["terminated early", report.n_terminated])

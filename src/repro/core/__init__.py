@@ -7,12 +7,15 @@ application-specific optimizations.
   mapping rate is below threshold once enough reads were processed;
 * :mod:`repro.core.rightsizing` — §III-A consequence: pick the smallest
   instance whose RAM fits the index;
-* :mod:`repro.core.atlas` — the cloud orchestration of Fig. 2, wiring the
-  pipeline into the DES substrate (SQS + ASG + S3 + spot);
+* :mod:`repro.core.atlas` — the campaign core (one STAR-step resolver,
+  job record and report base) and the cloud orchestration of Fig. 2 over
+  the DES substrate (SQS + ASG + S3 + spot); :mod:`repro.core.faas_atlas`
+  and :mod:`repro.core.hpc` run the same campaign on functions and on a
+  fixed cluster;
 * :mod:`repro.core.journal` — crash-consistent run journal powering
   checkpoint/resume and graceful drain;
-* :mod:`repro.core.analytics` — savings/throughput accounting used by the
-  figures.
+* :mod:`repro.core.analytics` — early-stopping savings accounting used by
+  the figures.
 """
 
 from repro.core.analytics import EarlyStopSavings, compute_savings

@@ -1,4 +1,4 @@
-"""Savings and throughput analytics for the figures.
+"""Early-stopping savings analytics for the figures.
 
 Turns per-run records (from the local pipeline, the cloud simulation, or
 the offline corpus replay) into the aggregate quantities the paper
@@ -96,22 +96,3 @@ def compute_savings(timings: list[RunTiming]) -> EarlyStopSavings:
         total_hours_actual=to_hours(sum(t.star_seconds_actual for t in timings)),
         terminated_libraries=terminated_by_lib,
     )
-
-
-@dataclass(frozen=True)
-class ThroughputStats:
-    """Campaign-level throughput summary (for the architecture bench)."""
-
-    n_jobs: int
-    makespan_hours: float
-    fleet_peak: int
-    mean_utilization: float
-    total_cost_usd: float
-
-    @property
-    def jobs_per_hour(self) -> float:
-        return self.n_jobs / self.makespan_hours if self.makespan_hours > 0 else 0.0
-
-    @property
-    def cost_per_job_usd(self) -> float:
-        return self.total_cost_usd / self.n_jobs if self.n_jobs else 0.0

@@ -1,4 +1,14 @@
-"""Cloud orchestration of the Transcriptomics Atlas (Fig. 2).
+"""Cloud orchestration of the Transcriptomics Atlas (Fig. 2), and the
+campaign core every capacity provider shares.
+
+The core is what an accession's outcome depends on, whatever runs it:
+:class:`AtlasConfig` (release, policy, models, seed),
+:func:`simulate_star_step` (the one place a job's early stop, status and
+STAR time are resolved), :class:`JobRecord` and :class:`CampaignReport`.
+The providers add only how capacity is bought and scheduled:
+:func:`run_atlas` here (an AutoScalingGroup draining SQS),
+:func:`~repro.core.faas_atlas.run_faas_atlas` (scatter-gather functions)
+and :func:`~repro.core.hpc.run_hpc` (a fixed FIFO cluster).
 
 ``run_atlas`` wires the pipeline into the DES substrate: an SQS queue is
 seeded with one message per SRA run, an AutoScalingGroup launches worker
@@ -32,13 +42,13 @@ from repro.cloud.ec2 import (
 from repro.cloud.events import Simulation, Timeout
 from repro.cloud.s3 import S3Service
 from repro.cloud.sqs import SqsQueue
-from repro.core.early_stopping import Decision, EarlyStoppingPolicy
+from repro.core.early_stopping import EarlyStoppingPolicy
 from repro.core.pipeline import RunStatus
 from repro.core.resilience import FaultPlan, RetryPolicy
 from repro.core.trajectory import MappingTrajectory
 from repro.genome.ensembl import EnsemblRelease, release_spec
 from repro.perf.index_model import IndexModel
-from repro.perf.star_model import StarPerfModel
+from repro.perf.star_model import StarPerfModel, StarRuntimeBreakdown
 from repro.perf.transfer import TransferModel
 from repro.reads.library import LibraryType
 from repro.util.rng import derive_rng, ensure_rng
@@ -132,7 +142,7 @@ class AtlasConfig:
 
 @dataclass
 class JobRecord:
-    """Outcome of one job inside the simulation."""
+    """Outcome of one job inside a campaign, under any provider."""
 
     accession: str
     status: RunStatus
@@ -162,17 +172,49 @@ class JobRecord:
     def total_seconds(self) -> float:
         return self.finished_at - self.started_at
 
-    @property
-    def star_seconds_saved(self) -> float:
-        return self.star_seconds_if_full - self.star_seconds
-
 
 @dataclass
-class AtlasRunReport:
-    """Campaign-level results."""
+class CampaignReport:
+    """What every provider reports: one record per job, and the makespan."""
 
     jobs: list[JobRecord]
     makespan_seconds: float
+
+    @property
+    def n_jobs(self) -> int:
+        return len(self.jobs)
+
+    @property
+    def n_terminated(self) -> int:
+        return sum(1 for j in self.jobs if j.status is RunStatus.REJECTED_EARLY)
+
+    @property
+    def n_failed(self) -> int:
+        return sum(1 for j in self.jobs if j.status is RunStatus.FAILED)
+
+    @property
+    def star_hours_actual(self) -> float:
+        return sum(j.star_seconds for j in self.jobs) / 3600.0
+
+    @property
+    def star_hours_if_full(self) -> float:
+        return sum(j.star_seconds_if_full for j in self.jobs) / 3600.0
+
+    @property
+    def star_hours_saved(self) -> float:
+        return self.star_hours_if_full - self.star_hours_actual
+
+    @property
+    def throughput_jobs_per_hour(self) -> float:
+        if self.makespan_seconds <= 0:
+            return 0.0
+        return self.n_jobs / (self.makespan_seconds / 3600.0)
+
+
+@dataclass
+class AtlasRunReport(CampaignReport):
+    """Campaign-level results of the ASG fleet."""
+
     cost: CostReport
     instance: InstanceType
     peak_fleet: int
@@ -196,43 +238,38 @@ class AtlasRunReport:
     stage_seconds: dict = field(default_factory=dict)
 
     @property
-    def n_jobs(self) -> int:
-        return len(self.jobs)
-
-    @property
     def download_bytes_saved(self) -> float:
         """SRA bytes never transferred thanks to streamed early stops."""
         return sum(j.download_bytes_saved for j in self.jobs)
-
-    @property
-    def star_hours_actual(self) -> float:
-        return sum(j.star_seconds for j in self.jobs) / 3600.0
-
-    @property
-    def star_hours_if_full(self) -> float:
-        return sum(j.star_seconds_if_full for j in self.jobs) / 3600.0
-
-    @property
-    def star_hours_saved(self) -> float:
-        return self.star_hours_if_full - self.star_hours_actual
-
-    @property
-    def n_terminated(self) -> int:
-        return sum(1 for j in self.jobs if j.status is RunStatus.REJECTED_EARLY)
-
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for j in self.jobs if j.status is RunStatus.FAILED)
 
     @property
     def total_retries(self) -> int:
         return sum(j.retries for j in self.jobs)
 
     @property
-    def throughput_jobs_per_hour(self) -> float:
-        if self.makespan_seconds <= 0:
-            return 0.0
-        return self.n_jobs / (self.makespan_seconds / 3600.0)
+    def total_usd(self) -> float:
+        return self.cost.total_usd
+
+
+@dataclass(frozen=True)
+class StarStep:
+    """One job's STAR step, resolved against its trajectory and the policy."""
+
+    #: the run to completion on the provider's vCPUs, noise included
+    full: StarRuntimeBreakdown
+    #: processed fraction at which early stopping aborted the run
+    stop_fraction: float | None
+    status: RunStatus
+
+    @property
+    def seconds(self) -> float:
+        """The step's cost: the full run, or its setup and scanned prefix."""
+        if self.stop_fraction is None:
+            return self.full.total_seconds
+        return (
+            self.full.setup_seconds
+            + self.stop_fraction * self.full.full_scan_seconds
+        )
 
 
 def simulate_star_step(
@@ -240,42 +277,43 @@ def simulate_star_step(
     config: AtlasConfig,
     vcpus: int,
     rng: np.random.Generator,
-) -> tuple[float, float, float | None, RunStatus]:
+) -> StarStep:
     """Resolve one job's STAR step against the trajectory + policy.
 
-    Returns (actual_seconds, full_seconds, stop_fraction, status).
-    The run-to-run noise draw is shared between the actual and the
-    counterfactual full run so savings are measured on the same sample.
-    Shared by the cloud atlas and the HPC mode.
+    The only place a campaign decides whether a job is stopped early,
+    rejected at the end or accepted, so an accession ends alike under
+    every provider.  The run-to-run noise draw is shared between the
+    actual and the counterfactual full run so savings are measured on
+    the same sample.
     """
-    spec = release_spec(config.release)
     full = config.star_model.predict(
-        job.fastq_bytes, spec, vcpus, scanned_fraction=1.0, rng=rng
+        job.fastq_bytes, release_spec(config.release), vcpus, rng=rng
     )
-    stop_fraction: float | None = None
-    status = RunStatus.ACCEPTED
-    if config.early_stopping is not None:
-        n = config.n_progress_snapshots
-        for i in range(1, n + 1):
-            f = i / n
-            rate = job.trajectory.rate_at(f)
-            if (
-                config.early_stopping.decide_rate(rate, f)
-                is Decision.ABORT
-            ):
-                stop_fraction = f
-                status = RunStatus.REJECTED_EARLY
-                break
-    if (
-        stop_fraction is None
-        and config.acceptance_threshold is not None
+    stop_fraction = (
+        None
+        if config.early_stopping is None
+        else config.early_stopping.abort_fraction(
+            job.trajectory, config.n_progress_snapshots
+        )
+    )
+    if stop_fraction is not None:
+        status = RunStatus.REJECTED_EARLY
+    elif (
+        config.acceptance_threshold is not None
         and job.trajectory.rate_at(1.0) < config.acceptance_threshold
     ):
         status = RunStatus.REJECTED_FINAL
-    if stop_fraction is None:
-        return full.total_seconds, full.total_seconds, None, status
-    actual = full.setup_seconds + stop_fraction * full.full_scan_seconds
-    return actual, full.total_seconds, stop_fraction, status
+    else:
+        status = RunStatus.ACCEPTED
+    return StarStep(full=full, stop_fraction=stop_fraction, status=status)
+
+
+def job_rngs(
+    rng: np.random.Generator, jobs: list[AtlasJob]
+) -> dict[str, np.random.Generator]:
+    """Each accession's noise stream, derived from the campaign's "jobs"."""
+    root = derive_rng(rng, "jobs")
+    return {job.accession: derive_rng(root, job.accession) for job in jobs}
 
 
 def overlap_schedule(
@@ -340,11 +378,7 @@ def run_atlas(jobs: list[AtlasJob], config: AtlasConfig) -> AtlasRunReport:
     init_overhead = transfer.s3_download_seconds(index_bytes) + (
         index_model.shm_load_seconds(spec)
     )
-    job_rng_root = derive_rng(rng, "jobs")
-    job_seeds = {
-        job.accession: derive_rng(job_rng_root, job.accession)
-        for job in jobs
-    }
+    job_seeds = job_rngs(rng, jobs)
     # derived after "spot"/"jobs" so enabling retries never perturbs the
     # spot-interruption or per-job noise streams of an existing campaign
     retry_rng = derive_rng(rng, "retries")
@@ -392,14 +426,14 @@ def run_atlas(jobs: list[AtlasJob], config: AtlasConfig) -> AtlasRunReport:
             # any alignment work — mirroring the local streamed pipeline
             check_fault("prefetch", job.accession)
             check_fault("fasterq_dump", job.accession)
-            actual, full, stop_fraction, status = simulate_star_step(
+            step = simulate_star_step(
                 job, config, itype.vcpus, job_seeds[job.accession]
             )
             transfer_seconds = transfer.prefetch_seconds(
                 job.sra_bytes
             ) + transfer.fasterq_dump_seconds(job.fastq_bytes)
             elapsed, transferred = overlap_schedule(
-                transfer_seconds, actual, stop_fraction
+                transfer_seconds, step.seconds, step.stop_fraction
             )
             yield StageMark("stream")
             yield Timeout(elapsed)
@@ -411,9 +445,10 @@ def run_atlas(jobs: list[AtlasJob], config: AtlasConfig) -> AtlasRunReport:
             check_fault("fasterq_dump", job.accession)
             yield StageMark("fasterq_dump")
             yield Timeout(transfer.fasterq_dump_seconds(job.fastq_bytes))
-            actual, full, stop_fraction, status = simulate_star_step(
+            step = simulate_star_step(
                 job, config, itype.vcpus, job_seeds[job.accession]
             )
+            actual = step.seconds
             yield StageMark("star")
             if journal_bucket is None:
                 yield Timeout(actual)
@@ -462,7 +497,7 @@ def run_atlas(jobs: list[AtlasJob], config: AtlasConfig) -> AtlasRunReport:
                         payload={"chunks": i + 1},
                     )
                     lease.renew(now=sim.now, ttl=config.lease_ttl)
-        if status is RunStatus.ACCEPTED:
+        if step.status is RunStatus.ACCEPTED:
             yield StageMark("normalize")
             yield Timeout(config.normalize_seconds)
             check_fault("s3_upload", job.accession)
@@ -489,13 +524,13 @@ def run_atlas(jobs: list[AtlasJob], config: AtlasConfig) -> AtlasRunReport:
             held_leases.pop(agent.instance.instance_id, None)
         record = JobRecord(
             accession=job.accession,
-            status=status,
+            status=step.status,
             library=job.library,
             started_at=started,
             finished_at=sim.now,
-            star_seconds=actual,
-            star_seconds_if_full=full,
-            stop_fraction=stop_fraction,
+            star_seconds=step.seconds,
+            star_seconds_if_full=step.full.total_seconds,
+            stop_fraction=step.stop_fraction,
             instance_id=agent.instance.instance_id,
             retries=agent.current_attempt - 1,
             streamed=config.streaming,

@@ -10,8 +10,9 @@ saving ~19.5% of total STAR time.
 :class:`EarlyStoppingPolicy` is a pure decision rule over
 :class:`~repro.align.progress.ProgressRecord` values;
 :class:`EarlyStopMonitor` adapts it to the aligner's monitor hook and
-keeps the decision trace.  Both also drive the cloud simulation, where
-progress records are synthesized from mapping-rate trajectories.
+keeps the decision trace.  :meth:`EarlyStoppingPolicy.abort_fraction`
+drives the campaign simulations, where progress is synthesized from
+mapping-rate trajectories.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.align.progress import ProgressRecord
+from repro.core.trajectory import MappingTrajectory
 from repro.util.validation import check_fraction
 
 
@@ -82,6 +84,21 @@ class EarlyStoppingPolicy:
         if mapped_fraction < self.mapping_threshold:
             return Decision.ABORT
         return Decision.CONTINUE
+
+    def abort_fraction(
+        self, trajectory: MappingTrajectory, n_snapshots: int
+    ) -> float | None:
+        """Where this policy aborts a run whose rate follows ``trajectory``.
+
+        The simulated ``Log.progress.out``: the rate is checked at
+        ``n_snapshots`` evenly spaced processed fractions, and the first
+        one the policy aborts at is returned (None if it never fires).
+        """
+        for i in range(1, n_snapshots + 1):
+            f = i / n_snapshots
+            if self.decide_rate(trajectory.rate_at(f), f) is Decision.ABORT:
+                return f
+        return None
 
     def accepts_final(self, mapped_fraction: float) -> bool:
         """Whether a *completed* run meets the atlas acceptance bar."""

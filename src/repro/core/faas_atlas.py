@@ -15,8 +15,10 @@ invocations — so the two can be compared on the same accession set:
   cap.  Shards whose *actual* duration (run-to-run noise included)
   overruns the cap are killed at the cap, billed in full, and
   re-scattered in halves — the ``cap_reshards`` axis;
-* early stopping scatters the check fraction first and gathers before
-  committing the rest, so an aborted run bills only the scanned prefix.
+* early stopping is decided from the job's mapping-rate trajectory by
+  :func:`~repro.core.atlas.simulate_star_step`, as under the ASG and HPC
+  providers; the driver queues only the prefix of reads the policy scans
+  before it aborts, so an aborted run bills only that prefix.
 
 Modeling assumptions, stated once: reads are already staged in S3 (both
 architectures share that ingestion cost, so it cancels out of the
@@ -50,13 +52,15 @@ from repro.core.atlas import (
     AtlasConfig,
     AtlasJob,
     AtlasRunReport,
+    CampaignReport,
     JobRecord,
+    job_rngs,
     run_atlas,
+    simulate_star_step,
 )
-from repro.core.early_stopping import Decision
 from repro.core.pipeline import RunStatus
 from repro.genome.ensembl import release_spec
-from repro.util.rng import derive_rng, ensure_rng
+from repro.util.rng import ensure_rng, mean_one_lognormal
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -112,11 +116,9 @@ class FaasAtlasConfig:
 
 
 @dataclass
-class FaasAtlasReport:
+class FaasAtlasReport(CampaignReport):
     """Campaign-level results of the serverless embodiment."""
 
-    jobs: list[JobRecord]
-    makespan_seconds: float
     bill: FaasBill
     invocations: int
     cold_starts: int
@@ -128,56 +130,8 @@ class FaasAtlasReport:
     function_seconds: float
 
     @property
-    def n_jobs(self) -> int:
-        return len(self.jobs)
-
-    @property
-    def n_terminated(self) -> int:
-        return sum(1 for j in self.jobs if j.status is RunStatus.REJECTED_EARLY)
-
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for j in self.jobs if j.status is RunStatus.FAILED)
-
-    @property
     def total_usd(self) -> float:
         return self.bill.total_usd
-
-    @property
-    def throughput_jobs_per_hour(self) -> float:
-        if self.makespan_seconds <= 0:
-            return 0.0
-        return self.n_jobs / (self.makespan_seconds / 3600.0)
-
-
-def _resolve_status(
-    job: AtlasJob, config: AtlasConfig
-) -> tuple[float | None, RunStatus]:
-    """(stop_fraction, status) from the trajectory + policy alone.
-
-    Identical decision logic to
-    :func:`~repro.core.atlas.simulate_star_step` — statuses depend only
-    on the mapping-rate trajectory, so the same accession terminates (or
-    is rejected) under every architecture.
-    """
-    stop_fraction: float | None = None
-    status = RunStatus.ACCEPTED
-    if config.early_stopping is not None:
-        n = config.n_progress_snapshots
-        for i in range(1, n + 1):
-            f = i / n
-            rate = job.trajectory.rate_at(f)
-            if config.early_stopping.decide_rate(rate, f) is Decision.ABORT:
-                stop_fraction = f
-                status = RunStatus.REJECTED_EARLY
-                break
-    if (
-        stop_fraction is None
-        and config.acceptance_threshold is not None
-        and job.trajectory.rate_at(1.0) < config.acceptance_threshold
-    ):
-        status = RunStatus.REJECTED_FINAL
-    return stop_fraction, status
 
 
 def run_faas_atlas(
@@ -203,13 +157,12 @@ def run_faas_atlas(
         memory_mb=faas.memory_mb,
         cold_start_seconds=faas.cold_start_seconds,
     )
-    rng = ensure_rng(config.seed)
-    job_rng_root = derive_rng(rng, "jobs")
-    spec = release_spec(config.release)
-    model = config.star_model
+    rngs = job_rngs(ensure_rng(config.seed), jobs)
     cap = faas.limits.max_execution_seconds
     # driver-side expectation (no noise): what shard sizing is based on
-    expected_throughput = model.throughput(spec, faas.vcpus)
+    expected_throughput = config.star_model.throughput(
+        release_spec(config.release), faas.vcpus
+    )
 
     # one concurrency slot per allowed in-flight invocation; each entry
     # is the time the slot frees up
@@ -221,43 +174,35 @@ def run_faas_atlas(
     pending: deque[tuple[int, int, int]] = deque()
     job_state: list[dict] = []
     for idx, job in enumerate(jobs):
-        jrng = derive_rng(job_rng_root, job.accession)
-        job_noise = (
-            float(
-                jrng.lognormal(
-                    mean=-0.5 * model.noise_sigma**2, sigma=model.noise_sigma
-                )
-            )
-            if model.noise_sigma > 0
-            else 1.0
-        )
-        stop_fraction, status = _resolve_status(job, config)
+        rng = rngs[job.accession]
+        # the job's whole scan on one function, run-to-run noise included;
+        # a shard runs its share of the reads of that scan
+        step = simulate_star_step(job, config, faas.vcpus, rng)
+        scan_seconds = step.full.scan_seconds
         n_reads = max(1, job.n_reads)
         bytes_per_read = max(1.0, job.fastq_bytes / n_reads)
-        seconds_per_read = bytes_per_read / expected_throughput
         shard_reads = max(
-            1, int(faas.shard_seconds_target / seconds_per_read)
+            1,
+            int(faas.shard_seconds_target / (bytes_per_read / expected_throughput)),
         )
         reads_to_scan = (
             n_reads
-            if stop_fraction is None
-            else max(1, math.ceil(stop_fraction * n_reads))
+            if step.stop_fraction is None
+            else max(1, math.ceil(step.stop_fraction * n_reads))
         )
         n_shards_full = math.ceil(n_reads / shard_reads)
         job_state.append(
             {
-                "noise": job_noise,
-                "rng": jrng,
-                "status": status,
-                "stop_fraction": stop_fraction,
-                "seconds_per_read": seconds_per_read,
+                "rng": rng,
+                "status": step.status,
+                "stop_fraction": step.stop_fraction,
+                "seconds_per_read": scan_seconds / n_reads,
                 "started_at": None,
                 "finish": 0.0,
                 "billed": 0.0,
                 "failure": "",
                 "full_seconds": (
-                    n_reads * seconds_per_read * job_noise
-                    + n_shards_full * faas.invoke_overhead_seconds
+                    scan_seconds + n_shards_full * faas.invoke_overhead_seconds
                 ),
             }
         )
@@ -308,19 +253,10 @@ def run_faas_atlas(
         t0 = heapq.heappop(slots)
         settle_due(t0)
         invocation = fn.invoke(faas.request_bytes, now=t0)
-        shard_noise = (
-            float(
-                state["rng"].lognormal(
-                    mean=-0.5 * faas.shard_noise_sigma**2,
-                    sigma=faas.shard_noise_sigma,
-                )
-            )
-            if faas.shard_noise_sigma > 0
-            else 1.0
-        )
+        shard_noise = mean_one_lognormal(state["rng"], faas.shard_noise_sigma)
         duration = (
             faas.invoke_overhead_seconds
-            + n * state["seconds_per_read"] * state["noise"] * shard_noise
+            + n * state["seconds_per_read"] * shard_noise
         )
         t_end = t0 + invocation.cold_start_seconds + min(duration, cap)
         if state["started_at"] is None:
@@ -445,15 +381,6 @@ class ArchitectureComparison:
         return table.render()
 
 
-def _asg_point(report: AtlasRunReport) -> dict:
-    return {
-        "cost_usd": report.cost.total_usd,
-        "makespan_seconds": report.makespan_seconds,
-        "n_terminated": report.n_terminated,
-        "n_failed": report.n_failed,
-    }
-
-
 def compare_architectures(
     jobs: list[AtlasJob],
     config: AtlasConfig,
@@ -480,73 +407,49 @@ def compare_architectures(
     if hybrid_read_threshold is None:
         hybrid_read_threshold = int(np.median([j.n_reads for j in jobs]))
 
-    points: list[ArchitecturePoint] = []
+    runners = {
+        "faas": lambda routed: run_faas_atlas(routed, config, faas),
+        "asg": lambda routed: run_atlas(routed, config),
+    }
+    # each architecture routes every job to one provider; hybrid splits
+    # the set by size
+    routes = {
+        "asg": {"asg": jobs},
+        "faas": {"faas": jobs},
+        "hybrid": {
+            "faas": [j for j in jobs if j.n_reads <= hybrid_read_threshold],
+            "asg": [j for j in jobs if j.n_reads > hybrid_read_threshold],
+        },
+    }
+    points = []
     for arch in architectures:
-        if arch == "asg":
-            report = run_atlas(jobs, config)
-            points.append(
-                ArchitecturePoint(
-                    architecture="asg",
-                    n_jobs=len(jobs),
-                    n_faas_jobs=0,
-                    n_asg_jobs=len(jobs),
-                    cold_start_share=0.0,
-                    cap_reshards=0,
-                    **_asg_point(report),
-                )
-            )
-        elif arch == "faas":
-            freport = run_faas_atlas(jobs, config, faas)
-            points.append(
-                ArchitecturePoint(
-                    architecture="faas",
-                    n_jobs=len(jobs),
-                    cost_usd=freport.total_usd,
-                    makespan_seconds=freport.makespan_seconds,
-                    cold_start_share=freport.cold_start_share,
-                    cap_reshards=freport.cap_reshards,
-                    n_faas_jobs=len(jobs),
-                    n_asg_jobs=0,
-                    n_terminated=freport.n_terminated,
-                    n_failed=freport.n_failed,
-                )
-            )
-        else:  # hybrid
-            small = [j for j in jobs if j.n_reads <= hybrid_read_threshold]
-            large = [j for j in jobs if j.n_reads > hybrid_read_threshold]
-            cost = 0.0
-            makespan = 0.0
-            cold_share = 0.0
-            reshards = 0
-            terminated = failed = 0
-            if small:
-                freport = run_faas_atlas(small, config, faas)
-                cost += freport.total_usd
-                makespan = max(makespan, freport.makespan_seconds)
-                cold_share = freport.cold_start_share
-                reshards = freport.cap_reshards
-                terminated += freport.n_terminated
-                failed += freport.n_failed
-            if large:
-                report = run_atlas(large, config)
-                cost += report.cost.total_usd
-                makespan = max(makespan, report.makespan_seconds)
-                terminated += report.n_terminated
-                failed += report.n_failed
-            points.append(
-                ArchitecturePoint(
-                    architecture="hybrid",
-                    n_jobs=len(jobs),
-                    cost_usd=cost,
-                    makespan_seconds=makespan,
-                    cold_start_share=cold_share,
-                    cap_reshards=reshards,
-                    n_faas_jobs=len(small),
-                    n_asg_jobs=len(large),
-                    n_terminated=terminated,
-                    n_failed=failed,
-                )
-            )
+        reports = {
+            provider: runners[provider](routed)
+            for provider, routed in routes[arch].items()
+            if routed
+        }
+        points.append(_point(arch, routes[arch], reports))
     return ArchitectureComparison(
         points=points, hybrid_read_threshold=hybrid_read_threshold
+    )
+
+
+def _point(
+    architecture: str,
+    routed: dict[str, list[AtlasJob]],
+    reports: dict[str, AtlasRunReport | FaasAtlasReport],
+) -> ArchitecturePoint:
+    """One architecture's summary, merged from its providers' reports."""
+    functions = reports.get("faas")
+    return ArchitecturePoint(
+        architecture=architecture,
+        n_jobs=sum(len(js) for js in routed.values()),
+        cost_usd=sum(r.total_usd for r in reports.values()),
+        makespan_seconds=max(r.makespan_seconds for r in reports.values()),
+        cold_start_share=functions.cold_start_share if functions else 0.0,
+        cap_reshards=functions.cap_reshards if functions else 0,
+        n_faas_jobs=len(routed.get("faas", ())),
+        n_asg_jobs=len(routed.get("asg", ())),
+        n_terminated=sum(r.n_terminated for r in reports.values()),
+        n_failed=sum(r.n_failed for r in reports.values()),
     )

@@ -1,50 +1,46 @@
 """HPC / workstation mode (paper conclusions: "Those insights are
 applicable outside the cloud environment (HPC or workstations)").
 
-Runs the same pipeline workload on a *fixed-size* cluster — a SLURM-like
-FIFO scheduler over homogeneous nodes, no elasticity, no per-second
-billing — and measures what the two optimizations buy there: node-hours
-(the HPC accounting unit) and makespan, instead of dollars.
+Runs the same campaign on a *fixed-size* cluster — a SLURM-like FIFO
+scheduler over homogeneous nodes, no elasticity, no per-second billing —
+and measures what the two optimizations buy there: node-hours (the HPC
+accounting unit) and makespan, instead of dollars.
 
-Built on the same DES engine and performance models as the cloud mode,
-so cloud-vs-HPC comparisons are apples to apples.
+A provider of the campaign core in :mod:`repro.core.atlas`: release,
+policy, models and seed come from the campaign's
+:class:`~repro.core.atlas.AtlasConfig` and every STAR step is resolved by
+:func:`~repro.core.atlas.simulate_star_step`, so cloud-vs-HPC comparisons
+are apples to apples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cloud.events import Simulation, Timeout
-from repro.core.atlas import AtlasJob, simulate_star_step
-from repro.core.early_stopping import EarlyStoppingPolicy
+from repro.core.atlas import (
+    AtlasConfig,
+    AtlasJob,
+    CampaignReport,
+    JobRecord,
+    job_rngs,
+    simulate_star_step,
+)
 from repro.core.pipeline import RunStatus
-from repro.genome.ensembl import EnsemblRelease, release_spec
-from repro.perf.index_model import IndexModel
-from repro.perf.star_model import StarPerfModel
-from repro.perf.transfer import TransferModel
-from repro.util.rng import derive_rng, ensure_rng
+from repro.genome.ensembl import release_spec
+from repro.util.rng import ensure_rng
 from repro.util.validation import check_positive
 
 
 @dataclass(frozen=True)
 class HpcConfig:
-    """A fixed cluster and the pipeline options to run on it."""
+    """The fixed cluster's shape; the campaign itself is an AtlasConfig."""
 
     n_nodes: int = 8
     vcpus_per_node: int = 16
-    release: EnsemblRelease = EnsemblRelease.R111
-    early_stopping: EarlyStoppingPolicy | None = field(
-        default_factory=EarlyStoppingPolicy
-    )
-    star_model: StarPerfModel = field(default_factory=StarPerfModel)
-    index_model: IndexModel = field(default_factory=IndexModel)
-    transfer_model: TransferModel = field(default_factory=TransferModel)
     #: nodes keep the index resident in shared memory; it is loaded once
     #: per node at campaign start (STAR's --genomeLoad LoadAndKeep)
     shared_memory_index: bool = True
-    n_progress_snapshots: int = 20
-    normalize_seconds: float = 30.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         check_positive("n_nodes", self.n_nodes)
@@ -52,144 +48,80 @@ class HpcConfig:
 
 
 @dataclass
-class HpcJobRecord:
-    """One job's outcome on the cluster."""
-
-    accession: str
-    status: RunStatus
-    node: int
-    queued_at: float
-    started_at: float
-    finished_at: float
-    star_seconds: float
-    star_seconds_if_full: float
-
-    @property
-    def wait_seconds(self) -> float:
-        return self.started_at - self.queued_at
-
-    @property
-    def run_seconds(self) -> float:
-        return self.finished_at - self.started_at
-
-
-@dataclass
-class HpcRunReport:
+class HpcRunReport(CampaignReport):
     """Campaign-level results on the fixed cluster."""
 
-    jobs: list[HpcJobRecord]
-    makespan_seconds: float
     node_hours: float
     n_nodes: int
     index_load_seconds: float
 
-    @property
-    def n_jobs(self) -> int:
-        return len(self.jobs)
 
-    @property
-    def n_terminated(self) -> int:
-        return sum(1 for j in self.jobs if j.status is RunStatus.REJECTED_EARLY)
-
-    @property
-    def star_hours_actual(self) -> float:
-        return sum(j.star_seconds for j in self.jobs) / 3600.0
-
-    @property
-    def star_hours_if_full(self) -> float:
-        return sum(j.star_seconds_if_full for j in self.jobs) / 3600.0
-
-    @property
-    def throughput_jobs_per_hour(self) -> float:
-        if self.makespan_seconds <= 0:
-            return 0.0
-        return self.n_jobs / (self.makespan_seconds / 3600.0)
-
-    @property
-    def mean_wait_seconds(self) -> float:
-        if not self.jobs:
-            return 0.0
-        return sum(j.wait_seconds for j in self.jobs) / len(self.jobs)
-
-
-def run_hpc(jobs: list[AtlasJob], config: HpcConfig) -> HpcRunReport:
+def run_hpc(
+    jobs: list[AtlasJob],
+    config: AtlasConfig,
+    cluster: HpcConfig | None = None,
+) -> HpcRunReport:
     """Run a campaign on the fixed cluster (FIFO dispatch, one job/node).
 
     Each node loads the STAR index into shared memory once, then drains
     the shared FIFO queue.  Timing reuses the cloud mode's models; the
-    SRA download happens from the site's mirror at NCBI rates.
+    SRA download happens from the site's mirror at NCBI rates.  The
+    instance and fleet fields of ``config`` play no part here.
     """
     if not jobs:
         raise ValueError("no jobs to run")
-    from repro.core.atlas import AtlasConfig
-
-    # Reuse the atlas STAR-step resolver with an equivalent config view.
-    star_config = AtlasConfig(
-        release=config.release,
-        early_stopping=config.early_stopping,
-        star_model=config.star_model,
-        index_model=config.index_model,
-        transfer_model=config.transfer_model,
-        n_progress_snapshots=config.n_progress_snapshots,
-        seed=config.seed,
-    )
-    rng = ensure_rng(config.seed)
-    job_rng_root = derive_rng(rng, "jobs")
-    job_seeds = {
-        job.accession: derive_rng(job_rng_root, job.accession) for job in jobs
-    }
+    cluster = cluster or HpcConfig()
+    job_seeds = job_rngs(ensure_rng(config.seed), jobs)
 
     sim = Simulation()
     queue: list[AtlasJob] = list(jobs)
-    records: list[HpcJobRecord] = []
+    records: list[JobRecord] = []
     spec = release_spec(config.release)
     transfer = config.transfer_model
     index_load = (
         config.index_model.shm_load_seconds(spec)
-        if config.shared_memory_index
+        if cluster.shared_memory_index
         else 0.0
     )
-    busy_seconds = [0.0] * config.n_nodes
 
     def node_worker(node_id: int):
         if index_load:
             yield Timeout(index_load)
         while queue:
             job = queue.pop(0)
-            queued_at = 0.0
             started = sim.now
             yield Timeout(transfer.prefetch_seconds(job.sra_bytes))
             yield Timeout(transfer.fasterq_dump_seconds(job.fastq_bytes))
-            if not config.shared_memory_index:
+            if not cluster.shared_memory_index:
                 yield Timeout(config.index_model.shm_load_seconds(spec))
-            actual, full, _stop, status = simulate_star_step(
-                job, star_config, config.vcpus_per_node, job_seeds[job.accession]
+            step = simulate_star_step(
+                job, config, cluster.vcpus_per_node, job_seeds[job.accession]
             )
-            yield Timeout(actual)
-            if status is RunStatus.ACCEPTED:
+            yield Timeout(step.seconds)
+            if step.status is RunStatus.ACCEPTED:
                 yield Timeout(config.normalize_seconds)
             records.append(
-                HpcJobRecord(
+                JobRecord(
                     accession=job.accession,
-                    status=status,
-                    node=node_id,
-                    queued_at=queued_at,
+                    status=step.status,
+                    library=job.library,
                     started_at=started,
                     finished_at=sim.now,
-                    star_seconds=actual,
-                    star_seconds_if_full=full,
+                    star_seconds=step.seconds,
+                    star_seconds_if_full=step.full.total_seconds,
+                    stop_fraction=step.stop_fraction,
+                    instance_id=f"node-{node_id}",
                 )
             )
-            busy_seconds[node_id] += sim.now - started
 
-    for node_id in range(config.n_nodes):
+    for node_id in range(cluster.n_nodes):
         sim.process(node_worker(node_id), name=f"node-{node_id}")
     sim.run()
 
     return HpcRunReport(
         jobs=records,
         makespan_seconds=sim.now,
-        node_hours=config.n_nodes * sim.now / 3600.0,
-        n_nodes=config.n_nodes,
+        node_hours=cluster.n_nodes * sim.now / 3600.0,
+        n_nodes=cluster.n_nodes,
         index_load_seconds=index_load,
     )

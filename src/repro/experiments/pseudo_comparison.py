@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.align.pseudo import PseudoAligner, build_pseudo_index
 from repro.align.star import StarAligner, StarParameters
-from repro.core.early_stopping import Decision, EarlyStoppingPolicy
+from repro.core.early_stopping import EarlyStoppingPolicy
 from repro.experiments.corpus import CorpusSpec, generate_corpus
 from repro.genome.ensembl import EnsemblRelease, build_release_assembly, release_spec
 from repro.genome.synth import GenomeUniverseSpec, make_universe
@@ -121,7 +121,6 @@ def run_pseudo_comparison(
     release = release_spec(spec.release)
     noise = derive_rng(root, "noise")
 
-    n = 20  # progress snapshots per run
     totals = {
         "star-early-stop": [0.0, 0.0, 0],
         "star-no-early-stop": [0.0, 0.0, 0],
@@ -131,12 +130,7 @@ def run_pseudo_comparison(
 
     for job in jobs:
         # where would the policy stop this run, if it could see progress?
-        stop_fraction: float | None = None
-        for i in range(1, n + 1):
-            f = i / n
-            if policy.decide_rate(job.trajectory.rate_at(f), f) is Decision.ABORT:
-                stop_fraction = f
-                break
+        stop_fraction = policy.abort_fraction(job.trajectory, n_snapshots=20)
         accepted = policy.accepts_final(job.trajectory.rate_at(1.0))
 
         star_full = star_model.predict(job.fastq_bytes, release, spec.vcpus, rng=noise)

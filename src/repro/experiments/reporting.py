@@ -36,6 +36,7 @@ class ReportScale:
 
 def generate_report(*, seed: int = 0, scale: ReportScale | None = None) -> str:
     """Run every harness and render the consolidated report."""
+    from repro.core.atlas import AtlasConfig
     from repro.core.hpc import HpcConfig, run_hpc
     from repro.experiments.ablation import run_ablation
     from repro.experiments.architecture import run_architecture_sweep
@@ -103,7 +104,7 @@ def generate_report(*, seed: int = 0, scale: ReportScale | None = None) -> str:
 
     section("EXT-HPC — fixed-cluster mode")
     jobs = generate_corpus(CorpusSpec(n_runs=scale.hpc_jobs), rng=seed)
-    report = run_hpc(jobs, HpcConfig(n_nodes=8, seed=seed))
+    report = run_hpc(jobs, AtlasConfig(seed=seed), HpcConfig(n_nodes=8))
     out.write(
         f"jobs={report.n_jobs} terminated={report.n_terminated} "
         f"makespan={report.makespan_seconds / 3600:.2f}h "

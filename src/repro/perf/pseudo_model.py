@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.perf.star_model import StarPerfModel, StarRuntimeBreakdown
-from repro.util.rng import ensure_rng
+from repro.util.rng import ensure_rng, mean_one_lognormal
 from repro.util.units import Bytes
 from repro.util.validation import check_fraction, check_positive
 
@@ -66,11 +66,8 @@ class PseudoPerfModel:
         check_positive("fastq_bytes", fastq_bytes)
         check_fraction("scanned_fraction", scanned_fraction)
         scan = scanned_fraction * fastq_bytes / self.throughput(vcpus)
-        if rng is not None and self.star_model.noise_sigma > 0:
-            sigma = self.star_model.noise_sigma
-            scan *= float(
-                ensure_rng(rng).lognormal(mean=-0.5 * sigma**2, sigma=sigma)
-            )
+        if rng is not None:
+            scan *= mean_one_lognormal(ensure_rng(rng), self.star_model.noise_sigma)
         return StarRuntimeBreakdown(
             setup_seconds=self.setup_seconds,
             scan_seconds=scan,

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.genome.ensembl import EnsemblRelease, ReleaseSpec, release_spec
 from repro.perf.targets import PAPER
-from repro.util.rng import ensure_rng
+from repro.util.rng import ensure_rng, mean_one_lognormal
 from repro.util.units import Bytes, Duration
 from repro.util.validation import check_fraction, check_positive
 
@@ -124,13 +124,8 @@ class StarPerfModel:
         check_fraction("scanned_fraction", scanned_fraction)
         spec = release if isinstance(release, ReleaseSpec) else release_spec(release)
         scan = scanned_fraction * fastq_bytes / self.throughput(spec, vcpus)
-        if rng is not None and self.noise_sigma > 0:
-            noise = float(
-                ensure_rng(rng).lognormal(
-                    mean=-0.5 * self.noise_sigma**2, sigma=self.noise_sigma
-                )
-            )
-            scan *= noise
+        if rng is not None:
+            scan *= mean_one_lognormal(ensure_rng(rng), self.noise_sigma)
         return StarRuntimeBreakdown(
             setup_seconds=self.setup_seconds,
             scan_seconds=scan,

@@ -8,6 +8,9 @@ This module provides the two conventions used throughout:
 * ``derive_rng`` — derive an independent child stream from a parent and a
   string key, so that adding a new consumer never perturbs existing streams
   (the "named substream" pattern common in reproducible simulation codes).
+
+``mean_one_lognormal`` is the one multiplicative run-to-run noise draw the
+runtime models and the campaign simulators share.
 """
 
 from __future__ import annotations
@@ -43,6 +46,17 @@ def derive_rng(parent: RngStream | int | None, key: str) -> RngStream:
     digest = hashlib.sha256(f"{word}:{key}".encode()).digest()
     child_seed = int.from_bytes(digest[:8], "little")
     return np.random.default_rng(child_seed)
+
+
+def mean_one_lognormal(rng: RngStream, sigma: float) -> float:
+    """One multiplicative noise factor with mean one: ``exp(N(-sigma²/2, sigma))``.
+
+    ``sigma <= 0`` returns exactly 1.0 without drawing, so switching the
+    noise off leaves every later draw from ``rng`` where it was.
+    """
+    if sigma <= 0:
+        return 1.0
+    return float(rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma))
 
 
 def spawn_streams(parent: RngStream | int | None, keys: list[str]) -> dict[str, RngStream]:

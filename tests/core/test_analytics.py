@@ -5,7 +5,6 @@ import pytest
 from repro.core.analytics import (
     EarlyStopSavings,
     RunTiming,
-    ThroughputStats,
     compute_savings,
 )
 from repro.reads.library import LibraryType
@@ -73,20 +72,3 @@ class TestComputeSavings:
         assert "30.0%" in text
         assert "single_cell_3p: 1" in text
 
-
-class TestThroughputStats:
-    def test_derived_metrics(self):
-        stats = ThroughputStats(
-            n_jobs=120,
-            makespan_hours=4.0,
-            fleet_peak=8,
-            mean_utilization=0.9,
-            total_cost_usd=12.0,
-        )
-        assert stats.jobs_per_hour == pytest.approx(30.0)
-        assert stats.cost_per_job_usd == pytest.approx(0.1)
-
-    def test_zero_guards(self):
-        stats = ThroughputStats(0, 0.0, 0, 0.0, 0.0)
-        assert stats.jobs_per_hour == 0.0
-        assert stats.cost_per_job_usd == 0.0

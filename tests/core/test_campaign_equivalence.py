@@ -5,10 +5,9 @@ report field of a set of campaigns.  Floats compare at ``rel=1e-12`` and
 everything else exactly, so a change to the simulators that is meant to
 keep their behaviour shows here as a failure the moment a value moves.
 
-HPC jobs are stored in :class:`~repro.core.atlas.JobRecord`'s terms: the
-node a job ran on is its instance id ``node-<i>``, and the queue time,
-zero for every job of a FIFO cluster that starts with the whole queue,
-is not stored.
+HPC jobs were first recorded before HPC used
+:class:`~repro.core.atlas.JobRecord`, so their entries hold the fields
+the two record types share, the node as instance id ``node-<i>``.
 
 Re-record after a deliberate behaviour change with::
 
@@ -86,20 +85,12 @@ def _plain(value):
     return value
 
 
-def _job(record) -> dict:
-    out = _plain(record)
-    if "node" in out:  # an HPC record: see the module docstring
-        out["instance_id"] = f"node-{out.pop('node')}"
-        out.pop("queued_at")
-    return out
-
-
 def _report(report) -> dict:
     fields = _plain(report)
     fields.pop("jobs")
     for name in _DERIVED[type(report).__name__]:
         fields[name] = getattr(report, name)
-    return {"jobs": [_job(r) for r in report.jobs], "report": fields}
+    return {"jobs": [_plain(r) for r in report.jobs], "report": fields}
 
 
 def _comparison(comparison) -> dict:
@@ -184,12 +175,13 @@ SCENARIOS = {
         )
     ),
     "hpc_shared_index": lambda: _report(
-        run_hpc(_faas_jobs(), HpcConfig(n_nodes=4, seed=3))
+        run_hpc(_faas_jobs(), AtlasConfig(seed=3), HpcConfig(n_nodes=4))
     ),
     "hpc_reload_index": lambda: _report(
         run_hpc(
             _faas_jobs(),
-            HpcConfig(n_nodes=4, shared_memory_index=False, seed=3),
+            AtlasConfig(seed=3),
+            HpcConfig(n_nodes=4, shared_memory_index=False),
         )
     ),
     "compare_architectures": lambda: _comparison(
@@ -261,20 +253,10 @@ def test_every_architecture_gives_each_accession_the_same_status():
     campaign config resolves every accession alike on all three."""
     jobs = generate_corpus(CorpusSpec(n_runs=120), rng=1)
     config = AtlasConfig(seed=1)
-    hpc = HpcConfig(
-        release=config.release,
-        early_stopping=config.early_stopping,
-        star_model=config.star_model,
-        index_model=config.index_model,
-        transfer_model=config.transfer_model,
-        n_progress_snapshots=config.n_progress_snapshots,
-        normalize_seconds=config.normalize_seconds,
-        seed=config.seed,
-    )
     reports = {
         "asg": run_atlas(jobs, config),
         "faas": run_faas_atlas(jobs, config),
-        "hpc": run_hpc(jobs, hpc),
+        "hpc": run_hpc(jobs, config),
     }
     statuses = {
         name: {j.accession: j.status for j in report.jobs}

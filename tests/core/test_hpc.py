@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.atlas import AtlasConfig
 from repro.core.hpc import HpcConfig, run_hpc
 from repro.core.pipeline import RunStatus
 from repro.experiments.corpus import CorpusSpec, generate_corpus
@@ -17,12 +18,17 @@ def jobs():
 
 @pytest.fixture(scope="module")
 def base_config():
-    return HpcConfig(n_nodes=4, vcpus_per_node=16, seed=3)
+    return AtlasConfig(seed=3)
 
 
 @pytest.fixture(scope="module")
-def report(jobs, base_config):
-    return run_hpc(jobs, base_config)
+def cluster():
+    return HpcConfig(n_nodes=4, vcpus_per_node=16)
+
+
+@pytest.fixture(scope="module")
+def report(jobs, base_config, cluster):
+    return run_hpc(jobs, base_config, cluster)
 
 
 class TestBasics:
@@ -34,45 +40,51 @@ class TestBasics:
         terminated = [j for j in report.jobs if j.status is RunStatus.REJECTED_EARLY]
         assert len(terminated) >= 1
 
-    def test_node_hours_accounting(self, report, base_config):
+    def test_node_hours_accounting(self, report, cluster):
         assert report.node_hours == pytest.approx(
-            base_config.n_nodes * report.makespan_seconds / 3600.0
+            cluster.n_nodes * report.makespan_seconds / 3600.0
         )
 
-    def test_jobs_spread_over_nodes(self, report, base_config):
-        assert len({j.node for j in report.jobs}) == base_config.n_nodes
+    def test_jobs_spread_over_nodes(self, report, cluster):
+        assert len({j.instance_id for j in report.jobs}) == cluster.n_nodes
 
-    def test_deterministic(self, jobs, base_config):
-        a = run_hpc(jobs, base_config)
-        b = run_hpc(jobs, base_config)
+    def test_deterministic(self, jobs, base_config, cluster):
+        a = run_hpc(jobs, base_config, cluster)
+        b = run_hpc(jobs, base_config, cluster)
         assert a.makespan_seconds == b.makespan_seconds
 
-    def test_empty_jobs_rejected(self, base_config):
+    def test_empty_jobs_rejected(self, base_config, cluster):
         with pytest.raises(ValueError):
-            run_hpc([], base_config)
+            run_hpc([], base_config, cluster)
 
 
 class TestOptimizationsTransfer:
-    def test_early_stopping_cuts_makespan_on_fixed_cluster(self, jobs, base_config):
-        with_es = run_hpc(jobs, base_config)
-        without = run_hpc(jobs, replace(base_config, early_stopping=None))
+    def test_early_stopping_cuts_makespan_on_fixed_cluster(
+        self, jobs, base_config, cluster
+    ):
+        with_es = run_hpc(jobs, base_config, cluster)
+        without = run_hpc(jobs, replace(base_config, early_stopping=None), cluster)
         assert with_es.star_hours_actual < without.star_hours_actual
         assert with_es.makespan_seconds < without.makespan_seconds
 
-    def test_r111_index_cuts_makespan(self, jobs, base_config):
-        r111 = run_hpc(jobs, base_config)
-        r108 = run_hpc(jobs, replace(base_config, release=EnsemblRelease.R108))
+    def test_r111_index_cuts_makespan(self, jobs, base_config, cluster):
+        r111 = run_hpc(jobs, base_config, cluster)
+        r108 = run_hpc(
+            jobs, replace(base_config, release=EnsemblRelease.R108), cluster
+        )
         assert r108.makespan_seconds > 5 * r111.makespan_seconds
         assert r108.index_load_seconds > 2 * r111.index_load_seconds
 
-    def test_shared_memory_index_amortizes_load(self, jobs, base_config):
-        shared = run_hpc(jobs, base_config)
-        reload_each = run_hpc(jobs, replace(base_config, shared_memory_index=False))
+    def test_shared_memory_index_amortizes_load(self, jobs, base_config, cluster):
+        shared = run_hpc(jobs, base_config, cluster)
+        reload_each = run_hpc(
+            jobs, base_config, replace(cluster, shared_memory_index=False)
+        )
         assert shared.makespan_seconds < reload_each.makespan_seconds
 
-    def test_more_nodes_shorter_makespan(self, jobs, base_config):
-        small = run_hpc(jobs, replace(base_config, n_nodes=2))
-        large = run_hpc(jobs, replace(base_config, n_nodes=8))
+    def test_more_nodes_shorter_makespan(self, jobs, base_config, cluster):
+        small = run_hpc(jobs, base_config, replace(cluster, n_nodes=2))
+        large = run_hpc(jobs, base_config, replace(cluster, n_nodes=8))
         assert large.makespan_seconds < small.makespan_seconds
         # but node-hours stay ~flat (same work + idle tails)
         assert large.node_hours == pytest.approx(small.node_hours, rel=0.35)
