@@ -169,9 +169,10 @@ def run_faas_atlas(
     slots = [0.0] * faas.limits.max_concurrency
     heapq.heapify(slots)
 
-    # (job_index, lo_read, n_reads) work items; splits re-enter at the
-    # front so a cap-overrun job finishes before new jobs fan out
-    pending: deque[tuple[int, int, int]] = deque()
+    # (job_index, lo_read, n_reads, not_before) work items; splits
+    # re-enter at the front so a cap-overrun job finishes before new jobs
+    # fan out, and start no earlier than the kill that re-scattered them
+    pending: deque[tuple[int, int, int, float]] = deque()
     job_state: list[dict] = []
     for idx, job in enumerate(jobs):
         rng = rngs[job.accession]
@@ -207,7 +208,7 @@ def run_faas_atlas(
             }
         )
         for lo in range(0, reads_to_scan, shard_reads):
-            pending.append((idx, lo, min(shard_reads, reads_to_scan - lo)))
+            pending.append((idx, lo, min(shard_reads, reads_to_scan - lo), 0.0))
 
     # deferred completions: settled against the service once the clock
     # (the next shard's start time) has passed their end time, so the
@@ -232,8 +233,8 @@ def run_faas_atlas(
                 )
             else:
                 half = n // 2
-                pending.appendleft((idx, lo + half, n - half))
-                pending.appendleft((idx, lo, half))
+                pending.appendleft((idx, lo + half, n - half, t_end))
+                pending.appendleft((idx, lo, half, t_end))
         state["billed"] += min(duration, cap)
         state["finish"] = max(state["finish"], t_end)
 
@@ -244,13 +245,16 @@ def run_faas_atlas(
 
     while pending or active:
         if not pending:
-            settle_due(math.inf)
+            # settle only the earliest completion: it may re-scatter a
+            # killed shard, which must start before any later completion
+            # returns its container to the pool
+            settle_due(active[0][0])
             continue
-        idx, lo, n = pending.popleft()
+        idx, lo, n, not_before = pending.popleft()
         state = job_state[idx]
         if state["status"] is RunStatus.FAILED:
             continue  # a sibling shard already failed the job
-        t0 = heapq.heappop(slots)
+        t0 = max(heapq.heappop(slots), not_before)
         settle_due(t0)
         invocation = fn.invoke(faas.request_bytes, now=t0)
         shard_noise = mean_one_lognormal(state["rng"], faas.shard_noise_sigma)

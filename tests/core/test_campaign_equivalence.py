@@ -11,7 +11,7 @@ the two record types share, the node as instance id ``node-<i>``.
 
 Re-record after a deliberate behaviour change with::
 
-    PYTHONPATH=src python tests/core/test_campaign_equivalence.py
+    PYTHONPATH=src python tests/core/test_campaign_equivalence.py [SCENARIO ...]
 """
 
 from __future__ import annotations
@@ -271,12 +271,16 @@ def test_every_architecture_gives_each_accession_the_same_status():
     assert counts[RunStatus.REJECTED_EARLY] == 5
 
 
-def record() -> None:
-    """Write the fixture from the current code."""
-    data = {name: SCENARIOS[name]() for name in sorted(SCENARIOS)}
+def record(names: list[str]) -> None:
+    """Re-record the named scenarios (all when none are named)."""
+    data = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    for name in names or sorted(SCENARIOS):
+        data[name] = SCENARIOS[name]()
     FIXTURE.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    record()
+    import sys
+
+    record(sys.argv[1:])
     print(f"wrote {FIXTURE}")
