@@ -275,7 +275,9 @@ def run_faas_atlas(
     records: list[JobRecord] = []
     makespan = 0.0
     for job, state in zip(jobs, job_state):
-        finished_at = state["finish"] + config.normalize_seconds
+        finished_at = state["finish"]
+        if state["status"] is RunStatus.ACCEPTED:
+            finished_at += config.normalize_seconds
         makespan = max(makespan, finished_at)
         records.append(
             JobRecord(

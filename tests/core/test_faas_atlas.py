@@ -1,10 +1,13 @@
 """Serverless campaign provider: scheduling, routing and failure paths."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cloud.faas import FaasFunction
 from repro.core.atlas import AtlasConfig
 from repro.core.faas_atlas import run_faas_atlas
+from repro.core.pipeline import RunStatus
 from repro.experiments.corpus import CorpusSpec, generate_corpus
 
 
@@ -59,3 +62,27 @@ class TestCapReshardSchedule:
                 assert t >= settled_until
             else:
                 settled_until = max(settled_until, t)
+
+
+class TestFinishTimes:
+    """DESeq2 normalization runs for accepted jobs only, as under ASG/HPC."""
+
+    @pytest.mark.parametrize(
+        "status", [RunStatus.ACCEPTED, RunStatus.REJECTED_EARLY, RunStatus.FAILED]
+    )
+    def test_finish_is_the_last_shard_end_plus_normalization_if_accepted(
+        self, paper_scale_jobs, service_log, status
+    ):
+        if status is RunStatus.FAILED:
+            # one read whose scan alone overruns the execution cap
+            job = replace(paper_scale_jobs[0], n_reads=1, fastq_bytes=2e11)
+        elif status is RunStatus.REJECTED_EARLY:
+            job = next(j for j in paper_scale_jobs if j.library.is_single_cell)
+        else:
+            job = paper_scale_jobs[0]
+        config = AtlasConfig(seed=0)
+        (record,) = run_faas_atlas([job], config).jobs
+        assert record.status is status
+        last_shard_end = max(t for kind, t in service_log if kind != "invoke")
+        normalize = config.normalize_seconds if status is RunStatus.ACCEPTED else 0.0
+        assert record.finished_at == last_shard_end + normalize
