@@ -2,11 +2,12 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.cloud.faas import FaasFunction
-from repro.core.atlas import AtlasConfig
-from repro.core.faas_atlas import run_faas_atlas
+from repro.cloud.faas import FaasFunction, FaasLimits
+from repro.core.atlas import AtlasConfig, AtlasJob
+from repro.core.faas_atlas import compare_architectures, run_faas_atlas
 from repro.core.pipeline import RunStatus
 from repro.experiments.corpus import CorpusSpec, generate_corpus
 
@@ -14,6 +15,11 @@ from repro.experiments.corpus import CorpusSpec, generate_corpus
 @pytest.fixture(scope="module")
 def paper_scale_jobs():
     return generate_corpus(CorpusSpec(n_runs=20), rng=0)
+
+
+def oversized(job: AtlasJob) -> AtlasJob:
+    """One read whose scan alone overruns the execution cap."""
+    return replace(job, accession="SRR_OVERSIZED", n_reads=1, fastq_bytes=2e11)
 
 
 @pytest.fixture
@@ -74,8 +80,7 @@ class TestFinishTimes:
         self, paper_scale_jobs, service_log, status
     ):
         if status is RunStatus.FAILED:
-            # one read whose scan alone overruns the execution cap
-            job = replace(paper_scale_jobs[0], n_reads=1, fastq_bytes=2e11)
+            job = oversized(paper_scale_jobs[0])
         elif status is RunStatus.REJECTED_EARLY:
             job = next(j for j in paper_scale_jobs if j.library.is_single_cell)
         else:
@@ -86,3 +91,50 @@ class TestFinishTimes:
         last_shard_end = max(t for kind, t in service_log if kind != "invoke")
         normalize = config.normalize_seconds if status is RunStatus.ACCEPTED else 0.0
         assert record.finished_at == last_shard_end + normalize
+
+
+class TestDeterminism:
+    def test_same_seed_same_report(self, paper_scale_jobs):
+        a = run_faas_atlas(paper_scale_jobs, AtlasConfig(seed=0))
+        b = run_faas_atlas(paper_scale_jobs, AtlasConfig(seed=0))
+        assert a == b
+
+    def test_seed_moves_the_noise_not_the_statuses(self, paper_scale_jobs):
+        a = run_faas_atlas(paper_scale_jobs, AtlasConfig(seed=0))
+        b = run_faas_atlas(paper_scale_jobs, AtlasConfig(seed=1))
+        assert [j.status for j in a.jobs] == [j.status for j in b.jobs]
+        assert [j.star_seconds for j in a.jobs] != [j.star_seconds for j in b.jobs]
+
+
+class TestExecutionCap:
+    def test_single_read_shard_over_the_cap_fails_the_job(self, paper_scale_jobs):
+        report = run_faas_atlas(
+            [paper_scale_jobs[1], oversized(paper_scale_jobs[0])],
+            AtlasConfig(seed=0),
+        )
+        records = {j.accession: j for j in report.jobs}
+        failed = records["SRR_OVERSIZED"]
+        assert failed.status is RunStatus.FAILED
+        assert "ExecutionCapExceeded" in failed.failure
+        assert failed.star_seconds == FaasLimits().max_execution_seconds
+        assert records[paper_scale_jobs[1].accession].status is RunStatus.ACCEPTED
+        assert report.n_failed == 1
+
+
+class TestCompareArchitectures:
+    def test_hybrid_routes_every_job_once_at_the_median(self, paper_scale_jobs):
+        comparison = compare_architectures(
+            paper_scale_jobs, AtlasConfig(seed=0), architectures=("hybrid",)
+        )
+        median = int(np.median([j.n_reads for j in paper_scale_jobs]))
+        assert comparison.hybrid_read_threshold == median
+        point = comparison.point("hybrid")
+        assert point.n_faas_jobs + point.n_asg_jobs == point.n_jobs
+        assert point.n_jobs == len(paper_scale_jobs)
+        assert point.n_faas_jobs == sum(j.n_reads <= median for j in paper_scale_jobs)
+
+    def test_unknown_architecture_rejected(self, paper_scale_jobs):
+        with pytest.raises(ValueError, match="unknown architectures"):
+            compare_architectures(
+                paper_scale_jobs, AtlasConfig(), architectures=("asg", "lambda")
+            )

@@ -136,6 +136,29 @@ class TestCommands:
         assert "work saved by drain (h)" in out
         assert "queue redeliveries" in out
 
+    def test_atlas_every_architecture(self, capsys):
+        from repro.core.faas_atlas import ARCHITECTURES
+
+        assert main(["atlas", "--jobs", "20", "--architecture", "all"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split()[0] for line in out.splitlines() if line.strip()]
+        for arch in ARCHITECTURES:
+            assert arch in rows
+        assert "hybrid routing" in out
+
+    def test_faas_crossover(self, capsys):
+        from repro.core.faas_atlas import ARCHITECTURES
+        from repro.experiments.faas_crossover import DEFAULT_SCALES
+
+        assert main(["faas-crossover", "--jobs", "20"]) == 0
+        out = capsys.readouterr().out
+        for arch in ARCHITECTURES:
+            assert f"{arch} $/acc" in out
+        rows = [line.split()[0] for line in out.splitlines() if line.strip()]
+        for scale in DEFAULT_SCALES:
+            assert f"{scale:g}" in rows
+        assert "serverless is cheaper up to scale" in out
+
 
 class TestPipelineCommand:
     def test_journaled_run_then_resume(self, capsys, tmp_path):
