@@ -250,7 +250,8 @@ def test_scenarios_reach_the_paths_they_pin(pinned):
 
 def test_every_architecture_gives_each_accession_the_same_status():
     """Statuses depend only on the trajectory and the policy, so one
-    campaign config resolves every accession alike on all three."""
+    campaign config resolves every accession alike on all three: the same
+    status, stopped at the same processed fraction."""
     jobs = generate_corpus(CorpusSpec(n_runs=120), rng=1)
     config = AtlasConfig(seed=1)
     reports = {
@@ -258,13 +259,13 @@ def test_every_architecture_gives_each_accession_the_same_status():
         "faas": run_faas_atlas(jobs, config),
         "hpc": run_hpc(jobs, config),
     }
-    statuses = {
-        name: {j.accession: j.status for j in report.jobs}
+    outcomes = {
+        name: {j.accession: (j.status, j.stop_fraction) for j in report.jobs}
         for name, report in reports.items()
     }
-    assert statuses["asg"] == statuses["faas"] == statuses["hpc"]
+    assert outcomes["asg"] == outcomes["faas"] == outcomes["hpc"]
     counts = {
-        status: sum(1 for s in statuses["asg"].values() if s is status)
+        status: sum(1 for s, _ in outcomes["asg"].values() if s is status)
         for status in RunStatus
     }
     assert counts[RunStatus.ACCEPTED] == 115
