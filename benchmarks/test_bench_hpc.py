@@ -8,8 +8,6 @@ accounting units.
 
 from dataclasses import replace
 
-import pytest
-
 from repro.core.atlas import AtlasConfig
 from repro.core.hpc import HpcConfig, run_hpc
 from repro.experiments.corpus import CorpusSpec, generate_corpus

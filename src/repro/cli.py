@@ -292,19 +292,15 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from dataclasses import replace
     from pathlib import Path
 
-    from repro.core.journal import JournalIncompatible
     from repro.core.resilience import RetryPolicy
     from repro.experiments.chaos import (
         ChaosSpec,
-        FaasChaosSpec,
-        KillInstanceSpec,
-        ResumeChaosSpec,
+        KillSpec,
         run_chaos,
-        run_faas_chaos,
-        run_kill_instance_chaos,
-        run_resume_chaos,
+        run_kill_chaos,
     )
 
     if args.stream and not args.resume:
@@ -324,31 +320,23 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.faas:
-        result = run_faas_chaos(FaasChaosSpec(seed=args.seed))
-        print(result.to_table())
-        return 0 if result.passed else 1
-    if args.kill_instance:
-        result = run_kill_instance_chaos(
-            KillInstanceSpec(seed=args.seed)
+    if args.resume or args.kill_instance or args.faas:
+        preset = (
+            "resume"
+            if args.resume
+            else ("kill-instance" if args.kill_instance else "faas")
         )
-        print(result.to_table())
-        return 0 if result.passed else 1
-    if args.resume:
-        try:
-            result = run_resume_chaos(
-                ResumeChaosSpec(
-                    n_accessions=args.accessions,
-                    seed=args.seed,
-                    journal_path=(
-                        Path(args.journal) if args.journal is not None else None
-                    ),
-                    streaming=args.stream,
-                )
-            )
-        except JournalIncompatible as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        spec = KillSpec(
+            preset,
+            seed=args.seed,
+            streaming=args.stream,
+            journal_path=Path(args.journal) if args.journal is not None else None,
+        )
+        if args.resume:
+            # --accessions sizes the resume batch; the shard presets keep
+            # their two accessions
+            spec = replace(spec, n_accessions=args.accessions)
+        result = run_kill_chaos(spec)
         print(result.to_table())
         return 0 if result.passed else 1
 
@@ -764,7 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         type=str,
         default=None,
-        help="journal path for --resume (default: a temp file)",
+        help="journal path for --resume, --kill-instance or --faas "
+        "(default: a temp file)",
     )
     p.add_argument(
         "--stream",

@@ -202,11 +202,10 @@ class BatchOptions:
     """Everything that shapes one ``run_batch`` call.
 
     Consolidates the former kwarg pile (``journal=``, ``resume=``,
-    ``max_parallel=``, drain deadline, align batch size) into one
-    validated bundle.  None of these affect *outputs* (they are
-    execution shape, deliberately excluded from the journal's config
-    fingerprint) — a batch run with any options resumes a journal
-    written with any other.
+    ``max_parallel=``) into one validated bundle.  None of these affect
+    *outputs* (they are execution shape, deliberately excluded from the
+    journal's config fingerprint) — a batch run with any options resumes
+    a journal written with any other.
     """
 
     #: accessions processed concurrently (lanes of the batch loop)
@@ -227,12 +226,6 @@ class BatchOptions:
     buffer_chunks: int = 32
     #: bytes per download chunk (cancellation granularity)
     download_chunk_bytes: int = 65536
-    #: per-batch override of ``PipelineConfig.drain_deadline`` (None
-    #: keeps the config value)
-    drain_deadline: float | None = None
-    #: per-batch override of ``PipelineConfig.align_batch_size``; only
-    #: effective before the engine is first created
-    align_batch_size: int | None = None
     #: journal completed read shards inside the align step so resume
     #: re-dispatches only unfinished shards (requires ``journal``;
     #: engine and faas runs, single-end *and* paired, streamed or not —
@@ -269,10 +262,6 @@ class BatchOptions:
             raise ValueError("buffer_chunks must be >= 1")
         if self.download_chunk_bytes < 1:
             raise ValueError("download_chunk_bytes must be >= 1")
-        if self.drain_deadline is not None and self.drain_deadline < 0:
-            raise ValueError("drain_deadline must be >= 0")
-        if self.align_batch_size is not None and self.align_batch_size < 1:
-            raise ValueError("align_batch_size must be >= 1")
 
 
 @dataclass
@@ -338,9 +327,7 @@ class TranscriptomicsAtlasPipeline:
         self._results_lock = threading.Lock()
         self._drain = threading.Event()
         self._drain_deadline_at: float | None = None
-        #: per-batch overrides installed by run_batch from BatchOptions
-        self._drain_deadline_base: float | None = None
-        self._align_batch_override: int | None = None
+        #: the current batch's BatchOptions.backend
         self._backend_override: str | None = None
         #: the serverless backend, created on first use and kept for the
         #: pipeline's lifetime so warm containers persist across
@@ -351,9 +338,6 @@ class TranscriptomicsAtlasPipeline:
         self._shard_ckpt_state: tuple | None = None
         #: checkpointers created this batch (for rework accounting)
         self._shard_ckpts: list = []
-        #: chaos hook: called as (accession, start, end) after each shard
-        #: checkpoint lands in the journal
-        self._shard_record_hook: Callable[[str, int, int], None] | None = None
 
     # -- parallel engine lifecycle -------------------------------------------
 
@@ -368,16 +352,11 @@ class TranscriptomicsAtlasPipeline:
             return None
         with self._engine_lock:
             if self._engine is None:
-                batch_size = (
-                    self._align_batch_override
-                    if self._align_batch_override is not None
-                    else self.config.align_batch_size
-                )
                 self._engine = ParallelStarAligner(
                     self.aligner.index,
                     self.aligner.parameters,
                     workers=self.config.workers,
-                    batch_size=batch_size,
+                    batch_size=self.config.align_batch_size,
                     stall_timeout=self.config.engine_stall_timeout,
                 ).start()
             return self._engine
@@ -394,14 +373,9 @@ class TranscriptomicsAtlasPipeline:
             if self._faas_backend is None:
                 from repro.align.backend import FaasAlignerBackend
 
-                batch_size = (
-                    self._align_batch_override
-                    if self._align_batch_override is not None
-                    else self.config.align_batch_size
-                )
                 self._faas_backend = FaasAlignerBackend(
                     self.aligner,
-                    batch_size=batch_size,
+                    batch_size=self.config.align_batch_size,
                 )
             return self._faas_backend
 
@@ -431,13 +405,9 @@ class TranscriptomicsAtlasPipeline:
         handlers and other threads.
         """
         if not self._drain.is_set():
-            if deadline is not None:
-                budget = deadline
-            elif self._drain_deadline_base is not None:
-                budget = self._drain_deadline_base
-            else:
-                budget = self.config.drain_deadline
-            self._drain_deadline_at = time.monotonic() + budget
+            if deadline is None:
+                deadline = self.config.drain_deadline
+            self._drain_deadline_at = time.monotonic() + deadline
             self._drain.set()
 
     def _drain_expired(self) -> bool:
@@ -730,8 +700,6 @@ class TranscriptomicsAtlasPipeline:
                 check_shard_format(fingerprint, replayed_shards)
             run_journal.record_batch_start(list(accessions), fingerprint)
 
-        self._drain_deadline_base = options.drain_deadline
-        self._align_batch_override = options.align_batch_size
         self._backend_override = options.backend
         self._shard_ckpts = []
         self._shard_ckpt_state = (
@@ -849,9 +817,6 @@ class TranscriptomicsAtlasPipeline:
             fingerprint,
             shards.setdefault(accession, {}),
         )
-        hook = self._shard_record_hook
-        if hook is not None:
-            ckpt.on_record = lambda s, e, acc=accession: hook(acc, s, e)
         self._shard_ckpts.append(ckpt)
         return ckpt
 

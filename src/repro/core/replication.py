@@ -582,9 +582,6 @@ class ShardCheckpointer:
         self.hits = 0
         #: shards checkpointed by this run
         self.recorded = 0
-        #: observer invoked after each checkpoint append (fault injection
-        #: and the kill-instance chaos's deterministic SIGKILL hook)
-        self.on_record: Callable[[int, int], None] | None = None
 
     def load(self, start: int, end: int) -> ShardResult | None:
         record = self._cached.get((start, end))
@@ -609,5 +606,3 @@ class ShardCheckpointer:
         )
         self._cached[(start, end)] = {"fp": self.fingerprint, "shard": payload}
         self.recorded += 1
-        if self.on_record is not None:
-            self.on_record(start, end)

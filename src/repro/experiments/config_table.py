@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cloud.ec2 import INSTANCE_CATALOG, cheapest_fitting, instance_type
-from repro.genome.ensembl import EnsemblRelease, RELEASE_CATALOG
+from repro.genome.ensembl import RELEASE_CATALOG
 from repro.perf.index_model import IndexModel
 from repro.perf.targets import PAPER, PaperTargets
 from repro.util.tables import Table

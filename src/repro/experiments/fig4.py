@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.align.progress import ProgressRecord
 from repro.core.analytics import EarlyStopSavings, RunTiming, compute_savings
-from repro.core.atlas import AtlasJob
 from repro.core.early_stopping import EarlyStoppingPolicy, replay_policy
 from repro.experiments.corpus import CorpusSpec, generate_corpus
 from repro.genome.ensembl import release_spec

@@ -21,7 +21,7 @@ experiment does that measurement on the reproduction, in two parts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.align.pseudo import PseudoAligner, build_pseudo_index
 from repro.align.star import StarAligner, StarParameters

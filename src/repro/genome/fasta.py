@@ -11,8 +11,6 @@ import gzip
 import io
 from pathlib import Path
 
-import numpy as np
-
 from repro.genome.alphabet import decode, encode
 from repro.genome.model import Assembly, AssemblyLevel, Contig
 

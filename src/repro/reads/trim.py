@@ -8,7 +8,7 @@ and STAR; the simulator's adapter-contaminated reads give it real work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -57,16 +57,20 @@ def without_clock(record):
     return replace(record, elapsed_seconds=0.0)
 
 
+def journaled_spans(journal):
+    """The shard spans ``journal`` holds for the accession, in append order."""
+    return list(journal.replay().align_shards.get(ACCESSION, {}))
+
+
 def align_checkpointed(backend, records, journal, *, monitor=None, cached=None):
     """Run ``backend`` with a journal checkpointer; return the result,
     the checkpointer and the spans it recorded, in order."""
     ckpt = ShardCheckpointer(journal, ACCESSION, FINGERPRINT, cached=cached)
-    recorded = []
-    ckpt.on_record = lambda start, end: recorded.append((start, end))
+    before = len(journaled_spans(journal))
     result = backend.align(
         ReadChunkStream.of(records), monitor=monitor, checkpoint=ckpt
     )
-    return result, ckpt, recorded
+    return result, ckpt, journaled_spans(journal)[before:]
 
 
 @pytest.mark.parametrize("backend_name", ("engine", "faas"))

@@ -6,7 +6,7 @@ import pytest
 from repro.align.extend import ScoringParams
 from repro.align.index import genome_generate
 from repro.align.splice import is_canonical_motif, stitch_spliced
-from repro.genome.alphabet import decode, encode, random_sequence
+from repro.genome.alphabet import decode, random_sequence
 from repro.genome.annotation import Annotation, Exon, Gene, Strand, Transcript
 from repro.genome.model import Assembly, Contig, SequenceRegion
 

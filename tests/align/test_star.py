@@ -8,10 +8,9 @@ from repro.align.star import (
     StarAligner,
     StarParameters,
 )
-from repro.genome.alphabet import encode, reverse_complement
+from repro.genome.alphabet import reverse_complement
 from repro.genome.annotation import Strand
 from repro.reads.fastq import FastqRecord
-from repro.reads.library import LibraryType, SampleProfile
 
 
 def as_record(seq: np.ndarray, rid: str = "r") -> FastqRecord:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.analytics import (
-    EarlyStopSavings,
     RunTiming,
     compute_savings,
 )

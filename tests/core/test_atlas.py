@@ -7,7 +7,6 @@ import pytest
 from repro.cloud.autoscaling import ScalingPolicy
 from repro.cloud.ec2 import InstanceMarket, SpotModel
 from repro.core.atlas import AtlasConfig, run_atlas
-from repro.core.early_stopping import EarlyStoppingPolicy
 from repro.core.pipeline import RunStatus
 from repro.experiments.corpus import CorpusSpec, generate_corpus
 from repro.genome.ensembl import EnsemblRelease

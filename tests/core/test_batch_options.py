@@ -1,4 +1,4 @@
-"""BatchOptions consolidation: validation, no deprecation warnings, overrides."""
+"""BatchOptions consolidation: validation, no deprecation warnings, drain deadline."""
 
 import time
 
@@ -29,7 +29,7 @@ def repository(simulator):
     return repo
 
 
-def make_pipeline(repository, aligner, workspace):
+def make_pipeline(repository, aligner, workspace, **config):
     return TranscriptomicsAtlasPipeline(
         repository,
         aligner,
@@ -37,6 +37,7 @@ def make_pipeline(repository, aligner, workspace):
         config=PipelineConfig(
             early_stopping=EarlyStoppingPolicy(min_reads=20),
             write_outputs=False,
+            **config,
         ),
     )
 
@@ -55,8 +56,6 @@ class TestValidation:
             {"chunk_reads": 0},
             {"buffer_chunks": 0},
             {"download_chunk_bytes": 0},
-            {"drain_deadline": -0.1},
-            {"align_batch_size": 0},
         ],
     )
     def test_bounds(self, kwargs):
@@ -87,12 +86,12 @@ class TestDeprecatedKwargs:
 
 
 class TestPerBatchOverrides:
-    def test_drain_deadline_override_feeds_request_drain(
+    def test_config_deadline_feeds_request_drain(
         self, repository, aligner_r111, tmp_path
     ):
-        pipeline = make_pipeline(repository, aligner_r111, tmp_path)
-        pipeline.run_batch(ACCESSIONS[:1], BatchOptions(drain_deadline=123.0))
-        assert pipeline._drain_deadline_base == 123.0
+        pipeline = make_pipeline(
+            repository, aligner_r111, tmp_path, drain_deadline=123.0
+        )
         pipeline.request_drain()
         assert pipeline._drain_deadline_at > time.monotonic() + 60
         assert not pipeline._drain_expired()
@@ -100,14 +99,9 @@ class TestPerBatchOverrides:
     def test_explicit_deadline_still_wins(
         self, repository, aligner_r111, tmp_path
     ):
-        pipeline = make_pipeline(repository, aligner_r111, tmp_path)
-        pipeline._drain_deadline_base = 500.0
+        """``request_drain(deadline=)`` beats ``PipelineConfig.drain_deadline``."""
+        pipeline = make_pipeline(
+            repository, aligner_r111, tmp_path, drain_deadline=500.0
+        )
         pipeline.request_drain(deadline=0.0)
         assert pipeline._drain_expired()
-
-    def test_align_batch_override_recorded(
-        self, repository, aligner_r111, tmp_path
-    ):
-        pipeline = make_pipeline(repository, aligner_r111, tmp_path)
-        pipeline.run_batch(ACCESSIONS[:1], BatchOptions(align_batch_size=7))
-        assert pipeline._align_batch_override == 7

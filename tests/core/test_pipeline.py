@@ -1,6 +1,5 @@
 """Local four-step pipeline tests over the real toolchain."""
 
-import numpy as np
 import pytest
 
 from repro.core.early_stopping import EarlyStoppingPolicy

@@ -340,14 +340,6 @@ class TestShardCheckpointer:
         resumed.record(0, 1, make_outcomes()[:1], None, make_seed_stats())
         assert resumed.recorded == 0
 
-    def test_on_record_hook_fires(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.jsonl")
-        ckpt = ShardCheckpointer(journal, "SRR1", "fp1")
-        seen = []
-        ckpt.on_record = lambda s, e: seen.append((s, e))
-        ckpt.record(0, 64, make_outcomes(), None, make_seed_stats())
-        assert seen == [(0, 64)]
-
 
 class TestJournalInterchange:
     """The interchange guarantee end to end: a journal written with

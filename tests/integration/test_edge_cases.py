@@ -92,7 +92,7 @@ class TestCloudEdgeCases:
         from repro.cloud.autoscaling import AutoScalingGroup, ScalingPolicy
         from repro.cloud.agent import WorkerAgent
         from repro.cloud.ec2 import Ec2Service, instance_type
-        from repro.cloud.events import Simulation, Timeout
+        from repro.cloud.events import Simulation
         from repro.cloud.sqs import SqsQueue
 
         sim = Simulation()

@@ -7,12 +7,17 @@ byte-identically to an uninterrupted reference."""
 import pytest
 
 from repro.core.pipeline import RunStatus
-from repro.experiments.chaos import FaasChaosSpec, run_faas_chaos
+from repro.experiments.chaos import (
+    FUNCTION_FAILURES,
+    KILL_AFTER_SHARDS,
+    KillSpec,
+    run_kill_chaos,
+)
 
 
 @pytest.fixture(scope="module")
 def faas_result():
-    return run_faas_chaos(FaasChaosSpec())
+    return run_kill_chaos(KillSpec("faas"))
 
 
 class TestFaasChaosScenario:
@@ -22,21 +27,19 @@ class TestFaasChaosScenario:
         assert faas_result.matrix_identical
 
     def test_driver_died_mid_accession(self, faas_result):
-        spec = FaasChaosSpec()
+        spec = KillSpec("faas")
         assert spec.victim_accession not in faas_result.completed_before_kill
         assert len(faas_result.completed_before_kill) >= 1
 
     def test_adoption_reused_checkpointed_shards(self, faas_result):
-        spec = FaasChaosSpec()
-        assert faas_result.shards_adopted >= spec.kill_after_shards
+        assert faas_result.shards_replayed >= KILL_AFTER_SHARDS
         assert faas_result.shards_realigned < faas_result.total_shards
         assert faas_result.rework_bounded
 
     def test_function_kills_absorbed_by_retries(self, faas_result):
-        spec = FaasChaosSpec()
-        assert faas_result.function_kills_absorbed == spec.function_failures
+        assert faas_result.function_kills_absorbed == FUNCTION_FAILURES
         assert faas_result.faas_summary["crash_retries"] == (
-            spec.function_failures
+            FUNCTION_FAILURES
         )
 
     def test_one_result_per_accession_in_order(self, faas_result):

@@ -8,12 +8,12 @@ rejected."""
 import pytest
 
 from repro.core.pipeline import RunStatus
-from repro.experiments.chaos import KillInstanceSpec, run_kill_instance_chaos
+from repro.experiments.chaos import KILL_AFTER_SHARDS, KillSpec, run_kill_chaos
 
 
 @pytest.fixture(scope="module")
 def kill_result():
-    return run_kill_instance_chaos(KillInstanceSpec())
+    return run_kill_chaos(KillSpec("kill-instance"))
 
 
 class TestKillInstanceScenario:
@@ -23,7 +23,7 @@ class TestKillInstanceScenario:
         assert kill_result.matrix_identical
 
     def test_instance_died_mid_accession(self, kill_result):
-        spec = KillInstanceSpec()
+        spec = KillSpec("kill-instance")
         assert spec.victim_accession not in kill_result.completed_before_kill
         assert len(kill_result.completed_before_kill) >= 1
 
@@ -34,13 +34,12 @@ class TestKillInstanceScenario:
         assert kill_result.stale_publish_rejected
 
     def test_rework_bounded_to_unfinished_shards(self, kill_result):
-        spec = KillInstanceSpec()
-        assert kill_result.shards_replayed >= spec.kill_after_shards
+        assert kill_result.shards_replayed >= KILL_AFTER_SHARDS
         assert kill_result.shards_realigned < kill_result.total_shards
         assert kill_result.rework_bounded
 
     def test_one_result_per_accession_in_order(self, kill_result):
-        spec = KillInstanceSpec()
+        spec = KillSpec("kill-instance")
         assert [r.accession for r in kill_result.results] == spec.accessions
         assert all(
             r.status is not RunStatus.FAILED for r in kill_result.results

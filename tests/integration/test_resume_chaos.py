@@ -6,12 +6,12 @@ outcomes and a count matrix identical to the uninterrupted run."""
 import pytest
 
 from repro.core.pipeline import RunStatus
-from repro.experiments.chaos import ResumeChaosSpec, run_resume_chaos
+from repro.experiments.chaos import KillSpec, run_kill_chaos
 
 
 @pytest.fixture(scope="module")
 def resume_result():
-    return run_resume_chaos(ResumeChaosSpec(n_accessions=4, stall_seconds=1.5))
+    return run_kill_chaos(KillSpec("resume", n_accessions=4))
 
 
 class TestResumeChaosScenario:
@@ -33,7 +33,7 @@ class TestResumeChaosScenario:
         assert len(resume_result.replayed) + len(resume_result.reexecuted) == 4
 
     def test_one_result_per_accession_in_order(self, resume_result):
-        spec = ResumeChaosSpec(n_accessions=4)
+        spec = KillSpec("resume", n_accessions=4)
         assert [r.accession for r in resume_result.results] == spec.accessions
         assert all(r.status is not RunStatus.FAILED for r in resume_result.results)
 
@@ -52,10 +52,8 @@ class TestStreamedResumeChaos:
 
     @pytest.fixture(scope="class")
     def streamed_result(self):
-        return run_resume_chaos(
-            ResumeChaosSpec(
-                n_accessions=4, stall_seconds=1.5, streaming=True
-            )
+        return run_kill_chaos(
+            KillSpec("resume", n_accessions=4, streaming=True)
         )
 
     def test_guarantees_hold_streamed(self, streamed_result):

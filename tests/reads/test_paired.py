@@ -1,6 +1,5 @@
 """Paired-end simulator and archive tests."""
 
-import numpy as np
 import pytest
 
 from repro.genome.alphabet import decode, reverse_complement

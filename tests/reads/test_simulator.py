@@ -1,6 +1,5 @@
 """Read simulator tests."""
 
-import numpy as np
 import pytest
 
 from repro.genome.alphabet import decode

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.genome.alphabet import decode, encode
+from repro.genome.alphabet import encode
 from repro.reads.fastq import FastqRecord
 from repro.reads.library import LibraryType, SampleProfile
 from repro.reads.trim import (

@@ -232,3 +232,44 @@ class TestPipelineCommand:
         assert code == 2
         assert "refusing to resume" in capsys.readouterr().err
         assert journal.read_text() == before
+
+
+class TestChaosCommand:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--stream"],
+            ["--kill-instance", "--resume"],
+            ["--kill-instance", "--resume", "--stream"],
+            ["--faas", "--resume"],
+            ["--faas", "--resume", "--stream"],
+            ["--faas", "--kill-instance"],
+        ],
+        ids="+".join,
+    )
+    def test_rejected_flag_combinations_exit_2_before_forking(
+        self, capsys, monkeypatch, flags
+    ):
+        def no_fork():
+            raise AssertionError("forked before rejecting the flags")
+
+        monkeypatch.setattr("os.fork", no_fork)
+        assert main(["chaos", *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_resume_scenario(self, capsys, tmp_path):
+        journal = tmp_path / "chaos.jsonl"
+        code = main(
+            ["chaos", "--resume", "--accessions", "2", "--journal", str(journal)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "completed before kill: ['SRR9200001']" in out
+        for guarantee in (
+            "killed mid-batch",
+            "replay exact",
+            "outputs identical",
+            "count matrix identical",
+        ):
+            assert f"{guarantee}: True" in out
+        assert journal.stat().st_size > 0
