@@ -20,7 +20,6 @@ paper's optimizations touch:
 from repro.align.backend import (
     AlignerBackend,
     EngineBackend,
-    PairedAlignerBackend,
     ReadChunkStream,
     SerialAlignerBackend,
     resolve_backend,
@@ -72,7 +71,6 @@ __all__ = [
     "GenomeIndex",
     "OutcomeBatch",
     "PairStatus",
-    "PairedAlignerBackend",
     "PairedOutcome",
     "PairedOutcomeBatch",
     "PairedParameters",

@@ -7,8 +7,9 @@ engine (:class:`~repro.align.engine.ParallelStarAligner`) — three call
 shapes to wrap every time a cross-cutting concern (retries, fault
 injection, timing) touched the STAR step.  :class:`AlignerBackend`
 collapses them to a single ``align(reads) -> AlignmentOutcome`` surface,
-and :func:`resolve_backend` is the one place that knows which concrete
-backend a given accession should use.
+every backend serves both library layouts, and :func:`resolve_backend`
+is the one place that knows which concrete backend a given accession
+should use.
 
 Every backend cuts an accession into shards, aligns each through the
 batch core (:mod:`repro.align.batch`, when ``StarParameters.batch_align``
@@ -18,14 +19,16 @@ where a shard is aligned: in process, or — through the pure
 ``_align_records`` / ``_align_pairs`` helpers — in an engine worker or a
 function.
 
-Reads reach every backend as a :class:`ReadChunkStream`: a chunk feed
-with the read total known up front.  A materialized accession is a feed
-of one chunk; a streamed one (fed from the SRA container as it
-downloads) is a feed of many, so alignment starts before the download
-finishes.  Single-end serial and engine runs consume the feed lazily;
-paired, FaaS and checkpointed engine runs materialize it first (mates
-interleave in the container, functions need whole request payloads, and
-the checkpoint schedule is positional).
+Reads reach every backend as a :class:`ReadChunkStream`: a feed of
+:class:`~repro.reads.fastq.ReadBatch` chunks with the read total known
+up front.  A materialized accession is a feed of one chunk; a streamed
+one (fed from the SRA container as it downloads) is a feed of many, so
+alignment starts before the download finishes.  Every backend cuts its
+shards from batches with one cutter
+(:func:`~repro.reads.fastq.cut_batches`).  Single-end serial and engine
+runs consume the feed lazily; paired, FaaS and checkpointed engine runs
+join it first (mates interleave in the container, functions need whole
+request payloads, and the checkpoint schedule is positional).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 from repro.align.engine import (
     _align_pairs,
     _align_records,
+    _cut_shards,
     _shard_bounds,
     _shard_size,
 )
@@ -67,7 +71,6 @@ __all__ = [
     "BACKEND_CHOICES",
     "EngineBackend",
     "FaasAlignerBackend",
-    "PairedAlignerBackend",
     "ReadChunkStream",
     "SerialAlignerBackend",
     "resolve_backend",
@@ -81,12 +84,13 @@ BACKEND_CHOICES = ("auto", "serial", "engine", "faas")
 class ReadChunkStream:
     """One accession's reads as a chunk feed with a known total.
 
-    ``chunks`` yields ``list[FastqRecord]`` for single-end accessions or
-    ``(mate1_chunk, mate2_chunk)`` list pairs for paired ones;
-    ``reads_total`` comes from the SRA container header, so progress
-    records (and therefore early-stopping decisions) are identical to a
-    fully-materialized run even though records arrive incrementally.
-    :meth:`of` builds the materialized case, a feed of one chunk.
+    ``chunks`` yields :class:`~repro.reads.fastq.ReadBatch` chunks for
+    single-end accessions or ``(mate1, mate2)`` batch pairs for paired
+    ones; ``reads_total`` comes from the SRA container header, so
+    progress records (and therefore early-stopping decisions) are
+    identical to a fully-materialized run even though reads arrive
+    incrementally.  :meth:`of` builds the materialized case, a feed of
+    one chunk.
 
     A feed whose ``chunks`` is an iterator (a live download) is
     single-use: the bytes behind consumed chunks are gone, so a second
@@ -101,14 +105,18 @@ class ReadChunkStream:
 
     @classmethod
     def of(
-        cls, records: list[FastqRecord], mate2: list[FastqRecord] | None = None
+        cls,
+        reads: list[FastqRecord] | ReadBatch,
+        mate2: list[FastqRecord] | ReadBatch | None = None,
     ) -> ReadChunkStream:
-        """A materialized accession: single-end records, or both mate lists."""
+        """A materialized accession: single-end reads, or both mates
+        (record lists are packed into batches)."""
+        reads = ReadBatch.of(reads)
         if mate2 is None:
-            return cls([records], len(records))
-        if len(mate2) != len(records):
+            return cls([reads], len(reads))
+        if len(mate2) != len(reads):
             raise ValueError("mate lists must have equal length")
-        return cls([(records, mate2)], len(records), paired=True)
+        return cls([(reads, ReadBatch.of(mate2))], len(reads), paired=True)
 
     def __len__(self) -> int:
         return self.reads_total
@@ -125,23 +133,19 @@ class ReadChunkStream:
             self._started = True
         return chunks
 
-    def records(self):
-        """Flatten single-end chunks into a lazy record iterator."""
+    def records(self) -> Iterator[ReadBatch]:
+        """The single-end feed's batches, pulled lazily."""
         if self.paired:
             raise ValueError("records() is single-end only; use materialize()")
-        for chunk in self._feed():
-            yield from chunk
+        yield from self._feed()
 
-    def materialize(self) -> tuple[list[FastqRecord], list[FastqRecord] | None]:
-        """Drain the feed: ``(records, None)``, or ``(mate1, mate2)``."""
+    def materialize(self) -> tuple[ReadBatch, ReadBatch | None]:
+        """Drain the feed: ``(reads, None)``, or ``(mate1, mate2)``."""
         if not self.paired:
-            return list(self.records()), None
-        mate1: list[FastqRecord] = []
-        mate2: list[FastqRecord] = []
-        for chunk1, chunk2 in self._feed():
-            mate1.extend(chunk1)
-            mate2.extend(chunk2)
-        return mate1, mate2
+            return ReadBatch.concat(self.records()), None
+        chunks = list(self._feed())
+        mate1 = ReadBatch.concat(c[0] for c in chunks)
+        return mate1, ReadBatch.concat(c[1] for c in chunks)
 
 
 @runtime_checkable
@@ -170,12 +174,18 @@ class AlignerBackend(Protocol):
 
 
 class SerialAlignerBackend:
-    """In-process single-end alignment via :class:`StarAligner`."""
+    """In-process alignment via :class:`StarAligner`, or a
+    :class:`PairedStarAligner` over it for paired reads.
+
+    ``out_dir`` applies to single-end runs: paired runs keep their
+    results in memory, as the pipeline always has.
+    """
 
     name = "serial"
 
     def __init__(self, aligner: StarAligner) -> None:
         self.aligner = aligner
+        self.paired_aligner = PairedStarAligner(aligner)
 
     def align(
         self,
@@ -186,7 +196,7 @@ class SerialAlignerBackend:
         checkpoint: Any = None,
     ) -> AlignmentOutcome:
         if reads.paired:
-            raise ValueError("serial single-end backend got paired reads")
+            return self.paired_aligner.run(*reads.materialize(), monitor=monitor)
         return self.aligner.run(
             reads.records(),
             reads_total=reads.reads_total,
@@ -195,41 +205,14 @@ class SerialAlignerBackend:
         )
 
 
-class PairedAlignerBackend:
-    """In-process paired-end alignment via :class:`PairedStarAligner`.
-
-    ``out_dir`` is accepted for interface uniformity but unused: paired
-    runs keep their results in memory, as the pipeline always has.
-    """
-
-    name = "paired"
-
-    def __init__(self, paired_aligner: PairedStarAligner) -> None:
-        self.paired_aligner = paired_aligner
-
-    def align(
-        self,
-        reads: ReadChunkStream,
-        *,
-        monitor: ProgressMonitorHook | None = None,
-        out_dir: Path | str | None = None,
-        checkpoint: Any = None,
-    ) -> AlignmentOutcome:
-        if not reads.paired:
-            raise ValueError("paired backend got single-end reads")
-        mate1, mate2 = reads.materialize()
-        return self.paired_aligner.run(mate1, mate2, monitor=monitor)
-
-
 class EngineBackend:
     """Shared-memory multi-process alignment via :class:`ParallelStarAligner`.
 
     Handles both library layouts — the engine already exposes matching
     ``run`` / ``run_paired`` entry points.  Single-end reads reach the
-    engine as a lazy feed, packed into a
-    :class:`~repro.reads.fastq.ReadBatch` shard by shard as the merge
-    pulls them (an early stop packs nothing past it); paired and
-    checkpointed runs materialize the feed and pack it once.
+    engine as a lazy feed of batches, cut into shards as the merge pulls
+    them (an early stop cuts nothing past it); paired and checkpointed
+    runs join the feed first.
     """
 
     name = "engine"
@@ -263,7 +246,7 @@ class FaasAlignerBackend:
     """Serverless scatter-gather alignment over short-lived functions.
 
     The authors' follow-up paper replaces long-lived workers with FaaS:
-    one accession's reads are packed once into a
+    one accession's reads are joined into one
     :class:`~repro.reads.fastq.ReadBatch` (one per mate), sharded along
     the engine's ``_shard_bounds`` schedule as slices of it, and each
     shard becomes one function invocation against a simulated
@@ -503,23 +486,20 @@ class FaasAlignerBackend:
         out_dir: Path | str | None = None,
         checkpoint: Any = None,
     ) -> AlignmentOutcome:
-        records, mate2 = reads.materialize()
-        mate1 = ReadBatch.of(records)
+        mate1, mate2 = reads.materialize()
         n = len(mate1)
+        size = self.shard_size(mate1, mate2)
         if mate2 is not None:
-            mate2 = ReadBatch.of(mate2)
             run = self._paired_aligner()._accumulator(n, monitor, time.monotonic)
-            spans = _shard_bounds(n, self.shard_size(mate1, mate2))
-            shards = [(mate1[s:e], mate2[s:e]) for s, e in spans]
+            shards = zip(_cut_shards([mate1], size), _cut_shards([mate2], size))
         else:
             run = self.aligner._accumulator(n, monitor, time.monotonic)
-            spans = _shard_bounds(n, self.shard_size(mate1))
-            shards = [mate1[s:e] for s, e in spans]
+            shards = _cut_shards([mate1], size)
         result = merge_shards(
             run,
             shards,
             in_process(functools.partial(self._execute_shard, paired=reads.paired)),
-            spans=spans,
+            spans=_shard_bounds(n, size),
             checkpoint=checkpoint,
         )
         if out_dir is not None and not reads.paired:
@@ -528,32 +508,23 @@ class FaasAlignerBackend:
 
 
 def resolve_backend(
-    config: Any,
     aligner: StarAligner,
     engine: ParallelStarAligner | None = None,
     *,
-    paired: bool = False,
     requested: str | None = None,
     faas: FaasAlignerBackend | None = None,
 ) -> AlignerBackend:
     """Pick the backend for one accession.
 
-    ``config`` is the pipeline-level options bundle (duck-typed so this
-    module stays import-light); backend-selection knobs added there are
-    honoured here, keeping call sites branch-free.
-
-    ``requested`` (or ``config.backend``) pins an execution substrate:
-    ``"serial"`` runs in-process even when a live engine exists,
-    ``"engine"`` demands the worker pool (ValueError without one),
-    ``"faas"`` routes through ``faas`` — a pipeline-cached
-    :class:`FaasAlignerBackend`, built fresh here when none is supplied
-    (warm containers then do not persist across accessions).  Under
-    ``"auto"`` (the default) a live ``engine`` wins (it serves both
-    layouts from one worker pool); otherwise the library layout picks
-    the serial backend.
+    ``requested`` pins an execution substrate: ``"serial"`` runs
+    in-process even when a live engine exists, ``"engine"`` demands the
+    worker pool (ValueError without one), ``"faas"`` routes through
+    ``faas`` — a pipeline-cached :class:`FaasAlignerBackend`, built fresh
+    here when none is supplied (warm containers then do not persist
+    across accessions).  Under ``"auto"`` (the default) a live ``engine``
+    wins; otherwise the run stays in process.  Every backend serves both
+    library layouts.
     """
-    if requested is None:
-        requested = getattr(config, "backend", None)
     if requested is None:
         requested = "auto"
     if requested not in BACKEND_CHOICES:
@@ -561,12 +532,7 @@ def resolve_backend(
             f"unknown backend {requested!r}; expected one of {BACKEND_CHOICES}"
         )
     if requested == "faas":
-        if faas is not None:
-            return faas
-        return FaasAlignerBackend(
-            aligner,
-            paired_parameters=getattr(config, "paired_parameters", None),
-        )
+        return faas if faas is not None else FaasAlignerBackend(aligner)
     if requested == "engine":
         if engine is None:
             raise ValueError(
@@ -575,7 +541,4 @@ def resolve_backend(
         return EngineBackend(engine)
     if requested == "auto" and engine is not None:
         return EngineBackend(engine)
-    if paired:
-        parameters = getattr(config, "paired_parameters", None)
-        return PairedAlignerBackend(PairedStarAligner(aligner, parameters))
     return SerialAlignerBackend(aligner)

@@ -32,7 +32,6 @@ yet dispatched, and abandons the (bounded) in-flight window.
 from __future__ import annotations
 
 import functools
-import itertools
 import multiprocessing as mp
 import os
 import signal
@@ -67,7 +66,7 @@ from repro.align.star import (
 )
 from repro.align.suffix_array import PrefixJumpTable, SeedSearchStats
 from repro.genome.annotation import Annotation
-from repro.reads.fastq import FastqRecord, ReadBatch
+from repro.reads.fastq import FastqRecord, ReadBatch, cut_batches
 
 __all__ = [
     "EngineHealth",
@@ -356,30 +355,9 @@ def _shard_bounds(total: int, shard: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _iter_shards(records: Iterable, shard: int) -> Iterator[list]:
-    """Lazily shard any record iterable, merging a degenerate tail.
-
-    One full shard is held back so the final short tail (when smaller
-    than :func:`_tail_floor`) can be merged into it — the streaming
-    equivalent of :func:`_shard_bounds`, pulling no more than one shard
-    ahead of what has been dispatched.
-    """
-    it = iter(records)
-    held = list(itertools.islice(it, shard))
-    if not held:
-        return
-    while True:
-        nxt = list(itertools.islice(it, shard))
-        if not nxt:
-            yield held
-            return
-        if len(nxt) < _tail_floor(shard):
-            # short tail implies the iterable is exhausted
-            held.extend(nxt)
-            yield held
-            return
-        yield held
-        held = nxt
+def _cut_shards(batches: Iterable[ReadBatch], shard: int) -> Iterator[ReadBatch]:
+    """Shards of a batch feed, cut lazily by :func:`_shard_bounds`' rule."""
+    return cut_batches(batches, shard, floor=_tail_floor(shard))
 
 
 # --------------------------------------------------------------------------
@@ -871,7 +849,7 @@ class ParallelStarAligner:
 
     def run(
         self,
-        records: Iterable[FastqRecord],
+        records: list[FastqRecord] | ReadBatch | Iterable[ReadBatch],
         *,
         reads_total: int | None = None,
         monitor: ProgressMonitorHook | None = None,
@@ -881,9 +859,10 @@ class ParallelStarAligner:
     ) -> StarRunResult:
         """Parallel equivalent of :meth:`StarAligner.run` (same signature).
 
-        ``records`` may be a lazy iterable (e.g. a streamed chunk feed)
-        when ``reads_total`` is given — shards are pulled as they become
-        available and results stay byte-identical to the list path.
+        ``records`` may be a lazy feed of batches (e.g. a streamed chunk
+        feed) when ``reads_total`` is given — shards are cut from it as
+        they become available and results stay byte-identical to the list
+        path.
 
         ``checkpoint`` (a :class:`repro.core.replication.
         ShardCheckpointer`) turns on shard-level recovery: shards whose
@@ -892,31 +871,23 @@ class ParallelStarAligner:
         shard is journaled as it lands.  The merged result is
         byte-identical to an uncheckpointed run — checkpointing only
         decides *where outcomes come from*, never what they are.
-        Requires materialized records (the shard schedule is positional),
-        so a lazy feed is drained up front when a checkpoint is given.
-
-        Materialized records are packed into one
-        :class:`~repro.reads.fastq.ReadBatch` and dispatched as slices of
-        it; a lazy feed is packed one shard at a time as it is pulled.
+        Requires materialized reads (the shard schedule is positional),
+        so a lazy feed is joined up front when a checkpoint is given.
         """
+        feed = [ReadBatch.of(records)] if reads_total is None else records
+        if checkpoint is not None:
+            feed = [ReadBatch.concat(feed)]
         if reads_total is None or checkpoint is not None:
-            records = ReadBatch.of(records)
-            reads_total = len(records)
+            reads_total = len(feed[0])
         run = self._local_aligner()._accumulator(reads_total, monitor, clock)
         shard = _shard_size(
             reads_total, self.workers, self.batch_size, self.parameters.batch_align
         )
-        if isinstance(records, ReadBatch):
-            spans = _shard_bounds(len(records), shard)
-            shards = [records[start:end] for start, end in spans]
-        else:
-            spans = None
-            shards = map(ReadBatch.of, _iter_shards(records, shard))
         result = merge_shards(
             run,
-            shards,
+            _cut_shards(feed, shard),
             functools.partial(self._ordered_results, _align_batch),
-            spans=spans,
+            spans=None if checkpoint is None else _shard_bounds(reads_total, shard),
             checkpoint=checkpoint,
             on_result=self._note_shard,
         )
@@ -941,9 +912,8 @@ class ParallelStarAligner:
         shards already in the journal are merged from it instead of
         re-aligned, and each fully merged live shard is journaled as it
         lands (the payload codec round-trips paired outcome batches —
-        see :mod:`repro.align.outcome`).  Each mate list is packed once
-        into a :class:`~repro.reads.fastq.ReadBatch`; a shard is one slice
-        of each.
+        see :mod:`repro.align.outcome`).  A shard is one slice of each
+        mate's batch.
         """
         if len(mate1) != len(mate2):
             raise ValueError("mate lists must have equal length")
@@ -952,12 +922,11 @@ class ParallelStarAligner:
         shard = _shard_size(
             len(mate1), self.workers, self.batch_size, self.parameters.batch_align
         )
-        spans = _shard_bounds(len(mate1), shard)
         return merge_shards(
             run,
-            [(mate1[start:end], mate2[start:end]) for start, end in spans],
+            zip(_cut_shards([mate1], shard), _cut_shards([mate2], shard)),
             functools.partial(self._ordered_results, _align_batch_paired),
-            spans=spans,
+            spans=_shard_bounds(len(mate1), shard),
             checkpoint=checkpoint,
             on_result=self._note_shard,
         )

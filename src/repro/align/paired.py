@@ -345,8 +345,8 @@ class PairedStarAligner:
 
     def run(
         self,
-        mate1: list[FastqRecord],
-        mate2: list[FastqRecord],
+        mate1: list[FastqRecord] | ReadBatch,
+        mate2: list[FastqRecord] | ReadBatch,
         *,
         monitor: Callable[[ProgressRecord], bool] | None = None,
         clock: Callable[[], float] = time.monotonic,
@@ -359,13 +359,9 @@ class PairedStarAligner:
         """
         if len(mate1) != len(mate2):
             raise ValueError("mate lists must have equal length")
-        # same shards as the single-end driver: both mate lists go
-        # through the batch core one shard at a time
-        size = self.aligner._shard_reads()
-        shards = (
-            (mate1[start : start + size], mate2[start : start + size])
-            for start in range(0, len(mate1), size)
-        )
+        mate1, mate2 = ReadBatch.of(mate1), ReadBatch.of(mate2)
+        # same shards as the single-end driver, cut alike from both mates
+        shards = zip(self.aligner._shards([mate1]), self.aligner._shards([mate2]))
         return merge_shards(
             self._accumulator(len(mate1), monitor, clock),
             shards,

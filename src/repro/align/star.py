@@ -11,7 +11,7 @@ the integration point for the paper's early-stopping optimization.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,8 +47,7 @@ from repro.align.splice import (
 from repro.genome.alphabet import reverse_complement
 from repro.genome.annotation import Annotation, Strand
 from repro.genome.model import SequenceRegion
-from repro.reads.fastq import FastqRecord, ReadBatch
-from repro.reads.stream import iter_chunks
+from repro.reads.fastq import FastqRecord, ReadBatch, cut_batches
 
 
 @dataclass(frozen=True)
@@ -428,11 +427,14 @@ class StarAligner:
 
     # -- whole run -------------------------------------------------------------
 
-    def _shard_reads(self) -> int:
-        """Reads per in-process shard: one batch-core call, or one read
-        on the per-read path (so an early stop wastes no alignment)."""
-        params = self.parameters
-        return params.align_batch_size if params.batch_align else 1
+    def _shards(self, batches: Iterable[ReadBatch]) -> Iterator:
+        """In-process shards of a batch feed: ``align_batch_size``-read
+        batches for the batch core, or one-record lists on the per-read
+        path (an early stop then wastes no alignment, and no batch is
+        built per read)."""
+        if self.parameters.batch_align:
+            return cut_batches(batches, self.parameters.align_batch_size)
+        return ([record] for batch in batches for record in batch)
 
     def _counted_annotation(self) -> Annotation | None:
         """The annotation reads are counted against, or None when
@@ -464,14 +466,14 @@ class StarAligner:
 
     def run(
         self,
-        records: Iterable[FastqRecord],
+        records: list[FastqRecord] | ReadBatch | Iterable[ReadBatch],
         *,
         reads_total: int | None = None,
         monitor: ProgressMonitorHook | None = None,
         out_dir: Path | str | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> StarRunResult:
-        """Align a stream of reads, reporting progress and honouring a monitor.
+        """Align a sample's reads, reporting progress and honouring a monitor.
 
         ``monitor`` receives every :class:`ProgressRecord`; returning False
         aborts the run (the early-stopping integration point).  Partial
@@ -479,22 +481,22 @@ class StarAligner:
         written out — matching how the paper's pipeline salvages statistics
         from terminated runs.
 
-        When ``reads_total`` is given, ``records`` may be a lazy iterable
-        (e.g. a streamed chunk feed): reads are pulled one shard at a
-        time as the merge consumes them — at most one shard past the read
-        where the monitor stops the run — with byte-identical results.
+        ``records`` is a record list or a batch.  When ``reads_total`` is
+        given, it is instead a lazy feed of batches (e.g. a streamed chunk
+        feed): reads are pulled one shard at a time as the merge consumes
+        them — at most one shard past the read where the monitor stops the
+        run — with byte-identical results.
         """
         if reads_total is None:
-            records = list(records)
-            reads_total = len(records)
+            records = [ReadBatch.of(records)]
+            reads_total = len(records[0])
         # in process there is nothing to ship: shards carry no GeneCounts
         # partial, and the run counts their outcomes itself
         result = merge_shards(
             self._accumulator(reads_total, monitor, clock),
-            iter_chunks(records, self._shard_reads()),
+            self._shards(records),
             in_process(lambda shard: (self.align_batch(shard), None, None)),
         )
         if out_dir is not None:
             result.write_outputs(out_dir)
         return result
-

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 from repro.align.backend import ReadChunkStream, resolve_backend
 from repro.core.early_stopping import EarlyStopMonitor
 from repro.quant.deseq2 import estimate_size_factors, normalize_counts
-from repro.reads.fastq import iter_fastq
+from repro.reads.fastq import ReadBatch, iter_fastq
 from repro.reads.sra import fasterq_dump, prefetch
 from repro.reads.trim import ReadTrimmer
 
@@ -171,10 +171,10 @@ class FasterqDumpStage:
 class AlignStage:
     """Step 3: STAR alignment through the resolved backend.
 
-    ``prepare`` loads/trims reads into a one-chunk
-    :class:`~repro.align.backend.ReadChunkStream` (unless a streamed
-    feed is already attached to ``ctx.reads``), consumes any scripted
-    ``engine_worker`` fault, and resolves the backend.  ``run`` is
+    ``prepare`` reads (and trims) each FASTQ file into one batch of a
+    one-chunk :class:`~repro.align.backend.ReadChunkStream` (unless a
+    streamed feed is already attached to ``ctx.reads``), consumes any
+    scripted ``engine_worker`` fault, and resolves the backend.  ``run`` is
     retry-safe: the scripted ``align`` fault check fires before any read
     is consumed, and the stateful early-stop monitor is rebuilt per
     attempt so a retried alignment sees the same cadence as an unfaulted
@@ -190,17 +190,15 @@ class AlignStage:
         pipeline = ctx.pipeline
         cfg = pipeline.config
         if ctx.reads is None:
-            records = list(iter_fastq(ctx.fastq_path))
+            reads = ReadBatch.concat(iter_fastq(ctx.fastq_path))
             if ctx.paired:
                 ctx.reads = ReadChunkStream.of(
-                    records, list(iter_fastq(ctx.fastq_path_2))
+                    reads, ReadBatch.concat(iter_fastq(ctx.fastq_path_2))
                 )
             else:
                 if cfg.trim is not None:
-                    records, ctx.trim_stats = ReadTrimmer(cfg.trim).trim(
-                        records
-                    )
-                ctx.reads = ReadChunkStream.of(records)
+                    reads, ctx.trim_stats = ReadTrimmer(cfg.trim).trim(reads)
+                ctx.reads = ReadChunkStream.of(reads)
         engine = pipeline._get_engine()
         if (
             engine is not None
@@ -213,10 +211,8 @@ class AlignStage:
             engine.kill_worker()
         requested = getattr(pipeline, "_backend_override", None)
         ctx.backend = resolve_backend(
-            cfg,
             pipeline.aligner,
             engine,
-            paired=ctx.paired,
             requested=requested,
             faas=(
                 pipeline._get_faas_backend() if requested == "faas" else None

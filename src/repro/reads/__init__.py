@@ -19,7 +19,7 @@ from repro.reads.paired import (
 )
 from repro.reads.simulator import ReadSimulator, SimulatorConfig
 from repro.reads.sra import SraArchive, SraRepository, fasterq_dump, prefetch
-from repro.reads.stream import SraStream, ThrottledRepository, iter_chunks
+from repro.reads.stream import SraStream, ThrottledRepository
 
 __all__ = [
     "FastqRecord",
@@ -38,7 +38,6 @@ __all__ = [
     "ThrottledRepository",
     "fasterq_dump",
     "fasterq_dump_paired",
-    "iter_chunks",
     "prefetch",
     "read_fastq",
     "simulate_paired",

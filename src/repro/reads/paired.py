@@ -14,6 +14,7 @@ end).  This module adds:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -26,7 +27,7 @@ from repro.reads.library import LibraryType, SampleProfile
 from repro.reads.simulator import ReadSimulator
 from repro.reads.sra import (
     MAGIC_PAIRED,
-    decode_payload,
+    decode_reads,
     dump_payload,
     pack_archive,
     unpack_archive,
@@ -183,8 +184,9 @@ class PairedSraArchive:
 
     accession: str
     library: LibraryType
-    mate1: list[FastqRecord]
-    mate2: list[FastqRecord]
+    #: record lists, or batches when parsed from bytes
+    mate1: Sequence[FastqRecord]
+    mate2: Sequence[FastqRecord]
 
     def __post_init__(self) -> None:
         if len(self.mate1) != len(self.mate2):
@@ -208,17 +210,12 @@ class PairedSraArchive:
     def from_bytes(cls, data: bytes) -> "PairedSraArchive":
         """Parse a serialized paired archive; mates alternate in the payload."""
         header, payload = unpack_archive(data, MAGIC_PAIRED)
-        mate1: list[FastqRecord] = []
-        mate2: list[FastqRecord] = []
-        for block in decode_payload(payload, header["accession"], paired=True):
-            records = block.records(whole_ids=True)
-            mate1.extend(records[0::2])
-            mate2.extend(records[1::2])
+        reads = decode_reads(payload, header["accession"], paired=True)
         archive = cls(
             accession=header["accession"],
             library=LibraryType(header["library"]),
-            mate1=mate1,
-            mate2=mate2,
+            mate1=reads[0::2],
+            mate2=reads[1::2],
         )
         if archive.n_pairs != header["n_pairs"]:
             raise ValueError("corrupt paired archive: pair count mismatch")

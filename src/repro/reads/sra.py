@@ -19,7 +19,7 @@ import contextlib
 import json
 import struct
 import zlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -29,8 +29,9 @@ from repro.reads.fastq import (
     FastqBlock,
     FastqFramer,
     FastqRecord,
+    ReadBatch,
     fastq_byte_size,
-    iter_fastq,
+    read_fastq,
     render_fastq,
 )
 from repro.reads.library import LibraryType, SraRunMetadata
@@ -125,6 +126,14 @@ def decode_payload(payload, source: str, *, paired: bool) -> Iterator[FastqBlock
     yield from decoder.finish()
 
 
+def decode_reads(payload, source: str, *, paired: bool) -> ReadBatch:
+    """A whole compressed payload as one batch; archives keep whole ids."""
+    return ReadBatch.concat(
+        block.batch(whole_ids=True)
+        for block in decode_payload(payload, source, paired=paired)
+    )
+
+
 def dump_payload(payload, source: str, paths: list[Path], expected: int) -> None:
     """``fasterq-dump``'s body: inflate, frame and validate, normalise
     bases, write.  One path takes every record; two split the mates of an
@@ -158,7 +167,8 @@ class SraArchive:
 
     accession: str
     library: LibraryType
-    records: list[FastqRecord]
+    #: a record list, or a batch when parsed from bytes
+    records: Sequence[FastqRecord]
 
     @property
     def n_reads(self) -> int:
@@ -182,15 +192,10 @@ class SraArchive:
     def from_bytes(cls, data: bytes) -> "SraArchive":
         """Parse a serialized archive, validating magic and version."""
         header, payload = unpack_archive(data, MAGIC_SINGLE)
-        records = [
-            record
-            for block in decode_payload(payload, header["accession"], paired=False)
-            for record in block.records(whole_ids=True)
-        ]
         archive = cls(
             accession=header["accession"],
             library=LibraryType(header["library"]),
-            records=records,
+            records=decode_reads(payload, header["accession"], paired=False),
         )
         if archive.n_reads != header["n_reads"]:
             raise ValueError(
@@ -337,4 +342,4 @@ def archive_from_fastq(
     accession: str, fastq_path: Path | str, library: LibraryType
 ) -> SraArchive:
     """Package an existing FASTQ file back into an archive (test utility)."""
-    return SraArchive(accession, library, list(iter_fastq(fastq_path)))
+    return SraArchive(accession, library, read_fastq(fastq_path))

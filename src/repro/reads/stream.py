@@ -4,10 +4,8 @@ The streaming pipeline overlaps download, decompression, and alignment
 instead of running ``prefetch → fasterq-dump → align`` to completion one
 step at a time.  This module supplies the reads-layer machinery:
 
-* :func:`iter_chunks` — re-chunks any iterable (the serial aligner's
-  batch-core feed);
 * :class:`SraStream` — an incremental parser that turns a *byte-chunk*
-  download of an ``.sra`` container into FASTQ record chunks as they
+  download of an ``.sra`` container into read-batch chunks as they
   decompress, with mid-stream cancellation (the early-stopping hook that
   saves download bytes, not just align seconds) and exact byte
   accounting;
@@ -22,12 +20,10 @@ sequential path no matter how the bytes arrived.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections.abc import Iterable, Iterator
-from typing import TypeVar
 
-from repro.reads.fastq import FastqBlock, FastqRecord
+from repro.reads.fastq import FastqBlock, ReadBatch, cut_batches
 from repro.reads.library import LibraryType
 from repro.reads.sra import (
     MAGIC_PAIRED,
@@ -39,24 +35,10 @@ from repro.reads.sra import (
     unpack_archive,
 )
 
-T = TypeVar("T")
-
 #: default records per streamed chunk (the unit the align stage consumes)
 DEFAULT_CHUNK_READS = 256
 #: default bytes per download chunk (the unit the prefetch stage moves)
 DEFAULT_CHUNK_BYTES = 64 * 1024
-
-
-def iter_chunks(items: Iterable[T], size: int) -> Iterator[list[T]]:
-    """Re-chunk any iterable into lists of ``size`` items (last may be short)."""
-    if size < 1:
-        raise ValueError("chunk size must be >= 1")
-    it = iter(items)
-    while True:
-        chunk = list(itertools.islice(it, size))
-        if not chunk:
-            return
-        yield chunk
 
 
 class ThrottledRepository:
@@ -130,13 +112,13 @@ class SraStream:
     Call :meth:`open` to pull bytes until the container header is parsed
     (``paired``/``n_reads``/``library`` become available — the align
     stage needs the read total before the payload finishes), then
-    iterate :meth:`chunks`: each item is a ``list[FastqRecord]`` for
-    single-end archives or a ``(mate1, mate2)`` list pair for paired
-    ones.  Records come from the same codec as the sequential
-    ``fasterq-dump → iter_fastq`` path (read ids cut at the first
-    whitespace), and ``fastq_bytes`` accumulates the exact size the
-    dumped FASTQ file(s) would have had on disk, for the text decoded so
-    far.
+    iterate :meth:`chunks`: each item is a
+    :class:`~repro.reads.fastq.ReadBatch` for single-end archives or a
+    ``(mate1, mate2)`` batch pair for paired ones.  Reads come from the
+    same codec as the sequential ``fasterq-dump → iter_fastq`` path (read
+    ids cut at the first whitespace), and ``fastq_bytes`` accumulates the
+    exact size the dumped FASTQ file(s) would have had on disk, for the
+    text decoded so far.
 
     :meth:`cancel` stops the download at the next chunk boundary;
     ``bytes_saved`` then reports what never moved — the quantity the
@@ -172,9 +154,8 @@ class SraStream:
         self._finished = False
         self._byte_iter: Iterator[bytes] | None = None
         self._decoder: PayloadDecoder | None = None
-        #: decoded records (mate 1 when paired) and mate 2, not yet handed out
-        self._ready: list[FastqRecord] = []
-        self._ready2: list[FastqRecord] = []
+        #: what :meth:`open` decoded past the header (mates interleaved)
+        self._opened: list[ReadBatch] = []
 
     # -- byte side -----------------------------------------------------------
 
@@ -230,7 +211,7 @@ class SraStream:
             header["n_pairs"] if self.paired else header["n_reads"]
         )
         self._decoder = PayloadDecoder(self.accession, paired=self.paired)
-        self._ingest(self._decoder.feed(payload))
+        self._opened = self._decode(self._decoder.feed(payload))
         return self
 
     def _next_bytes(self) -> bytes:
@@ -245,48 +226,39 @@ class SraStream:
 
     # -- payload -------------------------------------------------------------
 
-    def _ingest(self, blocks: Iterable[FastqBlock]) -> None:
-        """Queue the records of freshly decoded blocks."""
+    def _decode(self, blocks: Iterable[FastqBlock]) -> list[ReadBatch]:
+        """The batches of freshly decoded blocks (mates interleaved)."""
+        batches = []
         for block in blocks:
             self.fastq_bytes += block.dumped_bytes
-            records = block.records()
-            if self.paired:
-                # paired payloads interleave mates: mate 1 first
-                self._ready.extend(records[0::2])
-                self._ready2.extend(records[1::2])
-            else:
-                self._ready.extend(records)
+            batches.append(block.batch())
+        return batches
 
-    def _take_records(self, n: int):
-        """Hand out the next ``n`` queued reads (or pairs)."""
-        records = self._ready[:n]
-        del self._ready[:n]
-        self.records_out += len(records)
-        if not self.paired:
-            return records
-        mate2 = self._ready2[:n]
-        del self._ready2[:n]
-        return records, mate2
-
-    def chunks(self) -> Iterator:
-        """Yield record chunks as payload bytes arrive (see class doc)."""
-        if self._byte_iter is None:
-            self.open()
-        while True:
-            while len(self._ready) >= self.chunk_reads:
-                yield self._take_records(self.chunk_reads)
-            if self.cancelled:
-                return
+    def _batches(self) -> Iterator[ReadBatch]:
+        """Decoded batches until the payload ends or a cancel; each
+        download chunk is decoded whole before its batches go out."""
+        yield from self._opened
+        while not self.cancelled:
             chunk = next(self._byte_iter, None)
             if chunk is None:
-                break
+                # end of stream: flush the inflater and validate framing
+                yield from self._decode(self._decoder.finish())
+                self._finished = True
+                return
             self.bytes_downloaded += len(chunk)
-            self._ingest(self._decoder.feed(chunk))
-        # end of stream: flush the inflater and validate framing
-        self._ingest(self._decoder.finish())
-        while self._ready:
-            yield self._take_records(self.chunk_reads)
-        self._finished = True
+            yield from self._decode(self._decoder.feed(chunk))
+
+    def chunks(self) -> Iterator:
+        """Yield read chunks as payload bytes arrive (see class doc)."""
+        if self._byte_iter is None:
+            self.open()
+        # paired payloads interleave mates, mate 1 first
+        group = 2 if self.paired else 1
+        for chunk in cut_batches(self._batches(), group * self.chunk_reads):
+            if not self._finished and len(chunk) < group * self.chunk_reads:
+                return  # cancelled: a part-filled chunk is not handed out
+            self.records_out += len(chunk) // group
+            yield (chunk[0::2], chunk[1::2]) if self.paired else chunk
         if not self.cancelled and self.records_out != self.n_reads:
             raise ValueError(
                 f"corrupt SRA archive: header says {self.n_reads} "

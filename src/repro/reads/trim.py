@@ -8,12 +8,13 @@ and STAR; the simulator's adapter-contaminated reads give it real work.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.genome.alphabet import encode
-from repro.reads.fastq import FastqRecord
+from repro.reads.fastq import FastqRecord, ReadBatch
 from repro.util.validation import check_fraction, check_positive
 
 #: Illumina TruSeq R1 adapter prefix (the classic contaminant)
@@ -152,15 +153,16 @@ class ReadTrimmer:
             stats.bases_out += int(seq.size)
         return FastqRecord(record.read_id, seq.copy(), qual.copy())
 
-    def trim(self, records: list[FastqRecord]) -> tuple[list[FastqRecord], TrimStats]:
-        """Trim a whole sample; returns (kept records, statistics)."""
+    def trim(self, records: Iterable[FastqRecord]) -> tuple[ReadBatch, TrimStats]:
+        """Trim a whole sample read by read; returns (the kept reads packed
+        into one batch, statistics)."""
         stats = TrimStats()
         kept = []
         for record in records:
             trimmed = self.trim_record(record, stats)
             if trimmed is not None:
                 kept.append(trimmed)
-        return kept, stats
+        return ReadBatch.of(kept), stats
 
 
 def contaminate_with_adapter(

@@ -7,7 +7,6 @@ import pytest
 from repro.align.backend import (
     AlignerBackend,
     EngineBackend,
-    PairedAlignerBackend,
     ReadChunkStream,
     SerialAlignerBackend,
     resolve_backend,
@@ -49,13 +48,10 @@ class TestReadBatch:
 class TestProtocolConformance:
     def test_backends_satisfy_protocol(self, aligner_r111):
         serial = SerialAlignerBackend(aligner_r111)
-        paired = PairedAlignerBackend(PairedStarAligner(aligner_r111))
         engine = EngineBackend(SimpleNamespace(run=None, run_paired=None))
-        for backend in (serial, paired, engine):
+        for backend in (serial, engine):
             assert isinstance(backend, AlignerBackend)
-        assert {serial.name, paired.name, engine.name} == {
-            "serial", "paired", "engine",
-        }
+        assert {serial.name, engine.name} == {"serial", "engine"}
 
     def test_star_result_satisfies_outcome(self, aligner_r111, bulk_sample):
         result = aligner_r111.run(bulk_sample.records)
@@ -72,29 +68,20 @@ class TestProtocolConformance:
 
 class TestResolveBackend:
     def test_engine_wins_for_both_layouts(self, aligner_r111):
+        # one engine serves both layouts
         engine = SimpleNamespace(run=None, run_paired=None)
-        for paired in (False, True):
-            backend = resolve_backend(
-                None, aligner_r111, engine, paired=paired
-            )
-            assert isinstance(backend, EngineBackend)
-            assert backend.engine is engine
-
-    def test_paired_without_engine(self, aligner_r111):
-        params = PairedParameters(progress_every=25)
-        config = SimpleNamespace(paired_parameters=params)
-        backend = resolve_backend(config, aligner_r111, paired=True)
-        assert isinstance(backend, PairedAlignerBackend)
-        assert backend.paired_aligner.aligner is aligner_r111
-        assert backend.paired_aligner.parameters is params
+        backend = resolve_backend(aligner_r111, engine)
+        assert isinstance(backend, EngineBackend)
+        assert backend.engine is engine
 
     def test_paired_default_parameters(self, aligner_r111):
-        backend = resolve_backend(None, aligner_r111, paired=True)
-        assert isinstance(backend, PairedAlignerBackend)
+        backend = resolve_backend(aligner_r111)
+        assert isinstance(backend, SerialAlignerBackend)
+        assert backend.paired_aligner.aligner is aligner_r111
         assert isinstance(backend.paired_aligner.parameters, PairedParameters)
 
     def test_serial_fallback(self, aligner_r111):
-        backend = resolve_backend(None, aligner_r111)
+        backend = resolve_backend(aligner_r111)
         assert isinstance(backend, SerialAlignerBackend)
         assert backend.aligner is aligner_r111
 
@@ -108,14 +95,8 @@ class TestAlignDispatch:
         assert got.gene_counts == want.gene_counts
         assert not got.aborted
 
-    def test_serial_rejects_paired_batch(self, aligner_r111, paired_sample):
-        backend = SerialAlignerBackend(aligner_r111)
-        batch = ReadChunkStream.of(paired_sample.mate1, paired_sample.mate2)
-        with pytest.raises(ValueError, match="paired"):
-            backend.align(batch)
-
     def test_paired_matches_direct_run(self, aligner_r111, paired_sample):
-        backend = PairedAlignerBackend(PairedStarAligner(aligner_r111))
+        backend = SerialAlignerBackend(aligner_r111)
         got = backend.align(
             ReadChunkStream.of(paired_sample.mate1, paired_sample.mate2)
         )
@@ -125,16 +106,11 @@ class TestAlignDispatch:
         assert got.final.mapped_unique == want.final.mapped_unique
         assert got.mapped_fraction == want.mapped_fraction
 
-    def test_paired_rejects_single_end_batch(self, aligner_r111, bulk_sample):
-        backend = PairedAlignerBackend(PairedStarAligner(aligner_r111))
-        with pytest.raises(ValueError, match="single-end"):
-            backend.align(ReadChunkStream.of(bulk_sample.records))
-
     def test_engine_routes_by_layout(self, bulk_sample, paired_sample):
         calls = []
         stub = SimpleNamespace(
-            run=lambda records, reads_total=None, **kwargs: (
-                calls.append(("run", len(list(records))))
+            run=lambda batches, reads_total=None, **kwargs: (
+                calls.append(("run", sum(map(len, batches))))
             ),
             run_paired=lambda m1, m2, monitor=None, checkpoint=None: (
                 calls.append(("run_paired", len(m1)))

@@ -19,13 +19,11 @@ from hypothesis import strategies as st
 from repro.align.backend import (
     EngineBackend,
     FaasAlignerBackend,
-    PairedAlignerBackend,
     ReadChunkStream,
     SerialAlignerBackend,
 )
 from repro.align.engine import ParallelStarAligner, _shard_bounds
 from repro.align.outcome import encode_outcomes
-from repro.align.paired import PairedStarAligner
 from repro.cloud.faas import FaasLimits, FaasService
 from repro.core.early_stopping import EarlyStopMonitor, EarlyStoppingPolicy
 from repro.genome.alphabet import encode
@@ -72,8 +70,6 @@ def build_backend(aligner_r111, engine):
 
     def build(name: str, *, paired: bool = False, **faas_kwargs):
         if name == "serial":
-            if paired:
-                return PairedAlignerBackend(PairedStarAligner(aligner_r111))
             return SerialAlignerBackend(aligner_r111)
         if name == "engine":
             return EngineBackend(engine)

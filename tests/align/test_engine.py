@@ -536,28 +536,37 @@ class TestShardSizing:
         assert _shard_bounds(3, 64) == [(0, 3)]
         assert _shard_bounds(0, 64) == []
 
-    def test_iter_shards_matches_bounds(self):
-        from repro.align.engine import _iter_shards, _shard_bounds
+    def test_iter_shards_matches_bounds(self, bulk_sample):
+        from repro.align.engine import _cut_shards, _shard_bounds
 
+        reads = ReadBatch.of(bulk_sample.records)
         for total, shard in [(0, 8), (3, 8), (16, 8), (17, 8), (18, 8), (130, 64)]:
-            records = list(range(total))
-            lazy = [len(c) for c in _iter_shards(records, shard)]
-            eager = [e - s for s, e in _shard_bounds(total, shard)]
-            assert lazy == eager, (total, shard)
+            joined = reads[:total]
+            eager = [joined[s:e] for s, e in _shard_bounds(total, shard)]
+            for chunk in (1, 3, 8, 50, 256):
+                feed = [joined[i : i + chunk] for i in range(0, total, chunk)]
+                lazy = list(_cut_shards(feed, shard))
+                assert len(lazy) == len(eager), (total, shard, chunk)
+                for got, want in zip(lazy, eager):
+                    assert got.read_ids == want.read_ids
+                    assert np.array_equal(got.sequence, want.sequence)
+                    assert np.array_equal(got.qualities, want.qualities)
+                    assert np.array_equal(got.offsets, want.offsets)
 
-    def test_streamed_iterator_is_not_over_buffered(self):
-        from repro.align.engine import _iter_shards
+    def test_streamed_iterator_is_not_over_buffered(self, bulk_sample):
+        from repro.align.engine import _cut_shards
 
+        reads = ReadBatch.of(bulk_sample.records[:20])
         pulled = []
 
         def feed():
             for i in range(20):
                 pulled.append(i)
-                yield i
+                yield reads[i : i + 1]
 
-        shards = _iter_shards(feed(), 8)
+        shards = _cut_shards(feed(), 8)
         next(shards)
-        # one shard yielded, at most two pulled ahead (held + lookahead)
+        # one shard yielded, at most one more pulled past it
         assert len(pulled) <= 16
 
     def test_engine_auto_sizing_with_tiny_tail(

@@ -22,6 +22,7 @@ from repro.align.engine import ParallelStarAligner
 from repro.align.star import StarAligner, StarParameters
 from repro.core.journal import RunJournal
 from repro.core.replication import ShardCheckpointer
+from repro.reads.fastq import ReadBatch
 
 FINGERPRINT = "fp-merge"
 ACCESSION = "SRRMERGE1"
@@ -139,9 +140,10 @@ class TestSerialReadAhead:
         pulled = []
 
         def feed():
-            for record in records:
-                pulled.append(record)
-                yield record
+            reads = ReadBatch.of(records)
+            for i in range(len(reads)):
+                pulled.append(i)
+                yield reads[i : i + 1]
 
         result = aligner.run(
             feed(), reads_total=len(records), monitor=stop_after(75)

@@ -130,13 +130,13 @@ class TestFramer:
         for a, b in zip(bounds, bounds[1:]):
             blocks.extend(framer.feed(text[a:b]))
         blocks.extend(framer.finish())
-        got = [r for block in blocks for r in block.records()]
+        got = [r for block in blocks for r in block.batch()]
         assert same(got, reference(items, whole_ids=False))
 
     def test_missing_final_line_feed_accepted(self):
         framer = FastqFramer("t")
         blocks = [*framer.feed(b"@r1\nACGT\n+\nIIII"), *framer.finish()]
-        (record,) = [r for b in blocks for r in b.records()]
+        (record,) = [r for b in blocks for r in b.batch()]
         assert record.read_id == "r1" and record.quality_str == "IIII"
 
     @pytest.mark.parametrize(
@@ -155,7 +155,7 @@ class TestFramer:
         framer = FastqFramer("t")
         with pytest.raises(ValueError, match=problem):
             for block in [*framer.feed(text), *framer.finish()]:
-                block.records()
+                block.batch()
 
 
 class TestFileEntryPoint:
@@ -170,7 +170,7 @@ class TestFileEntryPoint:
         else:
             path.write_bytes(text)
         with small_blocks(size):
-            got = list(iter_fastq(path))
+            got = [r for batch in iter_fastq(path) for r in batch]
         assert same(got, reference(items, whole_ids=False))
 
     def test_iter_fastq_is_lazy(self, tmp_path):
@@ -181,7 +181,7 @@ class TestFileEntryPoint:
         path = tmp_path / "long.fastq"
         path.write_bytes(good + b"@bad\nACGT\n+\nIII\n")
         reader = iter_fastq(path)
-        assert next(reader).read_id == "r0"
+        assert next(reader).read_ids[0] == "r0"
         with pytest.raises(ValueError, match="length"):
             list(reader)
 

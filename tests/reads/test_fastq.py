@@ -87,7 +87,8 @@ class TestFileIO:
         records = [record(f"r{i}", "ACGT") for i in range(10)]
         path = tmp_path / "s.fastq"
         write_fastq(records, path)
-        assert [r.read_id for r in iter_fastq(path)] == [r.read_id for r in records]
+        streamed = [r.read_id for batch in iter_fastq(path) for r in batch]
+        assert streamed == [r.read_id for r in records]
 
     def test_read_id_truncated_at_whitespace(self, tmp_path):
         path = tmp_path / "w.fastq"

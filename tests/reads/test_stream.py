@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.reads.fastq import iter_fastq
+from repro.reads.fastq import FastqRecord, ReadBatch, cut_batches, iter_fastq
 from repro.reads.library import LibraryType, SampleProfile
 from repro.reads.paired import PairedProfile, PairedSraArchive, simulate_paired
 from repro.reads.sra import SraArchive, SraRepository, fasterq_dump, prefetch
-from repro.reads.stream import SraStream, ThrottledRepository, iter_chunks
+from repro.reads.stream import SraStream, ThrottledRepository
 
 SE = "SRRSTREAM1"
 PE = "SRRSTREAM2"
@@ -47,17 +47,28 @@ def records_equal(a, b) -> bool:
     )
 
 
+def numbered(n: int) -> ReadBatch:
+    return ReadBatch.of(
+        FastqRecord.from_strings(str(i), "ACGT", "IIII") for i in range(n)
+    )
+
+
 class TestIterChunks:
+    """The one cutter re-chunks a feed of batches (stream chunks, shards)."""
+
     def test_rechunks_with_short_tail(self):
-        chunks = list(iter_chunks(range(10), 4))
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        reads = numbered(10)
+        chunks = list(cut_batches([reads[:3], reads[3:]], 4))
+        assert [c.read_ids for c in chunks] == [
+            ["0", "1", "2", "3"], ["4", "5", "6", "7"], ["8", "9"]
+        ]
 
     def test_empty_iterable(self):
-        assert list(iter_chunks([], 4)) == []
+        assert list(cut_batches([], 4)) == []
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            list(iter_chunks([1], 0))
+            list(cut_batches([numbered(1)], 0))
 
 
 class TestSraStreamSingleEnd:
@@ -72,7 +83,7 @@ class TestSraStreamSingleEnd:
         """Streamed decode ≡ prefetch → fasterq-dump → iter_fastq."""
         sra = prefetch(repository, SE, tmp_path)
         fastq = fasterq_dump(sra, tmp_path)
-        sequential = list(iter_fastq(fastq))
+        sequential = [r for batch in iter_fastq(fastq) for r in batch]
         stream = SraStream(repository, SE, chunk_bytes=512, chunk_reads=16)
         streamed = [r for chunk in stream.chunks() for r in chunk]
         assert len(streamed) == len(sequential)
