@@ -36,6 +36,7 @@ import signal
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import NamedTuple
@@ -564,11 +565,21 @@ def _run_to_death(body: Callable[[], None]) -> None:
     from the parent never runs twice; either status means the kill
     point was never reached.  So does a child still alive after
     :data:`KILL_TIMEOUT` seconds, which is killed first.
+
+    The child tracks its shared memory with a resource tracker of its
+    own, as it does when the parent never started one: the tracker
+    unlinks the blocks the SIGKILL leaves once the child and its engine
+    workers are dead, where the parent's would keep them until the
+    parent exits.
     """
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
+            tracker = resource_tracker._resource_tracker
+            if tracker._fd is not None:
+                os.close(tracker._fd)
+            tracker._fd = tracker._pid = None
             body()
             code = 0
         finally:

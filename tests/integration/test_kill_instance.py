@@ -5,8 +5,12 @@ re-aligns only the unfinished shards, and produces results identical to
 an uninterrupted reference — while the dead holder's late publish is
 rejected."""
 
+import os
+import time
+
 import pytest
 
+from repro.align.engine import ParallelStarAligner
 from repro.core.pipeline import RunStatus
 from repro.experiments.chaos import KILL_AFTER_SHARDS, KillSpec, run_kill_chaos
 
@@ -49,3 +53,25 @@ class TestKillInstanceScenario:
         assert sorted(kill_result.replayed) == (
             kill_result.completed_before_kill
         )
+
+
+def shm_blocks() -> set[str]:
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+def test_victim_blocks_do_not_outlive_it(aligner_r111):
+    """The victim's index blocks go with it, even when this process
+    already runs a resource tracker (any earlier engine starts one):
+    they are not left until this process exits."""
+    ParallelStarAligner(
+        aligner_r111.index, aligner_r111.parameters, workers=2
+    ).start().close()
+    before = shm_blocks()
+    run_kill_chaos(KillSpec("kill-instance"))
+    # the victim's tracker unlinks them once the victim and its workers
+    # are dead; allow it a moment to be scheduled
+    deadline = time.monotonic() + 10
+    while shm_blocks() - before and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert shm_blocks() - before == set()
