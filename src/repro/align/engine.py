@@ -12,7 +12,8 @@ This module reproduces both levers for the in-process aligner:
   of each receiving a ~13 byte/base pickle or rebuilding the keys;
 
 * :class:`ParallelStarAligner` shards a read stream into batches,
-  dispatches them to a persistent worker pool as packed
+  dispatches them to a persistent
+  :class:`~concurrent.futures.ProcessPoolExecutor` as packed
   :class:`~repro.reads.fastq.ReadBatch` arrays (ids, base codes, Phred
   scores, offsets — no per-read objects to pickle or rebuild), and
   merges the per-batch results **deterministically in read order**
@@ -27,6 +28,11 @@ merged :class:`~repro.align.progress.ProgressRecord` values in read
 order at exactly the serial cadence, and an abort stops the merge at the
 same read the serial loop would have stopped at, cancels every batch not
 yet dispatched, and abandons the (bounded) in-flight window.
+
+A dead worker surfaces as the executor's ``BrokenProcessPool`` and
+nothing else: the engine replaces the broken pool once and sends the
+shards it lost to the replacement, so outputs never depend on what
+failed.
 """
 
 from __future__ import annotations
@@ -40,10 +46,12 @@ import time
 import weakref
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from multiprocessing.pool import TERMINATE, AsyncResult, Pool
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -364,21 +372,28 @@ def _cut_shards(batches: Iterable[ReadBatch], shard: int) -> Iterator[ReadBatch]
 # parent side
 # --------------------------------------------------------------------------
 
+#: pools a shard is sent to: one that broke this many is computed in the
+#: parent instead
+_MAX_DISPATCHES = 3
+#: seconds a pool's manager thread gets to wind down before its call
+#: queue's reader is closed (see :func:`_shut_down`)
+_SHUTDOWN_GRACE = 0.5
+
 
 @dataclass
 class EngineHealth:
     """Failure/recovery accounting for one engine's lifetime.
 
-    ``degraded`` flips when the worker pool became unusable and the
-    engine switched to computing batches serially in the parent — runs
-    still complete (identical output, serial speed).
+    A worker death breaks the whole pool: ``worker_failures`` counts
+    broken pools and ``pool_restarts`` their replacements.
+    ``redispatched_batches`` counts shards re-sent to a replacement and
+    ``serial_fallback_batches`` shards computed in the parent.
     """
 
     worker_failures: int = 0
     redispatched_batches: int = 0
     serial_fallback_batches: int = 0
     pool_restarts: int = 0
-    degraded: bool = False
     #: batches merged that ran through the vectorized batch core
     #: (:mod:`repro.align.batch`) rather than the per-read reference path
     batch_core_batches: int = 0
@@ -392,37 +407,62 @@ class EngineHealth:
 _NO_PAYLOAD = object()
 
 
-class _LocalResult:
-    """An already-computed batch result quacking like an AsyncResult."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value) -> None:
-        self.value = value
-
-    def ready(self) -> bool:
-        return True
-
-    def get(self, timeout: float | None = None):
-        return self.value
-
-
-@dataclass
-class _Inflight:
-    """One dispatched batch: payload kept so it can be re-dispatched."""
+class _Sent(NamedTuple):
+    """One shard in the merge window, kept so it can be sent again."""
 
     payload: object
-    result: "AsyncResult | _LocalResult"
-    attempts: int = 1
+    future: Future
+    #: the pool computing it; None when the parent computed it
+    pool: ProcessPoolExecutor | None
+    dispatches: int
+
+
+def _lost(future: Future) -> bool:
+    """The future's pool broke or was shut down before computing it."""
+    return future.done() and (
+        future.cancelled() or isinstance(future.exception(), BrokenProcessPool)
+    )
+
+
+def _shut_down(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down now: cancel the shards it has not started, kill
+    its workers and wait for its manager thread.
+
+    A run still waiting on one of its shards sees it fail and computes it
+    elsewhere.  The kill is what makes shutdown safe after a worker died
+    unnoticed: an idle worker waits for a task holding the call queue's
+    read lock, so once it is SIGKILLed there the others never read their
+    shutdown sentinels, and the manager would join them forever.
+
+    CPython before 3.11.7 and 3.12.1 can still hang (gh-94777): a worker
+    that dies while the call queue's feeder thread writes a payload bigger
+    than a pipe buffer leaves that write blocked for good, because this
+    process holds the pipe's read end, and the manager thread joins the
+    feeder.  Closing the read end fails the write with EPIPE.  It is
+    closed only when the manager outlives :data:`_SHUTDOWN_GRACE`, where
+    the feeder is stuck and nothing else will close it.
+    """
+    manager, reader = pool._executor_manager_thread, pool._call_queue._reader
+    workers = list(pool._processes.values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for worker in workers:
+        worker.kill()
+    if manager is None:
+        return
+    manager.join(_SHUTDOWN_GRACE)
+    if manager.is_alive():
+        reader.close()
+    manager.join()
 
 
 class ParallelStarAligner:
     """Multiprocess drop-in for :class:`~repro.align.star.StarAligner.run`.
 
     The engine owns a :class:`SharedIndexBlocks` publication and a
-    persistent worker pool; both are created lazily on the first
-    :meth:`run` (or eagerly via :meth:`start`/``with``) and reused across
-    runs, mirroring the paper's load-index-once-per-instance design.
+    persistent :class:`~concurrent.futures.ProcessPoolExecutor`; both are
+    created lazily on the first :meth:`run` (or eagerly via
+    :meth:`start`/``with``) and reused across runs, mirroring the paper's
+    load-index-once-per-instance design.
 
     A task carries one shard of ``batch_size`` reads as a packed
     :class:`~repro.reads.fastq.ReadBatch` (a pair of them when paired):
@@ -434,9 +474,16 @@ class ParallelStarAligner:
     merged strictly in read order by :func:`~repro.align.merge.
     merge_shards`, so outputs — including the ``Log.progress.out``
     cadence the early-stopping monitor consumes — are identical to a
-    serial run's.  When the monitor aborts, batches not yet dispatched
-    are cancelled and at most ``max_inflight`` already-dispatched
-    batches are discarded.
+    serial run's.  At most ``2 × workers`` shards are in flight per run;
+    when the monitor aborts, shards not yet dispatched are never cut and
+    the in-flight ones are cancelled or discarded.
+
+    A worker death breaks the pool: every shard on it fails with
+    :class:`~concurrent.futures.process.BrokenProcessPool`, the first run
+    to see that replaces the pool, and each run sends its failed shards
+    to the replacement.  A shard that broke ``_MAX_DISPATCHES`` pools,
+    or one sent after :meth:`close`, is computed in the parent by the
+    same pure helper, so the merged output never depends on what failed.
     """
 
     def __init__(
@@ -446,156 +493,81 @@ class ParallelStarAligner:
         *,
         workers: int = 2,
         batch_size: int | None = None,
-        max_inflight: int | None = None,
         paired_parameters: PairedParameters | None = None,
         mp_context: str | None = None,
-        health_interval: float = 0.1,
-        max_batch_retries: int = 3,
-        stall_timeout: float = 5.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if health_interval <= 0:
-            raise ValueError("health_interval must be positive")
-        if max_batch_retries < 1:
-            raise ValueError("max_batch_retries must be >= 1")
-        if stall_timeout <= 0:
-            raise ValueError("stall_timeout must be positive")
         self.index = index
         self.parameters = parameters or StarParameters()
         self.paired_parameters = paired_parameters or PairedParameters()
         self.workers = workers
         self.batch_size = batch_size
-        self.max_inflight = max_inflight or 2 * workers
         self.mp_context = mp_context
-        #: how often the merge loop re-checks worker liveness while waiting
-        self.health_interval = health_interval
-        #: dispatch attempts per batch before it is computed in the parent
-        self.max_batch_retries = max_batch_retries
-        #: after a worker failure, how long re-dispatched work may sit
-        #: with no completions before the pool is declared wedged
-        self.stall_timeout = stall_timeout
         self.health = EngineHealth()
         self._blocks: SharedIndexBlocks | None = None
-        self._pool: Pool | None = None
-        self._worker_pids: set[int] = set()
+        self._pool: ProcessPoolExecutor | None = None
         self._local: StarAligner | None = None
         self._local_paired: PairedStarAligner | None = None
-        #: a worker was killed/lost since the last (re)start — arms the
-        #: stall detector (healthy pools never pay stall bookkeeping)
-        self._suspect = False
+        #: guards the pool and the blocks, and counts active runs
         self._dispatch_lock = threading.Lock()
         self._active_runs = 0
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _spawn_pool(self) -> Pool:
-        """Create a worker pool attached to the already-published blocks."""
-        ctx = mp.get_context(self.mp_context)
-        return ctx.Pool(
-            processes=self.workers,
+    def _new_pool(self) -> ProcessPoolExecutor:
+        """A worker pool attached to the already-published blocks."""
+        return ProcessPoolExecutor(
+            self.workers,
+            mp_context=mp.get_context(self.mp_context),
             initializer=_init_worker,
-            initargs=(
-                self._blocks.spec,
-                self.parameters,
-                self.paired_parameters,
-            ),
+            initargs=(self._blocks.spec, self.parameters, self.paired_parameters),
         )
 
     def start(self) -> "ParallelStarAligner":
-        """Publish the index and spin up the worker pool (idempotent)."""
-        if self._pool is None:
-            self._blocks = SharedIndexBlocks(self.index)
-            self._pool = self._spawn_pool()
-            self._worker_pids = {p.pid for p in self._pool._pool}
-            self._suspect = False
+        """Publish the index and start the worker pool (idempotent)."""
+        with self._dispatch_lock:
+            if self._pool is None:
+                self._blocks = SharedIndexBlocks(self.index)
+                self._pool = self._new_pool()
+                # an executor starts its workers at its first submit: a
+                # no-op task starts them now, not in the first run
+                self._pool.submit(int)
         return self
 
-    def _teardown_pool(self, pool: Pool) -> None:
-        """Terminate a pool, surviving SIGKILLed workers.
-
-        A worker SIGKILLed mid-queue-operation dies *holding* whichever
-        POSIX semaphore it had acquired (process death does not release
-        them) and may leave a half-read byte stream in the task pipe, so
-        every graceful path through ``Pool.terminate`` — the task-queue
-        drain, the result-queue sentinel put — can block forever on a
-        lock no live process will ever release.  When any worker was
-        lost, bypass the graceful machinery entirely: defuse the
-        finalizer (it would rerun — and hang — the same drain at
-        interpreter exit), stop the maintenance threads, and SIGKILL
-        what's left.  Handler threads are daemons, so any parked on a
-        dead semaphore are simply abandoned with the pool.
-        """
-        if not self._suspect and all(p.is_alive() for p in pool._pool):
-            pool.terminate()
-            pool.join()
-            return
-        pool._terminate.cancel()
-        for handler in (
-            pool._worker_handler,
-            pool._task_handler,
-            pool._result_handler,
-        ):
-            handler._state = TERMINATE
-        try:
-            pool._change_notifier.put(None)
-        except Exception:
-            pass
-        pool._worker_handler.join(timeout=1.0)
-        for proc in pool._pool:
-            if proc.is_alive():
-                proc.kill()
-        for proc in pool._pool:
-            proc.join(timeout=1.0)
-
     def close(self) -> None:
-        """Tear down the pool and release the shared-memory blocks."""
-        if self._pool is not None:
-            self._teardown_pool(self._pool)
-            self._pool = None
-        if self._blocks is not None:
-            self._blocks.close()
-            self._blocks = None
-        self._worker_pids = set()
-        self._suspect = False
+        """Shut the pool down and release the shared-memory blocks now;
+        a run still merging computes its remaining shards in the parent."""
+        self.drain(timeout=0)
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Graceful shutdown: wait for active runs, then :meth:`close`.
+        """Graceful shutdown: wait for active runs, then shut the pool
+        down and release the shared-memory blocks.
 
         The pipeline's drain path (SIGTERM / spot notice) calls this so
         in-flight alignments finish merging before the pool and the
         shared-memory publication go away.  Returns True when every run
         finished within ``timeout`` seconds (or no run was active);
-        False when the deadline expired and the pool was torn down with
-        work still in flight — those runs degrade to serial-in-parent
-        for whatever batches remain, so they still complete correctly.
+        False when the deadline expired and the pool was shut down with
+        work still in flight — those runs compute whatever shards remain
+        in the parent, so they still complete correctly.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._dispatch_lock:
-                if self._active_runs == 0:
-                    self.close()
-                    return True
-                if deadline is not None and time.monotonic() >= deadline:
-                    # deadline expired with runs still merging: condemn the
-                    # pool so those runs compute remaining batches in the
-                    # parent (degraded = serial, identical output), then
-                    # tear it down.  _pool is cleared under the lock so no
-                    # merge loop re-dispatches into a dying pool, and the
-                    # end-of-run finalizer skips its pool rebuild.
-                    self.health.degraded = True
-                    pool, self._pool = self._pool, None
+                idle = self._active_runs == 0
+                if idle or (deadline is not None and time.monotonic() >= deadline):
+                    pool, blocks = self._pool, self._blocks
+                    self._pool = self._blocks = None
                     break
             time.sleep(0.005)
         if pool is not None:
-            self._teardown_pool(pool)
-        if self._blocks is not None:
-            self._blocks.close()
-            self._blocks = None
-        self._worker_pids = set()
-        return False
+            _shut_down(pool)
+        if blocks is not None:
+            blocks.close()
+        return idle
 
     def __enter__(self) -> "ParallelStarAligner":
         return self.start()
@@ -611,26 +583,21 @@ class ParallelStarAligner:
     # -- fault injection / introspection ---------------------------------------
 
     def worker_pids(self) -> list[int]:
-        """PIDs of currently live pool workers (empty when stopped)."""
-        if self._pool is None:
-            return []
-        return [p.pid for p in self._pool._pool if p.is_alive()]
+        """PIDs of the current pool's live workers (empty when stopped)."""
+        processes = getattr(self._pool, "_processes", None) or {}
+        return [p.pid for p in list(processes.values()) if p.is_alive()]
 
     def kill_worker(self, index: int = 0) -> int:
         """SIGKILL one live worker (chaos testing); returns its pid.
 
-        The merge loop notices the death, re-dispatches whatever that
-        worker had in flight, and keeps going — callers observe nothing
-        but latency.
+        The pool breaks; the runs with shards on it send them to a
+        replacement and keep going — callers observe nothing but latency.
         """
         pids = self.start().worker_pids()
         if not pids:
             raise RuntimeError("no live workers to kill")
         pid = pids[index % len(pids)]
         os.kill(pid, signal.SIGKILL)
-        # arm the stall detector: depending on what the worker was doing
-        # when it died, the pool may be wedged rather than self-healing
-        self._suspect = True
         return pid
 
     # -- dispatch ------------------------------------------------------------
@@ -656,188 +623,100 @@ class ParallelStarAligner:
             return lambda payload: _align_records(self._local_aligner(), payload)
         return lambda payload: _align_pairs(self._local_paired_aligner(), payload)
 
-    def _workers_changed(self) -> bool:
-        """True when the worker set lost a member since the last snapshot."""
-        if self._pool is None:
-            return True
-        procs = list(self._pool._pool)
-        pids = {p.pid for p in procs}
-        changed = pids != self._worker_pids or any(
-            not p.is_alive() for p in procs
-        )
-        if changed:
-            self._worker_pids = pids
-        return changed
+    def _replace(self, broken: ProcessPoolExecutor) -> None:
+        """Swap a broken pool for a fresh one (lock held).
 
-    def _submit(self, fn: Callable, local_fn: Callable, payload, attempts=1):
-        """Dispatch one batch to the pool, or compute it locally when
-        the engine is degraded / the pool refuses work."""
-        if not self.health.degraded and self._pool is not None:
-            try:
-                return _Inflight(
-                    payload, self._pool.apply_async(fn, (payload,)), attempts
-                )
-            except Exception:
-                self.health.degraded = True
-        self.health.serial_fallback_batches += 1
-        return _Inflight(payload, _LocalResult(local_fn(payload)), attempts)
-
-    def _recover_inflight(
-        self, fn: Callable, local_fn: Callable, inflight: "deque[_Inflight]"
-    ) -> None:
-        """A worker died: re-dispatch every batch not yet completed.
-
-        The pool auto-respawns workers (same initializer, so the shared
-        index re-attaches); a batch that keeps failing past
-        ``max_batch_retries`` is computed in the parent instead, and if
-        the pool refuses new work the engine degrades to serial-in-parent
-        for everything still pending.  Duplicate execution (the old task
-        may still complete elsewhere) is harmless — batches are pure, and
-        the superseded AsyncResult is simply never read.
+        Every run with shards on ``broken`` sees it fail; the first to get
+        here while it is still the current pool replaces it.  The blocks
+        outlive the pool, so the index is never re-published.
         """
+        if broken is not self._pool:
+            return
         self.health.worker_failures += 1
-        self._suspect = True
-        for entry in inflight:
-            if isinstance(entry.result, _LocalResult) or entry.result.ready():
-                continue
-            entry.attempts += 1
-            if entry.attempts > self.max_batch_retries or self.health.degraded:
-                self.health.serial_fallback_batches += 1
-                entry.result = _LocalResult(local_fn(entry.payload))
-                continue
-            try:
-                entry.result = self._pool.apply_async(fn, (entry.payload,))
-                self.health.redispatched_batches += 1
-            except Exception:
-                self.health.degraded = True
-                self.health.serial_fallback_batches += 1
-                entry.result = _LocalResult(local_fn(entry.payload))
-
-    def _localize_inflight(
-        self, local_fn: Callable, inflight: "deque[_Inflight]"
-    ) -> None:
-        """Compute every not-yet-ready in-flight batch in the parent."""
-        for entry in inflight:
-            if isinstance(entry.result, _LocalResult) or entry.result.ready():
-                continue
-            self.health.serial_fallback_batches += 1
-            entry.result = _LocalResult(local_fn(entry.payload))
-
-    def _degrade_pool(
-        self, local_fn: Callable, inflight: "deque[_Inflight]"
-    ) -> None:
-        """Declare the pool wedged: serial fallback for everything pending.
-
-        A worker SIGKILLed while blocked reading the shared task queue
-        dies holding the queue's read lock, which wedges the whole pool —
-        respawned workers block on the dead process's lock and no task is
-        ever picked up again.  Re-dispatch cannot fix that, so once
-        re-dispatched work stalls past ``stall_timeout`` the engine stops
-        trusting the pool: pending batches are computed in the parent
-        (identical output, serial speed) and the pool is rebuilt when the
-        last active run finishes.
-        """
-        self.health.degraded = True
-        self._localize_inflight(local_fn, inflight)
-
-    def _await_head(
-        self,
-        fn: Callable,
-        local_fn: Callable,
-        head: _Inflight,
-        inflight: "deque[_Inflight]",
-    ):
-        """Block until the oldest in-flight batch has a value.
-
-        Waits in ``health_interval`` slices: a timeout is the cue to
-        re-check worker liveness, because a batch whose worker was
-        SIGKILLed will never complete on its original AsyncResult.  After
-        a worker loss, time spent waiting with no completions and no
-        further worker churn accumulates toward ``stall_timeout``; hitting
-        it means the pool is wedged and the run degrades to serial.
-        """
-        stalled = 0.0
-        while True:
-            if isinstance(head.result, _LocalResult):
-                return head.result.value
-            try:
-                return head.result.get(timeout=self.health_interval)
-            except mp.TimeoutError:
-                with self._dispatch_lock:
-                    if self._workers_changed():
-                        self._recover_inflight(fn, local_fn, inflight)
-                        stalled = 0.0
-                        continue
-                    if self.health.degraded:
-                        # another run's merge loop already condemned the
-                        # pool; stop waiting on it immediately
-                        self._localize_inflight(local_fn, inflight)
-                        continue
-                    if self._suspect:
-                        stalled += self.health_interval
-                        if stalled >= self.stall_timeout:
-                            self._degrade_pool(local_fn, inflight)
-
-    def _restart_pool(self) -> None:
-        """Replace a wedged pool with a fresh one (call with lock held).
-
-        The shared-memory blocks outlive the pool, so the rebuild is just
-        process spawn + re-attach — the index is never re-published.
-        """
-        if self._pool is not None:
-            self._teardown_pool(self._pool)
-        self._pool = self._spawn_pool()
-        self._worker_pids = {p.pid for p in self._pool._pool}
-        self._suspect = False
-        self.health.degraded = False
+        self._pool = self._new_pool()
         self.health.pool_restarts += 1
+        _shut_down(broken)
+
+    def _send(
+        self, fn: Callable, local_fn: Callable, payload, dispatches: int = 1
+    ) -> _Sent:
+        """Submit one shard to the current pool, or compute it in the
+        parent when the engine is closed or the shard has broken
+        ``_MAX_DISPATCHES`` pools."""
+        with self._dispatch_lock:
+            while self._pool is not None and dispatches <= _MAX_DISPATCHES:
+                pool = self._pool
+                try:
+                    future = pool.submit(fn, payload)
+                except BrokenProcessPool:
+                    # broken before any run saw a shard fail, e.g. by a
+                    # worker killed while idle
+                    self._replace(pool)
+                    continue
+                if dispatches > 1:
+                    self.health.redispatched_batches += 1
+                return _Sent(payload, future, pool, dispatches)
+            self.health.serial_fallback_batches += 1
+        future = Future()
+        future.set_result(local_fn(payload))
+        return _Sent(payload, future, None, dispatches)
+
+    def _head_result(
+        self, fn: Callable, local_fn: Callable, window: "deque[_Sent]"
+    ):
+        """The oldest shard's result.  When its pool broke (or was shut
+        down), every lost shard of the window is sent again."""
+        while True:
+            head = window[0]
+            try:
+                return head.future.result()
+            except (BrokenProcessPool, CancelledError):
+                with self._dispatch_lock:
+                    self._replace(head.pool)
+                for i, sent in enumerate(window):
+                    if _lost(sent.future):
+                        window[i] = self._send(
+                            fn, local_fn, sent.payload, sent.dispatches + 1
+                        )
 
     def _ordered_results(self, fn: Callable, payloads: Iterable) -> Iterator:
         """Yield ``(payload, fn(payload))`` pairs in payload order.
 
         ``payloads`` may be any iterable — including a live stream whose
         next item is not available yet; dispatch simply blocks pulling it
-        while already-submitted batches keep crunching in the pool (this
+        while already-submitted shards keep crunching in the pool (this
         is the engine end of the streaming pipeline's backpressure).
-        Keeps at most ``max_inflight`` batches dispatched.  If the caller
+        Keeps at most ``2 × workers`` shards in flight.  If the caller
         stops consuming (early abort), the remaining payloads are never
-        pulled and in-flight results are abandoned — the pool stays
-        usable for subsequent runs.  Worker deaths are absorbed by
-        re-dispatch / serial fallback (see :meth:`_recover_inflight`), a
-        wedged pool by degradation (see :meth:`_degrade_pool`) — so the
-        stream of results is identical no matter what failed.  When the
-        pool was condemned, the last run to finish rebuilds it, keeping
-        the engine usable afterwards.
+        pulled and the in-flight shards are cancelled where they have not
+        started — the pool stays usable for subsequent runs.  A broken
+        pool's shards are sent again (see :meth:`_head_result`), so the
+        stream of results is identical no matter what failed.
         """
         self.start()
         local_fn = self._local_equivalent(fn)
         with self._dispatch_lock:
             self._active_runs += 1
+        window: deque[_Sent] = deque()
         try:
-            inflight: deque[_Inflight] = deque()
-            payload_iter = iter(payloads)
+            feed = iter(payloads)
             exhausted = False
             while True:
-                while not exhausted and len(inflight) < self.max_inflight:
-                    payload = next(payload_iter, _NO_PAYLOAD)
+                while not exhausted and len(window) < 2 * self.workers:
+                    payload = next(feed, _NO_PAYLOAD)
                     if payload is _NO_PAYLOAD:
                         exhausted = True
-                        break
-                    inflight.append(self._submit(fn, local_fn, payload))
-                if not inflight:
+                    else:
+                        window.append(self._send(fn, local_fn, payload))
+                if not window:
                     break
-                value = self._await_head(fn, local_fn, inflight[0], inflight)
-                head = inflight.popleft()
-                yield head.payload, value
+                value = self._head_result(fn, local_fn, window)
+                yield window.popleft().payload, value
         finally:
+            for sent in window:
+                sent.future.cancel()
             with self._dispatch_lock:
                 self._active_runs -= 1
-                if (
-                    self.health.degraded
-                    and self._active_runs == 0
-                    and self._pool is not None
-                ):
-                    self._restart_pool()
 
     def _note_shard(self, result) -> None:
         """Fold one merged shard's seed-search delta into the health."""

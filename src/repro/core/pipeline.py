@@ -172,9 +172,6 @@ class PipelineConfig:
     #: engine size shards from its batch-core cost model (see
     #: :class:`~repro.align.engine.ParallelStarAligner`)
     align_batch_size: int | None = None
-    #: seconds of no-progress after a worker loss before the engine
-    #: declares its pool wedged and degrades to serial (then rebuilds it)
-    engine_stall_timeout: float = 5.0
     #: after a drain request, seconds in-flight accessions may keep
     #: running before their alignment is aborted (status DRAINED); 0
     #: aborts at the next progress checkpoint
@@ -357,7 +354,6 @@ class TranscriptomicsAtlasPipeline:
                     self.aligner.parameters,
                     workers=self.config.workers,
                     batch_size=self.config.align_batch_size,
-                    stall_timeout=self.config.engine_stall_timeout,
                 ).start()
             return self._engine
 

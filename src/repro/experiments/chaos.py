@@ -85,9 +85,6 @@ class ChaosSpec:
     #: fault plan text (``step:key:kind[*times]``, comma-separated);
     #: None → the default scripted scenario built by :func:`default_plan`
     fault_plan_text: str | None = None
-    #: short wedge-detection window so the engine-kill scenario degrades
-    #: (and recovers) within laptop-scale run times
-    engine_stall_timeout: float = 1.0
     retry: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(
             max_attempts=3, base_delay=0.01, max_delay=0.05
@@ -240,7 +237,6 @@ def run_chaos(spec: ChaosSpec | None = None) -> ChaosResult:
             early_stopping=EarlyStoppingPolicy(min_reads=20),
             write_outputs=False,
             retry=spec.retry,
-            engine_stall_timeout=spec.engine_stall_timeout,
         )
         base.update(overrides)
         return PipelineConfig(**base)
@@ -537,10 +533,21 @@ class KillResult:
         return "\n".join(lines)
 
 
-def _arm_kill(journal: RunJournal, preset: KillPreset, victim: str) -> None:
-    """Make ``journal`` SIGKILL this process, engine workers first, right
-    after the preset's kill-point record is durable (in S3 too, when the
-    journal is replicated)."""
+def _arm_kill(
+    journal: RunJournal,
+    preset: KillPreset,
+    victim: str,
+    pipeline: TranscriptomicsAtlasPipeline,
+) -> None:
+    """Make ``journal`` SIGKILL this process right after the preset's
+    kill-point record is durable (in S3 too, when the journal is
+    replicated).
+
+    The engine's workers die first.  An instance's ``/dev/shm`` dies
+    with the instance, so ``pipeline``'s engine then unlinks its index
+    blocks, which also unregisters them: no resource tracker is left to
+    report them as leaked.
+    """
     durable = journal._after_append
     seen = 0
 
@@ -552,6 +559,9 @@ def _arm_kill(journal: RunJournal, preset: KillPreset, victim: str) -> None:
             if seen == preset.kill_after:
                 for proc in multiprocessing.active_children():
                     os.kill(proc.pid, signal.SIGKILL)
+                engine = pipeline._engine
+                if engine is not None and engine._blocks is not None:
+                    engine._blocks.close()
                 os.kill(os.getpid(), signal.SIGKILL)
 
     journal._after_append = after_append
@@ -567,10 +577,10 @@ def _run_to_death(body: Callable[[], None]) -> None:
     :data:`KILL_TIMEOUT` seconds, which is killed first.
 
     The child tracks its shared memory with a resource tracker of its
-    own, as it does when the parent never started one: the tracker
-    unlinks the blocks the SIGKILL leaves once the child and its engine
-    workers are dead, where the parent's would keep them until the
-    parent exits.
+    own, as it does when the parent never started one: should the child
+    die with blocks still linked, the tracker unlinks them once the child
+    and its engine workers are dead, where the parent's would keep them
+    until the parent exits.
     """
     pid = os.fork()
     if pid == 0:
@@ -676,10 +686,9 @@ def run_kill_chaos(spec: KillSpec | None = None) -> KillResult:
                 )
             else:
                 journal = RunJournal(journal_path)
-            _arm_kill(journal, preset, victim)
-            make_pipeline(tmp_path / "victim", preset.backend).run_batch(
-                accessions, options(journal, resume=False)
-            )
+            pipeline = make_pipeline(tmp_path / "victim", preset.backend)
+            _arm_kill(journal, preset, victim, pipeline)
+            pipeline.run_batch(accessions, options(journal, resume=False))
 
         _run_to_death(victim_run)
 

@@ -68,7 +68,7 @@ def engine(aligner_r111):
 def build_backend(aligner_r111, engine):
     """The reusable backend factory other suites can parametrize over."""
 
-    def build(name: str, *, paired: bool = False, **faas_kwargs):
+    def build(name: str, **faas_kwargs):
         if name == "serial":
             return SerialAlignerBackend(aligner_r111)
         if name == "engine":
@@ -132,13 +132,8 @@ class TestEquivalence:
 
     def test_paired_end(self, backend_name, build_backend, paired_sample):
         batch = ReadChunkStream.of(paired_sample.mate1, paired_sample.mate2)
-        want = build_backend("serial", paired=True).align(batch)
-        got_backend = (
-            build_backend(backend_name, paired=True)
-            if backend_name == "serial"
-            else build_backend(backend_name)
-        )
-        got = got_backend.align(batch)
+        want = build_backend("serial").align(batch)
+        got = build_backend(backend_name).align(batch)
         assert got.aborted == want.aborted
         assert got.outcomes == want.outcomes
         assert got.gene_counts == want.gene_counts
@@ -161,15 +156,8 @@ class TestEquivalence:
         self, backend_name, build_backend, long_paired_sample
     ):
         batch = ReadChunkStream.of(long_paired_sample.mate1, long_paired_sample.mate2)
-        want = build_backend("serial", paired=True).align(
-            batch, monitor=make_strict_monitor()
-        )
-        got_backend = (
-            build_backend(backend_name, paired=True)
-            if backend_name == "serial"
-            else build_backend(backend_name)
-        )
-        got = got_backend.align(batch, monitor=make_strict_monitor())
+        want = build_backend("serial").align(batch, monitor=make_strict_monitor())
+        got = build_backend(backend_name).align(batch, monitor=make_strict_monitor())
         # the stop lands inside a shard on every backend, so the
         # GeneCounts prefix recount is what keeps the counts identical
         assert want.aborted
@@ -226,7 +214,7 @@ class TestFaasPayloadSizes:
             if paired
             else [bulk_sample.records]
         )
-        want = build_backend("serial", paired=paired).align(ReadChunkStream.of(*mates))
+        want = build_backend("serial").align(ReadChunkStream.of(*mates))
         faas = build_backend("faas", batch_size=48)
         seen = []
         invoke, complete = faas.function.invoke, faas.function.complete

@@ -6,7 +6,10 @@ an uninterrupted reference — while the dead holder's late publish is
 rejected."""
 
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +78,21 @@ def test_victim_blocks_do_not_outlive_it(aligner_r111):
     while shm_blocks() - before and time.monotonic() < deadline:
         time.sleep(0.05)
     assert shm_blocks() - before == set()
+
+
+def test_cli_reports_no_leaked_shared_memory(tmp_path):
+    """The victim unlinks its blocks on purpose before it dies, so no
+    resource tracker of the CLI run reports them as leaked."""
+    root = Path(__file__).resolve().parents[2]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "chaos", "--kill-instance"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert ": False" not in done.stdout
+    assert "leaked shared_memory" not in done.stderr
