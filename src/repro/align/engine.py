@@ -46,10 +46,10 @@ import time
 import weakref
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
+from multiprocessing import connection, shared_memory
 from pathlib import Path
 from typing import NamedTuple
 
@@ -375,22 +375,22 @@ def _cut_shards(batches: Iterable[ReadBatch], shard: int) -> Iterator[ReadBatch]
 #: pools a shard is sent to: one that broke this many is computed in the
 #: parent instead
 _MAX_DISPATCHES = 3
-#: seconds a pool's manager thread gets to wind down before its call
-#: queue's reader is closed (see :func:`_shut_down`)
-_SHUTDOWN_GRACE = 0.5
+#: seconds a pool's manager thread gets to act on a dead worker or a
+#: shutdown before the engine acts for it (see :meth:`ParallelStarAligner.
+#: _finished` and :func:`_shut_down`)
+_MANAGER_GRACE = 0.5
 
 
 @dataclass
 class EngineHealth:
     """Failure/recovery accounting for one engine's lifetime.
 
-    A worker death breaks the whole pool: ``worker_failures`` counts
-    broken pools and ``pool_restarts`` their replacements.
-    ``redispatched_batches`` counts shards re-sent to a replacement and
-    ``serial_fallback_batches`` shards computed in the parent.
+    A worker death breaks the whole pool: ``pool_restarts`` counts the
+    broken pools replaced.  ``redispatched_batches`` counts shards re-sent
+    to a replacement and ``serial_fallback_batches`` shards computed in
+    the parent.
     """
 
-    worker_failures: int = 0
     redispatched_batches: int = 0
     serial_fallback_batches: int = 0
     pool_restarts: int = 0
@@ -417,16 +417,22 @@ class _Sent(NamedTuple):
     dispatches: int
 
 
-def _lost(future: Future) -> bool:
-    """The future's pool broke or was shut down before computing it."""
-    return future.done() and (
-        future.cancelled() or isinstance(future.exception(), BrokenProcessPool)
-    )
+def _computed(future: Future) -> bool:
+    """The future holds its shard's result."""
+    return future.done() and not future.cancelled() and future.exception() is None
 
 
-def _shut_down(pool: ProcessPoolExecutor) -> None:
-    """Shut ``pool`` down now: cancel the shards it has not started, kill
-    its workers and wait for its manager thread.
+def _lost_worker(pool: ProcessPoolExecutor) -> bool:
+    """A worker of ``pool`` has exited, or the pool is shut down."""
+    processes = pool._processes
+    if processes is None:
+        return True
+    return bool(connection.wait([p.sentinel for p in list(processes.values())], 0))
+
+
+def _shut_down(pool: ProcessPoolExecutor) -> threading.Thread | None:
+    """Shut ``pool`` down now: cancel the shards it has not started and
+    kill its workers.  Returns its manager thread, for the caller to join.
 
     A run still waiting on one of its shards sees it fail and computes it
     elsewhere.  The kill is what makes shutdown safe after a worker died
@@ -434,25 +440,35 @@ def _shut_down(pool: ProcessPoolExecutor) -> None:
     read lock, so once it is SIGKILLed there the others never read their
     shutdown sentinels, and the manager would join them forever.
 
-    CPython before 3.11.7 and 3.12.1 can still hang (gh-94777): a worker
-    that dies while the call queue's feeder thread writes a payload bigger
-    than a pipe buffer leaves that write blocked for good, because this
-    process holds the pipe's read end, and the manager thread joins the
-    feeder.  Closing the read end fails the write with EPIPE.  It is
-    closed only when the manager outlives :data:`_SHUTDOWN_GRACE`, where
-    the feeder is stuck and nothing else will close it.
+    Two pipe ends this process holds can still keep the manager from
+    ever returning; closing them gives it EOF or EPIPE:
+
+    * the result pipe's write end.  A worker killed half-way through
+      writing a result leaves the manager waiting in ``recv`` for the
+      rest, and this process never writes there;
+    * the call queue's read end, on CPython before 3.11.7 and 3.12.1
+      (gh-94777).  A worker that dies while the feeder thread writes a
+      payload bigger than a pipe buffer leaves that write blocked for
+      good, and the manager joins the feeder.  It is closed only when the
+      manager outlives :data:`_MANAGER_GRACE`, where the feeder is stuck:
+      an earlier close would make the feeder print a broken-pipe
+      traceback for the shutdown sentinels it still writes.
+
+    Workers forked later would inherit both ends and keep the pipes open,
+    so a replacement pool is forked only after this returns.
     """
-    manager, reader = pool._executor_manager_thread, pool._call_queue._reader
+    manager = pool._executor_manager_thread
+    reader, writer = pool._call_queue._reader, pool._result_queue._writer
     workers = list(pool._processes.values())
     pool.shutdown(wait=False, cancel_futures=True)
     for worker in workers:
         worker.kill()
-    if manager is None:
-        return
-    manager.join(_SHUTDOWN_GRACE)
-    if manager.is_alive():
-        reader.close()
-    manager.join()
+    writer.close()
+    if manager is not None:
+        manager.join(_MANAGER_GRACE)
+        if manager.is_alive():
+            reader.close()
+    return manager
 
 
 class ParallelStarAligner:
@@ -479,11 +495,13 @@ class ParallelStarAligner:
     the in-flight ones are cancelled or discarded.
 
     A worker death breaks the pool: every shard on it fails with
-    :class:`~concurrent.futures.process.BrokenProcessPool`, the first run
-    to see that replaces the pool, and each run sends its failed shards
-    to the replacement.  A shard that broke ``_MAX_DISPATCHES`` pools,
-    or one sent after :meth:`close`, is computed in the parent by the
-    same pure helper, so the merged output never depends on what failed.
+    :class:`~concurrent.futures.process.BrokenProcessPool` (or, when the
+    pool's manager thread is stuck, stays pending past a grace), the
+    first run to see that replaces the pool, and each run sends its
+    failed shards to the replacement.  A shard that broke
+    ``_MAX_DISPATCHES`` pools, or one sent after :meth:`close`, is
+    computed in the parent by the same pure helper, so the merged output
+    never depends on what failed.
     """
 
     def __init__(
@@ -563,8 +581,9 @@ class ParallelStarAligner:
                     self._pool = self._blocks = None
                     break
             time.sleep(0.005)
-        if pool is not None:
-            _shut_down(pool)
+        manager = None if pool is None else _shut_down(pool)
+        if manager is not None:
+            manager.join()
         if blocks is not None:
             blocks.close()
         return idle
@@ -624,18 +643,22 @@ class ParallelStarAligner:
         return lambda payload: _align_pairs(self._local_paired_aligner(), payload)
 
     def _replace(self, broken: ProcessPoolExecutor) -> None:
-        """Swap a broken pool for a fresh one (lock held).
+        """Swap a broken pool for a fresh one.
 
         Every run with shards on ``broken`` sees it fail; the first to get
         here while it is still the current pool replaces it.  The blocks
-        outlive the pool, so the index is never re-published.
+        outlive the pool, so the index is never re-published.  The broken
+        pool's pipe ends are closed under the lock, before any submit can
+        fork the replacement's workers; its manager is joined after.
         """
-        if broken is not self._pool:
-            return
-        self.health.worker_failures += 1
-        self._pool = self._new_pool()
-        self.health.pool_restarts += 1
-        _shut_down(broken)
+        with self._dispatch_lock:
+            if broken is not self._pool:
+                return
+            self._pool = self._new_pool()
+            self.health.pool_restarts += 1
+            manager = _shut_down(broken)
+        if manager is not None:
+            manager.join()
 
     def _send(
         self, fn: Callable, local_fn: Callable, payload, dispatches: int = 1
@@ -643,41 +666,67 @@ class ParallelStarAligner:
         """Submit one shard to the current pool, or compute it in the
         parent when the engine is closed or the shard has broken
         ``_MAX_DISPATCHES`` pools."""
-        with self._dispatch_lock:
-            while self._pool is not None and dispatches <= _MAX_DISPATCHES:
+        while True:
+            with self._dispatch_lock:
                 pool = self._pool
+                if pool is None or dispatches > _MAX_DISPATCHES:
+                    self.health.serial_fallback_batches += 1
+                    break
                 try:
                     future = pool.submit(fn, payload)
                 except BrokenProcessPool:
                     # broken before any run saw a shard fail, e.g. by a
                     # worker killed while idle
-                    self._replace(pool)
-                    continue
-                if dispatches > 1:
-                    self.health.redispatched_batches += 1
-                return _Sent(payload, future, pool, dispatches)
-            self.health.serial_fallback_batches += 1
+                    pass
+                else:
+                    if dispatches > 1:
+                        self.health.redispatched_batches += 1
+                    return _Sent(payload, future, pool, dispatches)
+            self._replace(pool)
         future = Future()
         future.set_result(local_fn(payload))
         return _Sent(payload, future, None, dispatches)
+
+    def _finished(self, sent: _Sent) -> bool:
+        """Wait for a shard; False when its pool broke before computing it.
+
+        The executor fails a broken pool's shards with
+        :class:`~concurrent.futures.process.BrokenProcessPool`, unless its
+        manager thread is stuck: a worker killed half-way through writing
+        a result leaves the manager waiting for the rest.  So a shard still
+        pending :data:`_MANAGER_GRACE` after its pool lost a worker, or
+        stopped being the current pool, counts as lost too.
+        """
+        future = sent.future
+        stalled = False
+        while not wait([future], _MANAGER_GRACE).done:
+            if stalled:
+                return False
+            stalled = sent.pool is not self._pool or _lost_worker(sent.pool)
+        return _computed(future) or (
+            not future.cancelled()
+            and not isinstance(future.exception(), BrokenProcessPool)
+            and sent.pool is self._pool
+        )
 
     def _head_result(
         self, fn: Callable, local_fn: Callable, window: "deque[_Sent]"
     ):
         """The oldest shard's result.  When its pool broke (or was shut
-        down), every lost shard of the window is sent again."""
+        down), every shard of the window that a retired pool did not
+        compute is sent again."""
         while True:
             head = window[0]
-            try:
+            if head.pool is None or self._finished(head):
                 return head.future.result()
-            except (BrokenProcessPool, CancelledError):
-                with self._dispatch_lock:
-                    self._replace(head.pool)
-                for i, sent in enumerate(window):
-                    if _lost(sent.future):
-                        window[i] = self._send(
-                            fn, local_fn, sent.payload, sent.dispatches + 1
-                        )
+            self._replace(head.pool)
+            for i, sent in enumerate(window):
+                retired = sent.pool is not None and sent.pool is not self._pool
+                if retired and not _computed(sent.future):
+                    sent.future.cancel()
+                    window[i] = self._send(
+                        fn, local_fn, sent.payload, sent.dispatches + 1
+                    )
 
     def _ordered_results(self, fn: Callable, payloads: Iterable) -> Iterator:
         """Yield ``(payload, fn(payload))`` pairs in payload order.

@@ -8,6 +8,7 @@ identical between the serial aligner and the multiprocess engine.
 import os
 import signal
 from multiprocessing import shared_memory
+from multiprocessing.connection import Connection
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -409,7 +410,7 @@ class TestWorkerRecovery:
             par = eng.run(records, clock=frozen)
             assert par.outcomes == serial.outcomes
             assert par.final.to_text() == serial.final.to_text()
-            assert eng.health.worker_failures >= 1
+            assert eng.health.pool_restarts >= 1
             # the engine stays usable: the next run matches too
             again = eng.run(records, clock=frozen)
             assert again.outcomes == serial.outcomes
@@ -478,6 +479,55 @@ class TestWorkerRecovery:
         assert again.outcomes == serial.outcomes
         assert eng.shared_bytes == 0
 
+    def test_kill_while_writing_a_large_result(
+        self, index_r111, aligner_r111, bulk_sample, monkeypatch, tmp_path
+    ):
+        """A worker SIGKILLed half-way through writing a result of several
+        MB leaves the pool's manager thread waiting for the rest, so no
+        future of that pool ever fails on its own: the run still re-sends
+        its shards to a fresh pool, the next run matches, close() returns."""
+        records = bulk_sample.records
+        serial = aligner_r111.run(records, clock=frozen)
+        marker, parent = tmp_path / "died", os.getpid()
+        align = engine_module._align_records
+
+        def die_mid_result(aligner, reads):
+            if os.getpid() == parent:
+                return align(aligner, reads)
+            try:  # the first shard a worker takes, once per test
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return align(aligner, reads)
+            send = Connection._send
+
+            def send_half_then_die(conn, buf, *args):
+                if len(buf) > 1 << 20:
+                    half = memoryview(buf)[: len(buf) // 2]
+                    while half:
+                        half = half[os.write(conn._handle, half) :]
+                    os.kill(os.getpid(), signal.SIGKILL)
+                send(conn, buf, *args)
+
+            # only this worker's connections change: it is a forked copy
+            Connection._send = send_half_then_die
+            return np.zeros(4 << 20, dtype=np.uint8)
+
+        monkeypatch.setattr(engine_module, "_align_records", die_mid_result)
+        eng = self.fresh_engine(index_r111).start()
+        try:
+            par = eng.run(records, clock=frozen)
+            assert marker.exists()  # the worker really died mid-write
+            assert eng.health.pool_restarts >= 1
+            assert eng.health.serial_fallback_batches == 0
+            again = eng.run(records, clock=frozen)
+        finally:
+            eng.close()
+        assert par.outcomes == serial.outcomes
+        assert par.final.to_text() == serial.final.to_text()
+        assert par.gene_counts.to_tab() == serial.gene_counts.to_tab()
+        assert again.outcomes == serial.outcomes
+        assert eng.shared_bytes == 0
+
     def test_drain_past_its_deadline_mid_merge(
         self, index_r111, aligner_r111, bulk_sample
     ):
@@ -537,7 +587,6 @@ class TestWorkerRecovery:
 
     def test_health_counters_start_clean(self, index_r111):
         eng = self.fresh_engine(index_r111)
-        assert eng.health.worker_failures == 0
         assert eng.health.redispatched_batches == 0
         assert eng.health.serial_fallback_batches == 0
         assert eng.health.pool_restarts == 0
