@@ -79,6 +79,13 @@ __all__ = [
 #: valid values for the pipeline-level backend-selection knob
 BACKEND_CHOICES = ("auto", "serial", "engine", "faas")
 
+#: the function a :class:`FaasAlignerBackend` invokes, created with the
+#: service's default memory size and cold start when absent
+_FUNCTION_NAME = "star-align"
+
+#: concurrent invocations a :class:`FaasAlignerBackend` sizes shards for
+_PARALLELISM = 8
+
 
 @dataclass
 class ReadChunkStream:
@@ -291,43 +298,28 @@ class FaasAlignerBackend:
         self,
         aligner: StarAligner,
         *,
-        paired_parameters: Any = None,
         service: FaasService | None = None,
-        function_name: str = "star-align",
-        memory_mb: int = 3008,
-        cold_start_seconds: float = 2.0,
-        retry: Any = None,
-        parallelism: int = 8,
         batch_size: int | None = None,
         seconds_per_read: float = 2e-4,
     ) -> None:
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
         if seconds_per_read <= 0:
             raise ValueError("seconds_per_read must be positive")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.aligner = aligner
-        self.paired_parameters = paired_parameters
-        self._paired: PairedStarAligner | None = None
+        self.paired_aligner = PairedStarAligner(aligner)
         self.service = service if service is not None else FaasService()
         try:
-            self.function = self.service.function(function_name)
+            self.function = self.service.function(_FUNCTION_NAME)
         except KeyError:
-            self.function = self.service.create_function(
-                function_name,
-                memory_mb=memory_mb,
-                cold_start_seconds=cold_start_seconds,
-            )
-        if retry is None:
-            # local import: repro.core imports this module at package init
-            from repro.core.resilience import RetryPolicy
+            self.function = self.service.create_function(_FUNCTION_NAME)
+        # local import: repro.core imports this module at package init
+        from repro.core.resilience import RetryPolicy
 
-            retry = RetryPolicy(
-                max_attempts=4, base_delay=0.5, max_delay=30.0, jitter=0.0
-            )
-        self.retry = retry
-        self.parallelism = parallelism
+        #: per-invocation retries of throttles and crashed sandboxes
+        self.retry = RetryPolicy(
+            max_attempts=4, base_delay=0.5, max_delay=30.0, jitter=0.0
+        )
         self.batch_size = batch_size
         self.seconds_per_read = seconds_per_read
         #: virtual service time (advanced by modeled durations + backoff)
@@ -342,11 +334,6 @@ class FaasAlignerBackend:
     @property
     def limits(self):
         return self.function.limits
-
-    def _paired_aligner(self) -> PairedStarAligner:
-        if self._paired is None:
-            self._paired = PairedStarAligner(self.aligner, self.paired_parameters)
-        return self._paired
 
     def shard_size(self, reads: ReadBatch, mate2: ReadBatch | None = None) -> int:
         """Reads per invocation: the engine's cost-model size, capped by
@@ -363,7 +350,7 @@ class FaasAlignerBackend:
         """
         n = len(reads)
         base = _shard_size(
-            n, self.parallelism, self.batch_size, self.aligner.parameters.batch_align
+            n, _PARALLELISM, self.batch_size, self.aligner.parameters.batch_align
         )
         if not n:
             return base
@@ -420,7 +407,7 @@ class FaasAlignerBackend:
             # the function body: the same pure helpers a pool worker runs,
             # so the shard result is byte-identical wherever it executes
             if paired:
-                value = _align_pairs(self._paired_aligner(), payload)
+                value = _align_pairs(self.paired_aligner, payload)
                 n_reads = len(payload[0])
             else:
                 value = _align_records(self.aligner, payload)
@@ -490,7 +477,7 @@ class FaasAlignerBackend:
         n = len(mate1)
         size = self.shard_size(mate1, mate2)
         if mate2 is not None:
-            run = self._paired_aligner()._accumulator(n, monitor, time.monotonic)
+            run = self.paired_aligner._accumulator(n, monitor, time.monotonic)
             shards = zip(_cut_shards([mate1], size), _cut_shards([mate2], size))
         else:
             run = self.aligner._accumulator(n, monitor, time.monotonic)

@@ -394,9 +394,6 @@ class EngineHealth:
     redispatched_batches: int = 0
     serial_fallback_batches: int = 0
     pool_restarts: int = 0
-    #: batches merged that ran through the vectorized batch core
-    #: (:mod:`repro.align.batch`) rather than the per-read reference path
-    batch_core_batches: int = 0
     #: aggregated seed-search counters (jump-table hits, binary-search
     #: steps saved, fallback-depth histogram) across every batch merged by
     #: this engine, wherever the batch ran
@@ -770,8 +767,6 @@ class ParallelStarAligner:
     def _note_shard(self, result) -> None:
         """Fold one merged shard's seed-search delta into the health."""
         self.health.seed_search.merge(result[2])
-        if self.parameters.batch_align:
-            self.health.batch_core_batches += 1
 
     # -- single-end ------------------------------------------------------------
 

@@ -829,7 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help="replicate the journal to a simulated S3 bucket rooted at "
-        "this directory (segments + manifest + tail; requires --journal)",
+        "this directory (one segment per record + a manifest; requires "
+        "--journal)",
     )
     p.add_argument(
         "--shard-checkpoints",

@@ -15,9 +15,9 @@ relies on:
   lease object.
 
 * **Durable roots** — a bucket created with ``root=`` persists every
-  object (JSON-serializable payloads only) to that directory with an
-  atomic tmp-file + ``os.replace`` publish, and a fresh process opening
-  the same root sees the stored objects.  This stands in for S3's
+  object (JSON-serializable payloads only) to that directory, writing a
+  tmp file and publishing it with ``os.replace``, and a fresh process
+  opening the same root sees the stored objects.  This stands in for S3's
   cross-instance durability: a SIGKILLed "instance" loses its memory
   and local filesystem, but objects it had put to the durable bucket
   survive for another instance to adopt.
@@ -71,8 +71,6 @@ class S3Bucket:
         self.overwrites = 0
         self.bytes_in = 0.0
         self.bytes_out = 0.0
-        #: open handles for direct-write (``atomic=False``) hot objects
-        self._direct_handles: dict[str, Any] = {}
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
             self._load_root()
@@ -101,15 +99,8 @@ class S3Bucket:
                 payload=stored.get("payload"),
             )
 
-    def _persist(self, obj: S3Object, *, atomic: bool = True) -> None:
-        """Publish one object to the durable root.
-
-        ``atomic=False`` skips the tmp-file + rename dance and writes the
-        final path directly: a crash mid-write leaves a torn JSON file
-        that :meth:`_load_root` discards, which callers opt into for
-        high-churn objects whose loss is tolerated (a replicated
-        journal's tail) in exchange for half the file operations.
-        """
+    def _persist(self, obj: S3Object) -> None:
+        """Publish one object to the durable root (tmp file + rename)."""
         path = self._object_path(obj.key)
         blob = json.dumps(
             {
@@ -119,22 +110,6 @@ class S3Bucket:
                 "payload": obj.payload,
             }
         )
-        if not atomic:
-            # these objects are overwritten constantly, so keep the file
-            # open across puts — the open() per write would otherwise
-            # dominate the replication cost
-            fh = self._direct_handles.get(obj.key)
-            if fh is None or fh.closed:
-                fh = open(path, "w", encoding="utf-8")
-                self._direct_handles[obj.key] = fh
-            fh.seek(0)
-            fh.write(blob)
-            fh.truncate()
-            fh.flush()
-            return
-        stale = self._direct_handles.pop(obj.key, None)
-        if stale is not None:
-            stale.close()  # the rename below orphans its inode
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(blob, encoding="utf-8")
         os.replace(tmp, path)
@@ -149,14 +124,12 @@ class S3Bucket:
         now: float,
         payload: Any = None,
         if_none_match: str | None = None,
-        atomic: bool = True,
     ) -> S3Object:
         """Store (or overwrite) an object.
 
         ``if_none_match="*"`` makes the put conditional on the key not
         existing — the only If-None-Match form S3 supports — raising
-        :class:`PreconditionFailed` instead of overwriting.  ``atomic``
-        is forwarded to the durable-root persist (see :meth:`_persist`).
+        :class:`PreconditionFailed` instead of overwriting.
         """
         check_non_negative("size_bytes", size_bytes)
         if if_none_match is not None:
@@ -169,7 +142,7 @@ class S3Bucket:
         obj = S3Object(key=key, size_bytes=size_bytes, stored_at=now, payload=payload)
         self._objects[key] = obj
         if self.root is not None:
-            self._persist(obj, atomic=atomic)
+            self._persist(obj)
         self.put_count += 1
         self.bytes_in += size_bytes
         return obj
@@ -190,9 +163,6 @@ class S3Bucket:
     def delete(self, key: str) -> bool:
         """Remove an object; False when it was absent (idempotent)."""
         existed = self._objects.pop(key, None) is not None
-        fh = self._direct_handles.pop(key, None)
-        if fh is not None:
-            fh.close()
         if existed and self.root is not None:
             self._object_path(key).unlink(missing_ok=True)
         return existed

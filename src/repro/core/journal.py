@@ -1,15 +1,15 @@
-"""Crash-consistent run journal: the pipeline's write-ahead durability log.
+"""Crash-consistent run journal: the pipeline's commit log.
 
 The paper's atlas tolerates losing whole spot instances because SQS
 redelivers their in-flight accessions (§II); the *local* pipeline had no
 equivalent until now — a SIGKILL threw away every completed accession in
 the batch.  This module supplies the missing layer:
 
-* :class:`RunJournal` — an append-only JSONL file with atomic, fsync'd
-  appends.  Every record is one line, written with a single ``write``
-  call and flushed to disk before the pipeline proceeds, so the journal
-  is always a prefix of the truth: a crash can at worst leave a *torn
-  tail* (one partial final line), never a corrupt middle.
+* :class:`RunJournal` — an append-only JSONL file with whole-line,
+  fsync'd appends.  Every record is one line, written with a single
+  ``write`` call and flushed to disk before the pipeline proceeds, so
+  the journal is always a prefix of the truth: a crash can at worst
+  leave a *torn tail* (one partial final line), never a corrupt middle.
 
 * :func:`replay` semantics (``RunJournal.replay``) — rebuilds the batch
   state from the log, tolerating the torn tail, duplicate terminal
@@ -25,14 +25,16 @@ the batch.  This module supplies the missing layer:
   (:class:`JournalIncompatible`), because replayed results would not
   match what the new config produces.
 
-Record vocabulary (the ``t`` field): ``batch-start``, ``started``,
-``step-done``, ``align.shard``, ``completed``, ``failed``, ``drained``.
-``completed`` and ``failed`` are *terminal* — resume replays them
-verbatim; ``started``/``step-done``/``drained`` mark in-flight work that
-resume re-runs idempotently (every pipeline step is re-runnable from
-scratch).  ``align.shard`` records sit in between: they checkpoint
+Record vocabulary (the ``t`` field): ``batch-start``, ``align.shard``,
+``completed``, ``failed`` — only what resume reads.  ``completed`` and
+``failed`` are *terminal*: resume replays them verbatim.  An accession
+without one is re-run from scratch, as SQS redelivers a dead instance's
+message (every pipeline step is re-runnable), so its progress through
+the steps is not journaled.  ``align.shard`` records checkpoint
 completed read shards *within* the align step so resume re-dispatches
-only unfinished shards (see :mod:`repro.core.replication`).
+only unfinished shards (see :mod:`repro.core.replication`).  Replay
+skips record types it does not know, such as the ``started``,
+``step-done`` and ``drained`` lines older journals hold.
 """
 
 from __future__ import annotations
@@ -81,9 +83,9 @@ class JournalWriteError(RuntimeError):
     """A journal append failed to reach disk.
 
     Wraps the underlying ``OSError`` (kept as ``__cause__``) with the
-    accession and step the record was describing, so a pipeline failure
-    record can name *what work* lost durability rather than surfacing a
-    bare fsync traceback.
+    record type and the accession it was describing, so a pipeline
+    failure record can name *what work* lost durability rather than
+    surfacing a bare fsync traceback.
     """
 
     def __init__(
@@ -91,19 +93,14 @@ class JournalWriteError(RuntimeError):
         path: Path,
         record_type: str,
         accession: str | None,
-        step: str | None,
         cause: OSError,
     ) -> None:
         self.path = path
         self.record_type = record_type
         self.accession = accession
-        self.step = step
-        where = accession or "<batch>"
-        if step:
-            where += f"/{step}"
         super().__init__(
-            f"journal append of {record_type!r} for {where} failed on "
-            f"{path}: {cause}"
+            f"journal append of {record_type!r} for {accession or '<batch>'} "
+            f"failed on {path}: {cause}"
         )
 
 
@@ -128,8 +125,8 @@ class JournalIncompatible(RuntimeError):
 def config_fingerprint(config: "PipelineConfig") -> str:
     """Stable hash of the config surface that determines per-accession output.
 
-    Execution-shape knobs (``workers``, ``align_batch_size``, stall and
-    drain timeouts, ``write_outputs``) are deliberately excluded: the
+    Execution-shape knobs (``workers``, ``align_batch_size``,
+    ``drain_deadline``, ``write_outputs``) are deliberately excluded: the
     engine guarantees identical results across worker counts, so a batch
     journaled at ``workers=4`` may resume at ``workers=1`` and still
     produce byte-identical outcomes.
@@ -182,10 +179,6 @@ class JournalReplay:
     accessions: list[str] = field(default_factory=list)
     #: accession → first terminal record (``completed`` or ``failed``)
     terminal: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: accessions with a ``started`` but no terminal record, in order
-    in_flight: list[str] = field(default_factory=list)
-    #: accession → steps journaled as done before the crash
-    steps_done: dict[str, list[str]] = field(default_factory=dict)
     #: accession → (shard start, shard end) → ``align.shard`` record;
     #: completed read-shard outcomes the engine can merge instead of
     #: re-aligning.  Only records made under :attr:`fingerprint` are
@@ -220,19 +213,17 @@ class JournalReplay:
 
 
 class RunJournal:
-    """Append-only JSONL journal with atomic, fsync'd appends.
+    """Append-only JSONL journal with whole-line, fsync'd appends.
 
     Thread-safe: the pipeline appends from every batch worker thread.
     Each append is one ``write`` call of one complete line followed by
-    ``flush`` + ``fsync`` (when ``fsync=True``, the default), so records
-    are durable before the work they describe is considered done —
-    write-ahead in the step-transition sense: a ``completed`` record on
-    disk *is* the commit point for that accession.
+    ``flush`` + ``fsync``, so records are durable before the work they
+    describe is considered done: a ``completed`` record on disk *is* the
+    commit point for that accession.
     """
 
-    def __init__(self, path: Path | str, *, fsync: bool = True) -> None:
+    def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         self._lock = threading.Lock()
         self._fh = None
         self.appends = 0
@@ -249,8 +240,8 @@ class RunJournal:
         """Durably append one record (a single JSON line).
 
         I/O failures surface as :class:`JournalWriteError` naming the
-        accession/step the record describes; the raw ``OSError`` rides
-        along as ``__cause__``.
+        accession the record describes; the raw ``OSError`` rides along
+        as ``__cause__``.
         """
         line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         with self._lock:
@@ -258,14 +249,12 @@ class RunJournal:
                 fh = self._handle()
                 fh.write(line)
                 fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
+                os.fsync(fh.fileno())
             except OSError as exc:
                 raise JournalWriteError(
                     self.path,
                     str(record.get("t", "?")),
                     record.get("acc"),
-                    record.get("step"),
                     exc,
                 ) from exc
             self.appends += 1
@@ -305,12 +294,6 @@ class RunJournal:
             }
         )
 
-    def record_started(self, accession: str) -> None:
-        self.append({"t": "started", "acc": accession})
-
-    def record_step_done(self, accession: str, step: str) -> None:
-        self.append({"t": "step-done", "acc": accession, "step": step})
-
     def record_completed(self, accession: str, payload: dict) -> None:
         self.append({"t": "completed", "acc": accession, "result": payload})
 
@@ -342,11 +325,6 @@ class RunJournal:
                 "shard": payload,
             }
         )
-
-    def record_drained(self, accession: str) -> None:
-        """The accession's in-flight work was aborted by a graceful drain
-        (non-terminal: resume re-runs it from scratch)."""
-        self.append({"t": "drained", "acc": accession})
 
     # -- recovery ----------------------------------------------------------
 
@@ -391,11 +369,6 @@ class RunJournal:
                 )
             self._apply(state, record)
             state.n_records += 1
-        state.in_flight = [
-            acc
-            for acc in state.steps_done
-            if acc not in state.terminal
-        ]
         for record in state._shard_records:
             if state.fingerprint is None or record.get("fp") == state.fingerprint:
                 bounds = (int(record.get("lo", 0)), int(record.get("hi", 0)))
@@ -413,11 +386,7 @@ class RunJournal:
         acc = record.get("acc")
         if acc is None:
             return
-        if rtype == "started":
-            state.steps_done.setdefault(acc, [])
-        elif rtype == "step-done":
-            state.steps_done.setdefault(acc, []).append(record.get("step", ""))
-        elif rtype == "align.shard":
+        if rtype == "align.shard":
             state._shard_records.append(record)
         elif rtype in TERMINAL_RECORD_TYPES:
             # idempotent re-runs append duplicate terminal records; the
@@ -426,7 +395,8 @@ class RunJournal:
                 state.duplicate_terminal += 1
             else:
                 state.terminal[acc] = record
-        # "drained" needs no state: the accession stays in-flight
+        # any other type (an older journal's "started", "step-done" or
+        # "drained") changes nothing: its accession re-runs from scratch
 
 
 def final_stats_to_payload(final: FinalLogStats) -> dict[str, Any]:

@@ -263,13 +263,12 @@ class BatchOptions:
 
 @dataclass
 class StepHarness:
-    """The retry/journal/timing plumbing handed to a stage-executing body.
+    """The retry/timing plumbing handed to a stage-executing body.
 
     ``attempt(step_key, timing_key, fn)`` runs ``fn`` under the retry
-    policy, accumulates wall clock into ``timings[timing_key]``, journals
-    the step-done record, and feeds the stage-health counters.  Every
-    accession's body goes through ``attempt``, streamed or not, so
-    failure semantics are identical.
+    policy, accumulates wall clock into ``timings[timing_key]`` and feeds
+    the stage-health counters.  Every accession's body goes through
+    ``attempt``, streamed or not, so failure semantics are identical.
     """
 
     accession: str
@@ -278,7 +277,6 @@ class StepHarness:
     state: dict
     timings: dict
     retries: dict
-    journal: RunJournal | None
     rng: np.random.Generator
 
     def result(self, status: RunStatus, **fields) -> PipelineResult:
@@ -396,7 +394,7 @@ class TranscriptomicsAtlasPipeline:
         already executing keep running for ``deadline`` seconds (default
         ``config.drain_deadline``), after which their alignment is
         aborted at the next progress checkpoint and the result is marked
-        ``DRAINED`` — journaled as non-terminal, so a resumed run
+        ``DRAINED`` — non-terminal and not journaled, so a resumed run
         re-executes it from scratch.  Idempotent; safe from signal
         handlers and other threads.
         """
@@ -452,11 +450,10 @@ class TranscriptomicsAtlasPipeline:
         carrying a :class:`FailureRecord`, so batch runs keep every
         other accession's work.
 
-        With a ``journal``, every state transition is durably appended
-        *before* the pipeline moves on: ``started`` ahead of the first
-        step, ``step-done`` after each step's retries settle, and a
-        terminal ``completed``/``failed`` (or non-terminal ``drained``)
-        record carrying everything resume needs to replay the result.
+        With a ``journal``, a terminal result is durably committed before
+        it is returned: a ``completed``/``failed`` record carrying
+        everything resume needs to replay it.  A ``DRAINED`` result
+        leaves no record, so resume re-runs the accession.
         """
         return self._run_guarded(accession, journal, self._run_steps)
 
@@ -505,8 +502,6 @@ class TranscriptomicsAtlasPipeline:
                 elapsed = time.monotonic() - started
                 timings[timing_key] += elapsed
                 self.stage_health.stage(step).record(items=1, busy=elapsed)
-            if journal is not None:
-                journal.record_step_done(accession, step)
             return value
 
         harness = StepHarness(
@@ -516,11 +511,8 @@ class TranscriptomicsAtlasPipeline:
             state=state,
             timings=timings,
             retries=retries,
-            journal=journal,
             rng=rng,
         )
-        if journal is not None:
-            journal.record_started(accession)
         try:
             result = self._classify(body(harness), harness)
             self._journal_terminal(journal, result)
@@ -544,11 +536,9 @@ class TranscriptomicsAtlasPipeline:
     def _journal_terminal(
         journal: RunJournal | None, result: PipelineResult
     ) -> None:
-        if journal is None:
+        if journal is None or not result.status.terminal:
             return
-        if result.status is RunStatus.DRAINED:
-            journal.record_drained(result.accession)
-        elif result.status is RunStatus.FAILED:
+        if result.status is RunStatus.FAILED:
             journal.record_failed(result.accession, _result_payload(result))
         else:
             journal.record_completed(result.accession, _result_payload(result))
@@ -638,8 +628,8 @@ class TranscriptomicsAtlasPipeline:
         order, so downstream count matrices are reproducible.
 
         ``journal`` (a path or :class:`RunJournal`) makes the batch
-        crash-consistent: every accession's step transitions are durably
-        appended before execution proceeds.  With ``resume=True`` the
+        crash-consistent: every terminal result is durably committed
+        before the batch moves on.  With ``resume=True`` the
         journal is replayed first — accessions with a terminal record
         are *not* re-run; their results are reconstructed from the
         journal (``resumed=True``) and interleaved at their submission
@@ -654,7 +644,8 @@ class TranscriptomicsAtlasPipeline:
         Under a drain request (:meth:`request_drain`), accessions not
         yet started are skipped — the returned list then covers only
         replayed, finished, and ``DRAINED`` work, and the journal holds
-        everything a resume needs to complete the batch.
+        everything a resume needs to complete the batch: the terminal
+        results, and the shard checkpoints of unfinished accessions.
         """
         if options is None:
             options = BatchOptions()
@@ -776,7 +767,7 @@ class TranscriptomicsAtlasPipeline:
 
         A replicated journal (see
         :class:`~repro.core.replication.ReplicatedJournal`) keeps
-        segment/tail/manifest objects in S3 so a successor instance can
+        segment and manifest objects in S3 so a successor instance can
         adopt an interrupted batch.  Once every requested accession has
         a *terminal* result there is nothing left to adopt — the replica
         is garbage, and at atlas scale (thousands of journals) leaking

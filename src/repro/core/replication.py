@@ -9,14 +9,13 @@ lifts durability one level up, onto the simulated S3 service
 
 * :class:`SegmentReplicator` / :class:`ReplicatedJournal` — every
   fsync'd journal line is mirrored to S3 *before the append returns*
-  (fsync-ordered).  Lines accumulate in a mutable ``tail`` object and
-  are periodically sealed into immutable, content-addressed segment
-  objects (``seg/NNNNNN-<sha256[:16]>``) tracked by a ``manifest``;
-  critical records (terminals, shard checkpoints) seal eagerly so the
-  cheap-to-list segment set always covers the important history.
+  (fsync-ordered): it is sealed into its own immutable,
+  content-addressed segment object (``seg/NNNNNN-<sha256[:16]>``) and
+  listed in a ``manifest``.  The journal is a commit log (batch starts,
+  terminals and shard checkpoints), so every line is worth a segment.
 
 * :func:`reconstruct_journal` — a *different* instance rebuilds the
-  byte-exact journal from segments + tail and resumes the batch.
+  byte-exact journal from the segments and resumes the batch.
   Segment hashes are verified against their keys on the way down
   (:class:`ReplicaCorrupt` on mismatch).
 
@@ -47,7 +46,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.align.counts import GeneCountsPartial
 from repro.align.merge import ShardResult
@@ -75,13 +74,6 @@ __all__ = [
     "encode_shard_payload",
     "reconstruct_journal",
 ]
-
-#: record types sealed into a segment immediately (see module docstring)
-CRITICAL_RECORD_TYPES = frozenset({"completed", "failed", "align.shard"})
-
-#: default number of buffered lines that forces a segment seal
-DEFAULT_SEGMENT_RECORDS = 64
-
 
 class ReplicaCorrupt(RuntimeError):
     """A replicated segment's content does not match its content address."""
@@ -129,42 +121,16 @@ def _segment_key(prefix: str, seq: int, data: bytes) -> str:
 class SegmentReplicator:
     """Mirrors journal lines to S3 with per-append durability.
 
-    Every observed line lands in S3 before :meth:`observe` returns:
-    either inside a freshly sealed immutable segment, or in the mutable
-    ``tail`` object that is overwritten on each non-sealing append.
-    Attaching to a prefix with an existing tail seals it first, so a
-    resuming instance never overwrites lines it did not buffer itself.
+    Every observed line lands in S3 before :meth:`observe` returns,
+    sealed into a segment of its own and listed in the manifest.
+    Segments are immutable, so a resuming instance attaching to a
+    prefix only numbers its segments after the ones already there.
     """
 
-    def __init__(
-        self,
-        bucket: S3Bucket,
-        prefix: str,
-        *,
-        segment_records: int = DEFAULT_SEGMENT_RECORDS,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        if segment_records < 1:
-            raise ValueError("segment_records must be >= 1")
+    def __init__(self, bucket: S3Bucket, prefix: str) -> None:
         self.bucket = bucket
         self.prefix = prefix.rstrip("/")
-        self.segment_records = segment_records
-        self.clock = clock
-        self._buffer: list[str] = []
-        self.segments_sealed = 0
-        self.tail_writes = 0
-        existing = bucket.keys(f"{self.prefix}/seg/")
-        self._next_seq = len(existing)
-        tail = bucket.head(self.tail_key)
-        if tail is not None and tail.payload:
-            # lines a previous holder buffered but never sealed; they are
-            # part of the durable history, so promote them to a segment
-            # before this holder starts overwriting the tail
-            self._seal(str(tail.payload))
-
-    @property
-    def tail_key(self) -> str:
-        return f"{self.prefix}/tail"
+        self._next_seq = len(bucket.keys(f"{self.prefix}/seg/"))
 
     @property
     def manifest_key(self) -> str:
@@ -173,66 +139,31 @@ class SegmentReplicator:
     def observe(self, line: str, record: dict[str, Any]) -> None:
         """Replicate one just-fsync'd journal line (called under the
         journal's append lock, so ordering matches the file)."""
-        self._buffer.append(line)
-        if (
-            record.get("t") in CRITICAL_RECORD_TYPES
-            or len(self._buffer) >= self.segment_records
-        ):
-            self._seal("".join(self._buffer))
-            self._buffer.clear()
-        else:
-            self._put_tail("".join(self._buffer))
-
-    def flush(self) -> None:
-        """Seal any buffered lines (e.g. before releasing the lease)."""
-        if self._buffer:
-            self._seal("".join(self._buffer))
-            self._buffer.clear()
-
-    def _seal(self, text: str) -> None:
-        data = text.encode("utf-8")
-        now = self.clock()
+        data = line.encode("utf-8")
+        now = time.time()
         key = _segment_key(self.prefix, self._next_seq, data)
-        self.bucket.put(key, len(data), now=now, payload=text)
+        self.bucket.put(key, len(data), now=now, payload=line)
         self._next_seq += 1
-        self.segments_sealed += 1
         manifest = {
             "segments": self.bucket.keys(f"{self.prefix}/seg/"),
             "sealed": self._next_seq,
         }
         blob = json.dumps(manifest)
         self.bucket.put(self.manifest_key, len(blob), now=now, payload=manifest)
-        self._put_tail("")
-
-    def _put_tail(self, text: str) -> None:
-        # the tail is overwritten on every non-sealing append; a torn
-        # durable write just means the successor loses unsealed lines it
-        # could not rely on anyway, so skip the atomic-rename cost
-        self.bucket.put(
-            self.tail_key,
-            len(text.encode("utf-8")),
-            now=self.clock(),
-            payload=text,
-            atomic=False,
-        )
-        self.tail_writes += 1
 
     def drop_prefix(self) -> int:
-        """Delete every replica object under this prefix; returns the count.
+        """Delete every segment and the manifest; returns the count.
 
         The garbage-collection path for a batch that reached terminal
         state: segments accumulate per batch prefix forever otherwise.
-        The tail and manifest go too — a later :func:`reconstruct_journal`
-        of the dropped prefix yields an empty journal, which is correct
-        (there is nothing left to adopt).  Unsealed buffered lines are
-        discarded, so only call this once the batch outcome is durable
+        A later :func:`reconstruct_journal` of the dropped prefix yields
+        an empty journal, which is correct (there is nothing left to
+        adopt).  Only call this once the batch outcome is durable
         elsewhere (the local journal and the results store).
         """
-        self._buffer.clear()
         dropped = 0
         for key in self.bucket.keys(f"{self.prefix}/seg/"):
             dropped += int(self.bucket.delete(key))
-        dropped += int(self.bucket.delete(self.tail_key))
         dropped += int(self.bucket.delete(self.manifest_key))
         self._next_seq = 0
         return dropped
@@ -247,30 +178,15 @@ class ReplicatedJournal(RunJournal):
     after the local fsync and before the append returns.
     """
 
-    def __init__(
-        self,
-        path: Path | str,
-        bucket: S3Bucket,
-        prefix: str,
-        *,
-        fsync: bool = True,
-        segment_records: int = DEFAULT_SEGMENT_RECORDS,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        super().__init__(path, fsync=fsync)
-        self.replicator = SegmentReplicator(
-            bucket, prefix, segment_records=segment_records, clock=clock
-        )
+    def __init__(self, path: Path | str, bucket: S3Bucket, prefix: str) -> None:
+        super().__init__(path)
+        self.replicator = SegmentReplicator(bucket, prefix)
 
     def _after_append(self, line: str, record: dict[str, Any]) -> None:
         self.replicator.observe(line, record)
 
-    def close(self) -> None:
-        self.replicator.flush()
-        super().close()
-
     def collect_garbage(self) -> int:
-        """Drop this batch's S3 replica (segments, tail, manifest).
+        """Drop this batch's S3 replica (segments and manifest).
 
         Called by the pipeline once every accession in the batch has a
         terminal record: nothing is left for another instance to adopt,
@@ -288,9 +204,9 @@ def reconstruct_journal(
 
     Concatenates the manifest's segments (plus any sealed after the
     manifest's last write — the crash window between a segment put and
-    its manifest update) and the tail, verifying each segment against
-    its content address.  The result replays identically to the dead
-    instance's local file.
+    its manifest update), verifying each segment against its content
+    address.  The result replays identically to the dead instance's
+    local file.
     """
     prefix = prefix.rstrip("/")
     manifest_obj = bucket.head(f"{prefix}/manifest")
@@ -310,9 +226,6 @@ def reconstruct_journal(
                 "damaged"
             )
         parts.append(text)
-    tail = bucket.head(f"{prefix}/tail")
-    if tail is not None and tail.payload:
-        parts.append(str(tail.payload))
     dest = Path(dest)
     dest.parent.mkdir(parents=True, exist_ok=True)
     dest.write_text("".join(parts), encoding="utf-8")

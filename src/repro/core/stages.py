@@ -91,7 +91,7 @@ class Stage(Protocol):
     """One pipeline step, uniform across execution shapes.
 
     ``step_key`` is the stable identifier used by FaultPlan scripts,
-    journal step-done records, failure records, and the retry ledger;
+    failure records, the stage-health counters and the retry ledger;
     ``timing_key`` is the :class:`StepTiming` bucket the stage's wall
     clock lands in (None for batch-scoped stages).  ``prepare`` runs
     once per accession *outside* the retry loop (idempotency not

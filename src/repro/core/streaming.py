@@ -290,11 +290,6 @@ class StreamedReads:
         state["streamed"] = True
         state["paired"] = stream.paired
         state["download_bytes_total"] = stream.total_bytes
-        if harness.journal is not None:
-            # the download/decode steps have settled their retries; the
-            # journal keeps the sequential step vocabulary
-            harness.journal.record_step_done(handle.accession, "prefetch")
-            harness.journal.record_step_done(handle.accession, "fasterq_dump")
         ctx = StageContext(
             pipeline=pipeline,
             accession=handle.accession,

@@ -45,8 +45,8 @@ def write_completed(journal, acc, *, counts=None):
 class TestAppend:
     def test_one_line_per_record(self, journal):
         journal.record_batch_start(["a", "b"], "f" * 16)
-        journal.record_started("a")
-        journal.record_step_done("a", "prefetch")
+        write_completed(journal, "a")
+        journal.record_failed("b", {"status": "failed"})
         lines = journal.path.read_text().splitlines()
         assert len(lines) == 3
         assert all(json.loads(line)["t"] for line in lines)
@@ -55,7 +55,7 @@ class TestAppend:
     def test_thread_safe_appends_stay_whole_lines(self, journal):
         def spam(i):
             for j in range(50):
-                journal.record_step_done(f"acc{i}", f"step{j}")
+                write_completed(journal, f"acc{i}-{j}")
 
         threads = [threading.Thread(target=spam, args=(i,)) for i in range(4)]
         for t in threads:
@@ -68,7 +68,7 @@ class TestAppend:
 
     def test_context_manager_closes(self, tmp_path):
         with RunJournal(tmp_path / "j.jsonl") as journal:
-            journal.record_started("a")
+            journal.record_batch_start(["a"], "f" * 16)
         assert journal._fh is None
 
 
@@ -84,14 +84,13 @@ class _FailingHandle:
 
 class TestWriteErrors:
     def test_oserror_becomes_typed_journal_write_error(self, journal):
-        journal.record_started("a")  # opens the real handle
+        journal.record_batch_start(["a"], "f" * 16)  # opens the real handle
         journal._fh = _FailingHandle()
         with pytest.raises(JournalWriteError) as err:
-            journal.record_step_done("SRR9000001", "prefetch")
+            write_completed(journal, "SRR9000001")
         # the context the bare OSError lacked: which record, for whom
-        assert "step-done" in str(err.value)
+        assert "completed" in str(err.value)
         assert "SRR9000001" in str(err.value)
-        assert "prefetch" in str(err.value)
         assert isinstance(err.value.__cause__, OSError)
 
     def test_batch_level_records_name_no_accession(self, journal):
@@ -103,7 +102,7 @@ class TestWriteErrors:
     def test_failed_append_does_not_count(self, journal):
         journal._fh = _FailingHandle()
         with pytest.raises(JournalWriteError):
-            journal.record_started("a")
+            write_completed(journal, "a")
         assert journal.appends == 0
 
 
@@ -121,15 +120,10 @@ class TestReplay:
 
     def test_terminal_vs_in_flight(self, journal):
         journal.record_batch_start(["a", "b", "c"], "f" * 16)
-        journal.record_started("a")
         write_completed(journal, "a")
-        journal.record_started("b")
-        journal.record_step_done("b", "prefetch")
         replay = journal.replay()
         assert set(replay.terminal) == {"a"}
-        assert replay.in_flight == ["b"]
         assert replay.pending(["a", "b", "c"]) == ["b", "c"]
-        assert replay.steps_done["b"] == ["prefetch"]
 
     def test_torn_last_line_tolerated(self, journal):
         """A crash mid-write damages at most the final line."""
@@ -172,13 +166,6 @@ class TestReplay:
         journal.record_batch_start(["a", "b"], "1" * 16)
         replay = journal.replay()
         assert replay.accessions == ["a", "b"]
-
-    def test_drained_stays_in_flight(self, journal):
-        journal.record_started("a")
-        journal.record_drained("a")
-        replay = journal.replay()
-        assert replay.in_flight == ["a"]
-        assert replay.terminal == {}
 
 
 class TestFingerprint:

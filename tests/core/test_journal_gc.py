@@ -44,9 +44,7 @@ def run_batch(demo, tmp_path, journal, accessions, tag):
 class TestCompletedBatch:
     def test_replica_prefix_dropped(self, demo, tmp_path, bucket):
         _, _, accessions = demo
-        journal = ReplicatedJournal(
-            tmp_path / "run.journal", bucket, "runs/a", segment_records=4
-        )
+        journal = ReplicatedJournal(tmp_path / "run.journal", bucket, "runs/a")
         results = run_batch(demo, tmp_path, journal, accessions, "done")
         assert all(r.status.terminal for r in results)
         assert bucket.keys("runs/a/") == []
@@ -54,18 +52,16 @@ class TestCompletedBatch:
     def test_local_journal_survives_gc(self, demo, tmp_path, bucket):
         _, _, accessions = demo
         path = tmp_path / "run.journal"
-        journal = ReplicatedJournal(path, bucket, "runs/b", segment_records=4)
+        journal = ReplicatedJournal(path, bucket, "runs/b")
         run_batch(demo, tmp_path, journal, accessions, "local")
         # the durable local record is untouched and still replays
         replay = RunJournal(path).replay()
         assert sorted(replay.completed) == sorted(accessions)
 
     def test_gc_returns_dropped_object_count(self, bucket, tmp_path):
-        journal = ReplicatedJournal(
-            tmp_path / "j.journal", bucket, "runs/c", segment_records=2
-        )
+        journal = ReplicatedJournal(tmp_path / "j.journal", bucket, "runs/c")
         for i in range(5):
-            journal.record_started(f"SRR{i}")
+            journal.record_completed(f"SRR{i}", {"status": "accepted"})
         journal.close()
         assert len(bucket.keys("runs/c/")) > 0
         dropped = journal.collect_garbage()
@@ -76,15 +72,13 @@ class TestCompletedBatch:
 class TestIncompleteBatch:
     def test_partial_batch_keeps_replica(self, tmp_path, bucket):
         """An interrupted batch's replica survives the GC trigger."""
-        journal = ReplicatedJournal(
-            tmp_path / "run.journal", bucket, "runs/d", segment_records=2
-        )
+        journal = ReplicatedJournal(tmp_path / "run.journal", bucket, "runs/d")
         # what a killed instance leaves behind: one accession done, the
         # second mid-flight — the batch asked for both, so the trigger
         # must hold its fire and the replica stays adoptable
         journal.record_batch_start(["SRR1", "SRR2"], {})
         journal.record_completed("SRR1", {"status": "accepted"})
-        journal.record_started("SRR2")
+        journal.record_align_shard("SRR2", 0, 8, "fp", {"v": 0})
         journal.close()
         terminal = type(
             "R", (), {"status": type("S", (), {"terminal": True})()}
@@ -100,12 +94,12 @@ class TestIncompleteBatch:
         self, bucket, tmp_path
     ):
         path = tmp_path / "run.journal"
-        journal = ReplicatedJournal(path, bucket, "runs/e", segment_records=3)
+        journal = ReplicatedJournal(path, bucket, "runs/e")
         journal.record_batch_start(["SRR1", "SRR2"], {"k": "v"})
-        journal.record_started("SRR1")
-        journal.record_step_done("SRR1", "prefetch")
+        journal.record_align_shard("SRR1", 0, 8, "fp", {"v": 0})
         journal.record_completed("SRR1", {"status": "accepted"})
-        journal.record_started("SRR2")  # interrupted here
+        # interrupted here, one shard into SRR2
+        journal.record_align_shard("SRR2", 0, 8, "fp", {"v": 0})
         journal.close()
 
         rebuilt = reconstruct_journal(bucket, "runs/e", tmp_path / "rebuilt")
@@ -126,10 +120,8 @@ class TestTriggerDuckTyping:
         assert path.exists()
 
     def test_trigger_requires_every_accession(self, bucket, tmp_path):
-        journal = ReplicatedJournal(
-            tmp_path / "j.journal", bucket, "runs/f", segment_records=2
-        )
-        journal.record_started("SRR1")
+        journal = ReplicatedJournal(tmp_path / "j.journal", bucket, "runs/f")
+        journal.record_completed("SRR1", {"status": "accepted"})
         journal.close()
         terminal = type("R", (), {"status": type("S", (), {"terminal": True})()})()
         TranscriptomicsAtlasPipeline._collect_journal_garbage(

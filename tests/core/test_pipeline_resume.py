@@ -1,6 +1,7 @@
 """Checkpoint/resume and graceful-drain semantics of the journaled batch."""
 
 import gc
+import json
 import os
 import signal
 import threading
@@ -9,6 +10,7 @@ import warnings
 
 import pytest
 
+from repro.cloud.s3 import S3Bucket
 from repro.core.early_stopping import EarlyStoppingPolicy
 from repro.core.journal import RunJournal
 from repro.core.pipeline import (
@@ -18,12 +20,15 @@ from repro.core.pipeline import (
     TranscriptomicsAtlasPipeline,
     drain_on_signals,
 )
+from repro.core.replication import ReplicatedJournal
 from repro.reads.library import LibraryType, SampleProfile
 from repro.reads.sra import SraArchive, SraRepository
 
 ACCESSIONS = ["SRR5000001", "SRR5000002", "SRR5000003", "SRR5000004"]
 #: test ids for how a run gets its reads
 SHAPES = ["sequential", "streamed"]
+#: the record types a journal holds: only what resume reads
+COMMIT_RECORDS = {"batch-start", "completed", "failed", "align.shard"}
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +70,10 @@ needs_proc_fd = pytest.mark.skipif(
 )
 
 
+def record_types(journal_path) -> list[str]:
+    return [json.loads(line)["t"] for line in journal_path.read_text().splitlines()]
+
+
 def comparable(result):
     final = result.star_result.final if result.star_result else None
     return (
@@ -85,9 +94,8 @@ class TestJournaledBatch:
         pipeline.run_batch(ACCESSIONS[:2], BatchOptions(journal=journal_path))
         replay = RunJournal(journal_path).replay()
         assert set(replay.terminal) == set(ACCESSIONS[:2])
-        assert replay.in_flight == []
-        # batch-start + per accession: started + 3 step-done + completed
-        assert replay.n_records == 1 + 2 * 5
+        # batch-start + one completed record per accession
+        assert replay.n_records == 1 + 2
 
     @needs_proc_fd
     @pytest.mark.parametrize("shard_checkpoints", [False, True])
@@ -249,7 +257,6 @@ class TestJournaledBatch:
         fingerprint = config_fingerprint(pipeline.config)
         with RunJournal(journal_path) as journal:
             journal.record_batch_start(ACCESSIONS[:1], fingerprint)
-            journal.record_started(ACCESSIONS[0])
             journal.record_align_shard(
                 ACCESSIONS[0],
                 0,
@@ -291,6 +298,176 @@ class TestJournaledBatch:
         )
         assert [r.accession for r in results] == ACCESSIONS
         assert results[0].resumed and not results[1].resumed
+
+
+class _DrainOnDownload:
+    """A repository that requests a drain with a spent deadline as each
+    download starts, so the accession being fetched aligns past it."""
+
+    def __init__(self, repository) -> None:
+        self._repository = repository
+        self.pipeline = None
+
+    def __getattr__(self, name):
+        return getattr(self._repository, name)
+
+    def fetch_bytes(self, accession):
+        self.pipeline.request_drain(deadline=0.0)
+        return self._repository.fetch_bytes(accession)
+
+
+def _legacy_journal(journal_path, drained: str) -> str:
+    """``journal_path``'s text as the step-record journal wrote it: a
+    ``started`` and one ``step-done`` per step around each accession's
+    records, and a ``drained`` line in place of the commit of the
+    accession named ``drained``."""
+    out, seen = [], set()
+    for line in journal_path.read_text().splitlines(keepends=True):
+        record = json.loads(line)
+        acc = record.get("acc")
+        legacy = []
+        if acc is not None and acc not in seen:
+            seen.add(acc)
+            legacy.append({"t": "started", "acc": acc})
+            legacy += [
+                {"t": "step-done", "acc": acc, "step": step}
+                for step in ("prefetch", "fasterq_dump")
+            ]
+        if record["t"] == "completed":
+            legacy.append({"t": "step-done", "acc": acc, "step": "align"})
+        out += [
+            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+            for r in legacy
+        ]
+        if record["t"] == "completed" and acc == drained:
+            out.append(json.dumps({"acc": acc, "t": "drained"}) + "\n")
+        else:
+            out.append(line)
+    return "".join(out)
+
+
+class TestCommitLog:
+    """The journal is a commit log: batch starts, terminal results and
+    shard checkpoints, whatever the execution shape."""
+
+    @pytest.mark.parametrize("shape", ["sequential", "streamed", "engine"])
+    def test_writes_only_commit_records(
+        self, repository, aligner_r111, tmp_path, shape
+    ):
+        journal_path = tmp_path / "run.jsonl"
+        journal = RunJournal(journal_path)
+        options = BatchOptions(journal=journal)
+        overrides = {}
+        listings = []
+        if shape == "streamed":
+            options = BatchOptions(journal=journal, streaming=True, max_parallel=2)
+        elif shape == "engine":
+            overrides = dict(workers=2, align_batch_size=32)
+            bucket = S3Bucket("journal")
+            journal = ReplicatedJournal(journal_path, bucket, "batch")
+            durable = journal._after_append
+
+            def after_append(line, record):
+                durable(line, record)
+                listings.append(bucket.keys("batch/"))
+
+            journal._after_append = after_append
+            options = BatchOptions(journal=journal, shard_checkpoints=True)
+        with make_pipeline(
+            repository, aligner_r111, tmp_path / "w", **overrides
+        ) as pipeline, journal:
+            results = pipeline.run_batch(ACCESSIONS, options)
+        assert all(r.status.terminal for r in results)
+        types = record_types(journal_path)
+        assert set(types) <= COMMIT_RECORDS
+        assert types[0] == "batch-start"
+        assert types.count("completed") + types.count("failed") == len(ACCESSIONS)
+        if shape == "engine":
+            assert "align.shard" in types
+            # each append is a sealed segment plus the manifest, and the
+            # replica holds nothing else
+            assert len(listings) == len(types)
+            for n, keys in enumerate(listings, 1):
+                assert keys[0] == "batch/manifest", n
+                assert len(keys) == n + 1, n
+                assert all(k.startswith("batch/seg/") for k in keys[1:]), n
+            assert bucket.keys("batch/") == []  # collected: all terminal
+
+    def test_drained_accession_writes_no_line(
+        self, repository, aligner_r111, tmp_path
+    ):
+        journal_path = tmp_path / "run.jsonl"
+        draining = _DrainOnDownload(repository)
+        pipeline = make_pipeline(draining, aligner_r111, tmp_path / "w")
+        draining.pipeline = pipeline
+        results = pipeline.run_batch(ACCESSIONS, BatchOptions(journal=journal_path))
+        assert [(r.accession, r.status) for r in results] == [
+            (ACCESSIONS[0], RunStatus.DRAINED)
+        ]
+        assert record_types(journal_path) == ["batch-start"]
+
+    def test_resumes_a_journal_with_step_records(
+        self, repository, aligner_r111, tmp_path
+    ):
+        """A journal that also holds ``started``, ``step-done`` and
+        ``drained`` lines replays to the same fingerprint, terminals and
+        shard checkpoints, and resumes to the same results and count
+        matrix as an uninterrupted batch."""
+        batch, victim = ACCESSIONS[:3], ACCESSIONS[1]
+        commit_path = tmp_path / "commit.jsonl"
+        with make_pipeline(
+            repository, aligner_r111, tmp_path / "a", workers=2,
+            align_batch_size=32,
+        ) as first:
+            first.run_batch(
+                batch, BatchOptions(journal=commit_path, shard_checkpoints=True)
+            )
+        legacy_path = tmp_path / "legacy.jsonl"
+        legacy_path.write_text(_legacy_journal(commit_path, drained=victim))
+        assert {"started", "step-done", "drained"} <= set(record_types(legacy_path))
+        # the same journal with the victim's commit dropped, and nothing else
+        lines = commit_path.read_text().splitlines(keepends=True)
+        commit_path.write_text(
+            "".join(
+                line
+                for line in lines
+                if json.loads(line)["t"] != "completed"
+                or json.loads(line)["acc"] != victim
+            )
+        )
+
+        def state(replay):
+            return (
+                replay.fingerprint,
+                replay.accessions,
+                replay.terminal,
+                replay.align_shards,
+            )
+
+        legacy = RunJournal(legacy_path).replay()
+        assert state(legacy) == state(RunJournal(commit_path).replay())
+        assert victim not in legacy.terminal and legacy.align_shards[victim]
+
+        with make_pipeline(
+            repository, aligner_r111, tmp_path / "b", workers=2,
+            align_batch_size=32,
+        ) as second:
+            resumed = second.run_batch(
+                batch,
+                BatchOptions(
+                    journal=legacy_path, resume=True, shard_checkpoints=True
+                ),
+            )
+            assert second.shard_checkpoint_summary()["recorded"] == 0
+            matrix = second.build_count_matrix()
+        assert [r.resumed for r in resumed] == [True, False, True]
+        reference = make_pipeline(repository, aligner_r111, tmp_path / "ref")
+        assert [comparable(r) for r in resumed] == [
+            comparable(r) for r in reference.run_batch(batch)
+        ]
+        expected = reference.build_count_matrix()
+        assert matrix.gene_ids == expected.gene_ids
+        assert (matrix.counts == expected.counts).all()
 
 
 class TestGracefulDrain:
@@ -351,7 +528,7 @@ class TestGracefulDrain:
         self, repository, aligner_r111, tmp_path
     ):
         """With the deadline already spent, an in-flight alignment aborts
-        at its next checkpoint and the run is journaled non-terminal."""
+        at its next checkpoint and the run leaves no journal line."""
         journal_path = tmp_path / "run.jsonl"
         pipeline = make_pipeline(repository, aligner_r111, tmp_path / "w")
         pipeline._drain_deadline_at = time.monotonic() - 1.0
@@ -362,9 +539,7 @@ class TestGracefulDrain:
         assert result.status is RunStatus.DRAINED
         assert not result.status.terminal
         assert result.counts is None
-        replay = RunJournal(journal_path).replay()
-        assert replay.terminal == {}
-        assert replay.in_flight == [ACCESSIONS[0]]
+        assert RunJournal(journal_path).replay().n_records == 0
 
     def test_drained_status_properties(self):
         assert not RunStatus.DRAINED.terminal

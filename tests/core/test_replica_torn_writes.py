@@ -25,15 +25,16 @@ from repro.core.replication import (
 )
 
 
-def write_journal(path: Path, n_started: int = 4) -> None:
-    """A deterministic journal: batch start, a completion, some starts."""
+def write_journal(path: Path, n_accessions: int = 4) -> None:
+    """A deterministic journal: batch start, a completion, then one shard
+    checkpoint for each other accession."""
     with RunJournal(path) as journal:
         journal.record_batch_start(
-            [f"SRR{i}" for i in range(n_started)], "fp-torn"
+            [f"SRR{i}" for i in range(n_accessions)], "fp-torn"
         )
         journal.record_completed("SRR0", {"status": "accepted"})
-        for i in range(1, n_started):
-            journal.record_started(f"SRR{i}")
+        for i in range(1, n_accessions):
+            journal.record_align_shard(f"SRR{i}", 0, 8, "fp-torn", {"v": 0})
 
 
 def summarize(replay) -> tuple:
@@ -112,15 +113,12 @@ class TestLocalNonTailDamage:
 
 @pytest.fixture
 def replica(tmp_path):
-    """A live replicated journal: 2 sealed segments + a non-empty tail."""
+    """A live replicated journal: 7 lines, each sealed in its segment."""
     bucket = S3Service().create_bucket("journals")
-    journal = ReplicatedJournal(
-        tmp_path / "run.journal", bucket, "runs/x", segment_records=3
-    )
+    journal = ReplicatedJournal(tmp_path / "run.journal", bucket, "runs/x")
     for i in range(7):
-        journal.record_started(f"SRR{i}")
-    # NOT closed: the last line lives only in the tail object, exactly
-    # the state a dead instance leaves behind
+        journal.record_align_shard(f"SRR{i}", 0, 8, "fp", {"v": 0})
+    # NOT closed: the state a dead instance leaves behind
     return journal, bucket
 
 
@@ -130,32 +128,6 @@ class TestReplicaReconstruction:
         rebuilt = reconstruct_journal(bucket, "runs/x", tmp_path / "rebuilt")
         assert rebuilt.path.read_bytes() == journal.path.read_bytes()
         assert rebuilt.replay().n_records == 7
-
-    def test_tail_torn_at_every_boundary(self, replica, tmp_path):
-        journal, bucket = replica
-        tail = bucket.get("runs/x/tail").payload
-        assert tail  # the 7th record is unsealed
-        for cut in range(len(tail)):
-            torn = tail[:cut]
-            bucket.put(
-                "runs/x/tail", len(torn.encode()), now=0.0, payload=torn
-            )
-            rebuilt = reconstruct_journal(
-                bucket, "runs/x", tmp_path / f"re-{cut}"
-            )
-            replay = rebuilt.replay()
-            # the 6 sealed records always survive; the tail record is
-            # whole (cut stripped only the newline), absent, or flagged
-            # torn — never half-applied
-            if cut == len(tail) - 1:
-                assert replay.n_records == 7, cut
-                assert not replay.torn_tail, cut
-            else:
-                assert replay.n_records == 6, cut
-                assert replay.torn_tail == (cut > 0), cut
-            assert {f"SRR{i}" for i in range(6)} <= set(
-                replay.steps_done
-            ), cut
 
     def test_segment_corruption_is_a_typed_error(self, replica, tmp_path):
         _, bucket = replica
@@ -176,17 +148,17 @@ class TestReplicaReconstruction:
 
 class TestTornWriteProperty:
     @given(
-        n_started=st.integers(min_value=1, max_value=8),
+        n_accessions=st.integers(min_value=1, max_value=8),
         cut_back=st.integers(min_value=0, max_value=200),
     )
     @settings(max_examples=60, deadline=None)
-    def test_any_truncation_recovers_or_flags(self, n_started, cut_back):
+    def test_any_truncation_recovers_or_flags(self, n_accessions, cut_back):
         """Truncating *any* amount off the end never loses a record
         silently: replay succeeds, and every record whose bytes fully
         survived the cut is present in the recovered state."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.journal"
-            write_journal(path, n_started=n_started)
+            write_journal(path, n_accessions=n_accessions)
             raw = path.read_bytes()
             cut = max(0, len(raw) - cut_back)
             kept = raw[:cut]

@@ -17,7 +17,6 @@ from repro.core.replication import (
     LeaseHeld,
     ReplicaCorrupt,
     ReplicatedJournal,
-    SegmentReplicator,
     ShardCheckpointer,
     decode_shard_payload,
     encode_shard_payload,
@@ -32,49 +31,42 @@ def bucket():
     return S3Bucket("journal")
 
 
-def replicated(tmp_path, bucket, **kwargs):
-    return ReplicatedJournal(
-        tmp_path / "run.jsonl", bucket, "batch", **kwargs
-    )
+def replicated(tmp_path, bucket):
+    return ReplicatedJournal(tmp_path / "run.jsonl", bucket, "batch")
 
 
 class TestSegmentReplicator:
-    def test_plain_appends_land_in_tail(self, tmp_path, bucket):
+    def test_every_append_seals_a_segment(self, tmp_path, bucket):
         j = replicated(tmp_path, bucket)
-        j.record_started("a")
-        j.record_step_done("a", "prefetch")
-        tail = bucket.get("batch/tail").payload
-        assert tail == j.path.read_text()
-        assert bucket.keys("batch/seg/") == []
+        j.record_batch_start(["a", "b"], "f" * 16)
+        assert len(bucket.keys("batch/seg/")) == 1
+        j.record_completed("a", {"status": "accepted"})
+        j.record_failed("b", {"status": "failed"})
+        segs = bucket.keys("batch/seg/")
+        # one segment per line, in journal order, and nothing else
+        assert [bucket.get(k).payload for k in segs] == (
+            j.path.read_text().splitlines(keepends=True)
+        )
+        assert bucket.keys("batch/") == ["batch/manifest", *segs]
+        assert bucket.get("batch/manifest").payload["segments"] == segs
 
     def test_critical_record_seals_a_segment(self, tmp_path, bucket):
         j = replicated(tmp_path, bucket)
-        j.record_started("a")
         j.record_completed("a", {"status": "accepted"})
         segs = bucket.keys("batch/seg/")
         assert len(segs) == 1
         assert bucket.get(segs[0]).payload == j.path.read_text()
-        assert bucket.get("batch/tail").payload == ""
         manifest = bucket.get("batch/manifest").payload
         assert manifest["segments"] == segs
 
-    def test_buffer_threshold_seals(self, tmp_path, bucket):
-        j = replicated(tmp_path, bucket, segment_records=3)
-        for step in ("s1", "s2", "s3", "s4"):
-            j.record_step_done("a", step)
-        assert len(bucket.keys("batch/seg/")) == 1
-        # the fourth line is back in the tail
-        assert "s4" in bucket.get("batch/tail").payload
-
-    def test_attach_promotes_an_inherited_tail(self, tmp_path, bucket):
+    def test_attach_numbers_after_inherited_segments(self, tmp_path, bucket):
         j = replicated(tmp_path, bucket)
-        j.record_started("a")  # dies with this line only in the tail
-        successor = SegmentReplicator(bucket, "batch")
-        assert bucket.get("batch/tail").payload == ""
+        j.record_completed("a", {"status": "accepted"})
+        successor = ReplicatedJournal(tmp_path / "next.jsonl", bucket, "batch")
+        successor.record_completed("b", {"status": "accepted"})
         segs = bucket.keys("batch/seg/")
-        assert len(segs) == 1
-        assert "started" in bucket.get(segs[0]).payload
-        assert successor.segments_sealed == 1
+        assert [k.split("/")[-1][:6] for k in segs] == ["000000", "000001"]
+        assert bucket.get("batch/manifest").payload["segments"] == segs
 
     def test_segment_keys_are_content_addressed(self, tmp_path, bucket):
         j = replicated(tmp_path, bucket)
@@ -90,11 +82,10 @@ class TestSegmentReplicator:
 
 class TestReconstruct:
     def test_byte_identical_including_pending_tail(self, tmp_path, bucket):
-        j = replicated(tmp_path, bucket, segment_records=2)
+        j = replicated(tmp_path, bucket)
         j.record_batch_start(["a", "b"], "f" * 16)
-        j.record_started("a")
         j.record_completed("a", {"status": "accepted"})
-        j.record_started("b")  # stays in the tail
+        j.record_align_shard("b", 0, 8, "f" * 16, {"v": 0})  # b is pending
         dest = tmp_path / "fresh" / "run.jsonl"
         reconstruct_journal(bucket, "batch", dest)
         assert dest.read_text() == j.path.read_text()
@@ -108,7 +99,7 @@ class TestReconstruct:
         # the crash tore the local file's last line mid-write; the S3
         # replica only ever sees whole fsync'd lines
         with open(j.path, "a") as fh:
-            fh.write('{"t": "started", "acc"')
+            fh.write('{"t": "completed", "acc"')
         local = RunJournal(j.path).replay()
         assert local.torn_tail
         remote = reconstruct_journal(
@@ -347,14 +338,11 @@ class TestJournalInterchange:
     replays identically to the local file — align.shard records and all."""
 
     def test_full_interchange(self, tmp_path, bucket):
-        j = replicated(tmp_path, bucket, segment_records=4)
+        j = replicated(tmp_path, bucket)
         j.record_batch_start(["SRR1", "SRR2"], "f" * 16)
-        j.record_started("SRR1")
-        j.record_step_done("SRR1", "prefetch")
         ckpt = ShardCheckpointer(j, "SRR1", "f" * 16)
         ckpt.record(0, 64, make_outcomes(), None, make_seed_stats())
         j.record_completed("SRR1", {"status": "accepted"})
-        j.record_started("SRR2")
 
         dest = tmp_path / "fresh" / "run.jsonl"
         fresh = reconstruct_journal(bucket, "batch", dest)

@@ -50,8 +50,8 @@ class TestStageProtocol:
         assert all(isinstance(s, Stage) for s in stages)
 
     def test_step_keys_are_the_fault_plan_vocabulary(self):
-        """Back-compat: FaultPlan specs (step:key:kind), journal step-done
-        records, and retry ledgers key on these exact names."""
+        """Back-compat: FaultPlan specs (step:key:kind), failure records
+        and retry ledgers key on these exact names."""
         assert PrefetchStage.step_key == "prefetch"
         assert FasterqDumpStage.step_key == "fasterq_dump"
         assert AlignStage.step_key == "align"
