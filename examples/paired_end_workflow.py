@@ -28,7 +28,6 @@ from repro.align.sam import write_paired_sam
 from repro.align.star import StarAligner, StarParameters
 from repro.genome.ensembl import EnsemblRelease, build_release_assembly
 from repro.genome.synth import GenomeUniverseSpec, make_universe
-from repro.reads.fastq import read_fastq
 from repro.reads.library import LibraryType
 from repro.reads.paired import (
     PairedProfile,
@@ -62,13 +61,13 @@ def main(workdir: Path) -> None:
     archive = PairedSraArchive("SRRPE01", LibraryType.BULK_POLYA, mate1, sample.mate2)
     sra_path = workdir / "SRRPE01.sra"
     sra_path.write_bytes(archive.to_bytes())
-    p1, p2 = fasterq_dump_paired(sra_path, workdir)
+    (p1, p2), (reads1, reads2) = fasterq_dump_paired(sra_path, workdir)
     print(f"dumped {p1.name} + {p2.name} "
           f"({archive.n_pairs} pairs, {sra_path.stat().st_size / 1e3:.0f} kB sra)")
 
     trimmer = ReadTrimmer(TrimConfig(min_length=40))
-    trimmed1, stats1 = trimmer.trim(read_fastq(p1))
-    trimmed2, stats2 = trimmer.trim(read_fastq(p2))
+    trimmed1, stats1 = trimmer.trim(reads1)
+    trimmed2, stats2 = trimmer.trim(reads2)
     print(f"trim mate1: {stats1.to_text()}")
     print(f"trim mate2: {stats2.to_text()}")
     # keep pairs where both mates survived

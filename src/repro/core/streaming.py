@@ -22,8 +22,8 @@ takes each batch position in turn, but the position's body aligns a
   in :class:`~repro.core.stages.PipelineHealth`.
 
 Results are byte-identical to the sequential path: chunk boundaries
-never affect alignment outcomes, record parsing matches the
-``fasterq-dump → iter_fastq`` semantics exactly, retry jitter draws from
+never affect alignment outcomes, record parsing matches the reads the
+sequential ``fasterq-dump`` step frames exactly, retry jitter draws from
 the same per-accession stream in the same step order, and journal
 records interchange freely (execution shape is not fingerprinted).  The
 one documented divergence: an accession whose download was cancelled

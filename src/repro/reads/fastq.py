@@ -10,8 +10,8 @@ qualities — is read and written here and nowhere else:
   through the alphabet LUT.  A partial record at the end of a block
   carries over to the next.
 * Each framed :class:`FastqBlock` gives one :class:`ReadBatch`, or — for
-  ``fasterq-dump`` — its text in dumped form, without building any
-  per-read object.
+  ``fasterq-dump`` — its text in dumped form beside that batch, so the
+  dumped reads are framed once, without building any per-read object.
 * :func:`render_fastq` is the one writer.
 
 :class:`ReadBatch` holds many reads as a struct of arrays — ids,
@@ -25,7 +25,8 @@ Line ends are ``\\n`` or ``\\r\\n``; the text must be ASCII.  A missing
 ``@`` or ``+``, unequal sequence and quality lengths, a quality below
 Phred+33 or a truncated final record raise :class:`ValueError`.  Read ids
 follow the entry point: archives keep the whole header line, FASTQ files
-and streams cut it at the first whitespace.  STAR and ``fasterq-dump``
+and streams cut it at the first whitespace, and so do the reads
+``fasterq-dump`` hands to the align stage.  STAR and ``fasterq-dump``
 both stream, and so does :func:`iter_fastq`.
 """
 
@@ -44,8 +45,10 @@ PHRED_OFFSET = 33
 MAX_PHRED = 41
 
 #: most FASTQ text one vectorized step frames or renders; it bounds the
-#: per-block temporaries, which are uint8 or bool per byte of text
-BLOCK_BYTES = 32 * 1024
+#: per-block temporaries, which are uint8 or bool per byte of text, and
+#: spreads each step's fixed numpy cost over about a thousand 100-base
+#: records
+BLOCK_BYTES = 256 * 1024
 
 _LF, _CR, _AT, _PLUS = b"\n\r@+"
 #: the bytes ``str.split()`` splits on, bar the line feed: where a FASTQ
@@ -334,18 +337,24 @@ class FastqBlock:
             offsets,
         )
 
-    def dump(self, *, mates: bool = False) -> list[np.ndarray]:
-        """The block's text as ``fasterq-dump`` writes it: bases
-        normalised to ``ACGTN`` (in place), CRs and anything after a '+'
-        dropped.  With ``mates``, two texts: even and odd records."""
-        seq = self.kind == _SEQ
-        self.text[seq] = decode_bytes(encode(self.text[seq]))
+    def dump(self, *, mates: bool = False) -> list[tuple[np.ndarray, ReadBatch]]:
+        """The block as ``fasterq-dump`` writes it: per output, the text —
+        bases normalised to ``ACGTN`` (in place), CRs and anything after
+        a '+' dropped — and its reads, ids cut at the first whitespace as
+        :func:`iter_fastq` reads the text back.  With ``mates``, two
+        outputs: even and odd records."""
+        reads = self.batch()
+        self.text[self.kind == _SEQ] = decode_bytes(reads.sequence)
         if not mates:
-            return [self.text if self.dumped_form else self.text[self.kind != _DROP]]
+            text = self.text if self.dumped_form else self.text[self.kind != _DROP]
+            return [(text, reads)]
         keep = self.kind != _DROP
         parity = (np.arange(self.n_records) & 1).astype(np.uint8)
         second = np.repeat(parity, self.raw_len).view(bool)
-        return [self.text[keep & ~second], self.text[keep & second]]
+        return [
+            (self.text[keep & ~second], reads[0::2]),
+            (self.text[keep & second], reads[1::2]),
+        ]
 
 
 class FastqFramer:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.genome.alphabet import random_sequence, reverse_complement
-from repro.reads.fastq import FastqRecord
+from repro.reads.fastq import FastqRecord, ReadBatch
 from repro.reads.library import LibraryType, SampleProfile
 from repro.reads.simulator import ReadSimulator
 from repro.reads.sra import (
@@ -227,10 +227,11 @@ def fasterq_dump_paired(
     out_dir: Path | str,
     *,
     fault_plan: "FaultPlan | None" = None,
-) -> tuple[Path, Path]:
+) -> tuple[tuple[Path, Path], tuple[ReadBatch, ReadBatch]]:
     """Split a paired archive into ``_1.fastq`` / ``_2.fastq`` files.
 
-    Mirrors ``fasterq-dump --split-files``.
+    Mirrors ``fasterq-dump --split-files``.  Returns both paths and both
+    mates' reads (see :func:`~repro.reads.sra.dump_payload`).
     """
     sra_path = Path(sra_path)
     if fault_plan is not None:
@@ -241,5 +242,5 @@ def fasterq_dump_paired(
     out_dir.mkdir(parents=True, exist_ok=True)
     p1 = out_dir / f"{accession}_1.fastq"
     p2 = out_dir / f"{accession}_2.fastq"
-    dump_payload(payload, accession, [p1, p2], header["n_pairs"])
-    return p1, p2
+    mate1, mate2 = dump_payload(payload, accession, [p1, p2], header["n_pairs"])
+    return (p1, p2), (mate1, mate2)

@@ -10,7 +10,9 @@ interface and round-trip guarantees:
 * :class:`SraRepository` — an accession-keyed store playing the role of
   the NCBI repository (backed by a directory or kept in memory);
 * :func:`prefetch` / :func:`fasterq_dump` — the tool front-ends used by
-  :class:`repro.core.pipeline.TranscriptomicsAtlasPipeline`.
+  :class:`repro.core.pipeline.TranscriptomicsAtlasPipeline`;
+  ``fasterq_dump`` also hands back the reads it framed, so the align
+  step never parses the FASTQ it wrote.
 """
 
 from __future__ import annotations
@@ -134,22 +136,30 @@ def decode_reads(payload, source: str, *, paired: bool) -> ReadBatch:
     )
 
 
-def dump_payload(payload, source: str, paths: list[Path], expected: int) -> None:
+def dump_payload(
+    payload, source: str, paths: list[Path], expected: int
+) -> list[ReadBatch]:
     """``fasterq-dump``'s body: inflate, frame and validate, normalise
     bases, write.  One path takes every record; two split the mates of an
     interleaved payload by record parity.  ``expected`` is the header's
     count of reads (or pairs).  On failure no output is left.
+
+    Returns the reads written, one batch per path, with ids cut at the
+    first whitespace: what :func:`~repro.reads.fastq.read_fastq` reads
+    back from each file, framed once.
     """
     paired = len(paths) == 2
-    n_records = 0
+    framed: list[list[ReadBatch]] = [[] for _ in paths]
     try:
         with contextlib.ExitStack() as stack:
             files = [stack.enter_context(open(path, "wb")) for path in paths]
             for block in decode_payload(payload, source, paired=paired):
-                for fh, text in zip(files, block.dump(mates=paired)):
+                for fh, batches, (text, reads) in zip(
+                    files, framed, block.dump(mates=paired)
+                ):
                     fh.write(text)
-                n_records += block.n_records
-        found = n_records // len(paths)
+                    batches.append(reads)
+        found = sum(map(len, framed[0]))
         if found != expected:
             raise ValueError(
                 f"corrupt SRA archive: header says {expected} "
@@ -159,6 +169,7 @@ def dump_payload(payload, source: str, paths: list[Path], expected: int) -> None
         for path in paths:
             path.unlink(missing_ok=True)
         raise
+    return [ReadBatch.concat(batches) for batches in framed]
 
 
 @dataclass
@@ -317,10 +328,11 @@ def fasterq_dump(
     out_dir: Path | str,
     *,
     fault_plan: "FaultPlan | None" = None,
-) -> Path:
+) -> tuple[Path, ReadBatch]:
     """Convert an SRA container to FASTQ (pipeline step 2).
 
-    Returns the path of the produced ``<accession>.fastq`` file.
+    Returns the path of the produced ``<accession>.fastq`` file and the
+    reads written to it (see :func:`dump_payload`).
     """
     sra_path = Path(sra_path)
     if fault_plan is not None:
@@ -329,8 +341,8 @@ def fasterq_dump(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"{header['accession']}.fastq"
-    dump_payload(payload, header["accession"], [out], header["n_reads"])
-    return out
+    (reads,) = dump_payload(payload, header["accession"], [out], header["n_reads"])
+    return out, reads
 
 
 def load_archive(sra_path: Path | str) -> SraArchive:

@@ -115,8 +115,9 @@ class SraStream:
     iterate :meth:`chunks`: each item is a
     :class:`~repro.reads.fastq.ReadBatch` for single-end archives or a
     ``(mate1, mate2)`` batch pair for paired ones.  Reads come from the
-    same codec as the sequential ``fasterq-dump → iter_fastq`` path (read
-    ids cut at the first whitespace), and ``fastq_bytes`` accumulates the
+    same codec as the reads the sequential ``fasterq-dump`` step frames
+    for the align stage (read ids cut at the first whitespace, mates
+    split by strided indexing), and ``fastq_bytes`` accumulates the
     exact size the dumped FASTQ file(s) would have had on disk, for the
     text decoded so far.
 

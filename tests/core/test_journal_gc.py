@@ -7,6 +7,8 @@ pipeline drops the prefix at that point — and *only* at that point:
 an incomplete batch's replica must stay reconstructable byte-for-byte.
 """
 
+import json
+
 import pytest
 
 from repro.cloud.s3 import S3Service
@@ -132,3 +134,85 @@ class TestTriggerDuckTyping:
             journal, ["SRR1", "SRR2"], {"SRR1": terminal, "SRR2": terminal}
         )
         assert bucket.keys("runs/f/") == []
+
+
+class Stop(Exception):
+    """Stands in for the instance dying in the middle of a collection."""
+
+
+def stop_after(bucket, n: int) -> None:
+    """Make ``bucket.delete`` raise :class:`Stop` once ``n`` deletes ran."""
+    delete, done = bucket.delete, []
+
+    def stopping(key):
+        if len(done) == n:
+            raise Stop(key)
+        done.append(key)
+        return delete(key)
+
+    bucket.delete = stopping
+
+
+def finished_batch(tmp_path, bucket, prefix) -> ReplicatedJournal:
+    """A replicated journal of a batch whose accessions are all terminal."""
+    journal = ReplicatedJournal(tmp_path / "run.journal", bucket, prefix)
+    journal.record_batch_start(["SRR1", "SRR2"], {"k": "v"})
+    journal.record_align_shard("SRR1", 0, 8, "fp", {"v": 0})
+    journal.record_completed("SRR1", {"status": "accepted"})
+    journal.record_failed("SRR2", {"status": "failed"})
+    journal.close()
+    return journal
+
+
+def records(text: str) -> list[dict]:
+    return [json.loads(line) for line in text.splitlines()]
+
+
+class TestInterruptedCollection:
+    """A collection stopped after any of its deletes leaves a replica an
+    adopter can still rebuild: a prefix of the journal, or nothing."""
+
+    N_OBJECTS = 5  # four segments and the manifest
+
+    @pytest.mark.parametrize("n", range(N_OBJECTS + 1))
+    def test_every_stopping_point_rebuilds_a_prefix(self, tmp_path, bucket, n):
+        journal = finished_batch(tmp_path, bucket, "runs/g")
+        whole = records(journal.path.read_text())
+        assert len(bucket.keys("runs/g/")) == self.N_OBJECTS
+        stop_after(bucket, n)
+        with pytest.raises(Stop):
+            journal.collect_garbage()
+        rebuilt = reconstruct_journal(bucket, "runs/g", tmp_path / "adopted")
+        replayed = records(rebuilt.path.read_text())
+        assert replayed == whole[: len(replayed)]
+        # the manifest goes first, then one segment per delete
+        assert len(replayed) == len(whole) - max(0, n - 1)
+
+    def test_a_second_collection_finishes(self, tmp_path, bucket):
+        journal = finished_batch(tmp_path, bucket, "runs/h")
+        stop_after(bucket, 2)
+        with pytest.raises(Stop):
+            journal.collect_garbage()
+        del bucket.delete  # the successor's bucket deletes normally
+        assert journal.collect_garbage() == self.N_OBJECTS - 2
+        assert bucket.keys("runs/h/") == []
+
+
+class TestOlderBuildReplica:
+    def test_adopted_replica_leaves_no_key_behind(self, tmp_path, bucket):
+        """Older builds kept unsealed lines in a ``tail`` object; an
+        adopter that finishes the batch collects it with the rest."""
+        old = ReplicatedJournal(tmp_path / "old.journal", bucket, "runs/i")
+        old.record_batch_start(["SRR1", "SRR2"], {"k": "v"})
+        old.record_completed("SRR1", {"status": "accepted"})
+        old.close()
+        bucket.put("runs/i/tail", 0, now=0.0, payload="")
+        adopted = reconstruct_journal(bucket, "runs/i", tmp_path / "adopted")
+        journal = ReplicatedJournal(adopted.path, bucket, "runs/i")
+        journal.record_completed("SRR2", {"status": "accepted"})
+        journal.close()
+        terminal = type("R", (), {"status": type("S", (), {"terminal": True})()})()
+        TranscriptomicsAtlasPipeline._collect_journal_garbage(
+            journal, ["SRR1", "SRR2"], {"SRR1": terminal, "SRR2": terminal}
+        )
+        assert bucket.keys("runs/i/") == []

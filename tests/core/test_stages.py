@@ -2,8 +2,14 @@
 
 import pytest
 
+import repro.core.stages as stages_module
+import repro.reads.fastq as fastq_module
 from repro.core.early_stopping import EarlyStoppingPolicy
-from repro.core.pipeline import PipelineConfig, TranscriptomicsAtlasPipeline
+from repro.core.pipeline import (
+    PipelineConfig,
+    RunStatus,
+    TranscriptomicsAtlasPipeline,
+)
 from repro.core.stages import (
     AlignStage,
     Deseq2Stage,
@@ -15,6 +21,7 @@ from repro.core.stages import (
     StageMetrics,
     default_stages,
 )
+from repro.reads.fastq import FastqRecord
 from repro.reads.library import LibraryType, SampleProfile
 from repro.reads.sra import SraArchive, SraRepository
 
@@ -88,6 +95,39 @@ class TestStageExecution:
         assert ctx.state["download_bytes_total"] == ctx.sra_path.stat().st_size
         assert ctx.star_result is not None
         assert ctx.star_result.final.reads_processed > 0
+
+    def test_sequential_batch_never_parses_the_fastq(self, pipeline, monkeypatch):
+        """The FASTQ file is written, but the align stage aligns the reads
+        fasterq-dump framed: no ``iter_fastq`` call in a whole batch."""
+        parse, calls = fastq_module.iter_fastq, []
+
+        def counted(path):
+            calls.append(path)
+            return parse(path)
+
+        monkeypatch.setattr(fastq_module, "iter_fastq", counted)
+        monkeypatch.setattr(stages_module, "iter_fastq", counted)
+        (result,) = pipeline.run_batch([ACC])
+        assert result.status is not RunStatus.FAILED
+        assert (pipeline.workspace / ACC / f"{ACC}.fastq").exists()
+        assert calls == []
+
+    def test_empty_read_id_fails_the_dump_step(self, aligner_r111, tmp_path):
+        """Read ids are cut while the dump frames them, so an empty one
+        fails the retried ``fasterq_dump`` step, before any alignment."""
+        repo = SraRepository()
+        records = [
+            FastqRecord.from_strings("r1", "ACGT", "IIII"),
+            FastqRecord.from_strings(" ", "ACGT", "IIII"),
+        ]
+        repo.deposit(SraArchive("SRRNOID", LibraryType.BULK_POLYA, records))
+        pipeline = TranscriptomicsAtlasPipeline(repo, aligner_r111, tmp_path)
+        (result,) = pipeline.run_batch(["SRRNOID"])
+        assert result.status is RunStatus.FAILED
+        assert result.failure.step == "fasterq_dump"
+        assert result.failure.attempts == pipeline.config.retry.max_attempts
+        assert "SRRNOID: record 2: empty read id" in result.failure.error
+        assert list((tmp_path / "SRRNOID").glob("*.fastq")) == []
 
     def test_deseq2_stage_matches_normalize(self, pipeline):
         pipeline.run_batch([ACC])

@@ -25,7 +25,9 @@ from repro.reads.fastq import (
     FastqFramer,
     FastqRecord,
     MAX_PHRED,
+    ReadBatch,
     iter_fastq,
+    read_fastq,
     write_fastq,
 )
 from repro.reads.paired import PairedSraArchive, fasterq_dump_paired
@@ -57,9 +59,9 @@ records_fields = st.lists(fields(), min_size=1, max_size=25)
 block_sizes = st.sampled_from([1, 7, 64, 333, 4096])
 
 
-def fastq_text(items, line_end="\n") -> bytes:
+def fastq_text(items, line_end="\n", plus="") -> bytes:
     return "".join(
-        f"@{rid}{line_end}{seq}{line_end}+{line_end}{qual}{line_end}"
+        f"@{rid}{line_end}{seq}{line_end}+{plus}{line_end}{qual}{line_end}"
         for rid, seq, qual in items
     ).encode("ascii")
 
@@ -76,14 +78,22 @@ def archive_blob(magic: bytes, header: dict, text: bytes) -> bytes:
     return magic + struct.pack("<HI", 1, len(blob)) + blob + zlib.compress(text, 6)
 
 
-def single_blob(items, line_end="\n") -> bytes:
+def single_blob(items, line_end="\n", plus="") -> bytes:
     header = {"accession": "SRRC1", "library": "bulk_polya", "n_reads": len(items)}
-    return archive_blob(b"SRAR", header, fastq_text(items, line_end))
+    return archive_blob(b"SRAR", header, fastq_text(items, line_end, plus))
 
 
-def paired_blob(items) -> bytes:
+def paired_blob(items, line_end="\n", plus="") -> bytes:
     header = {"accession": "SRRC2", "library": "bulk_polya", "n_pairs": len(items) // 2}
-    return archive_blob(b"SRAP", header, fastq_text(items))
+    return archive_blob(b"SRAP", header, fastq_text(items, line_end, plus))
+
+
+def same_batch(a: ReadBatch, b: ReadBatch) -> bool:
+    """Equal ids, base codes, Phred scores and offsets."""
+    return a.read_ids == b.read_ids and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("sequence", "qualities", "offsets")
+    )
 
 
 def same(a: list[FastqRecord], b: list[FastqRecord]) -> bool:
@@ -176,7 +186,8 @@ class TestFileEntryPoint:
     def test_iter_fastq_is_lazy(self, tmp_path):
         """The first record comes out before the reader reaches the end
         of a file several blocks long (whose last record is malformed)."""
-        good = fastq_text([(f"r{i}", "ACGT" * 25, "I" * 100) for i in range(2000)])
+        n = 4 * fastq_module.BLOCK_BYTES // 200  # records of 208+ bytes
+        good = fastq_text([(f"r{i}", "ACGT" * 25, "I" * 100) for i in range(n)])
         assert len(good) > 3 * fastq_module.BLOCK_BYTES
         path = tmp_path / "long.fastq"
         path.write_bytes(good + b"@bad\nACGT\n+\nIII\n")
@@ -204,29 +215,61 @@ class TestArchiveEntryPoints:
         assert same(archive.mate2, expected[1::2])
 
     @settings(max_examples=40, deadline=None)
-    @given(records_fields, block_sizes, st.booleans())
-    def test_fasterq_dump_is_the_writer(self, tmp_path_factory, items, size, crlf):
+    @given(records_fields, block_sizes, st.booleans(), st.sampled_from(["", " c"]))
+    def test_fasterq_dump_is_the_writer(
+        self, tmp_path_factory, items, size, crlf, plus
+    ):
+        """The dump writes what ``write_fastq`` renders and returns what
+        ``read_fastq`` reads back: CRLFs, text after '+', IUPAC bases and
+        id comments included."""
         tmp = tmp_path_factory.mktemp("dump")
         sra = tmp / "SRRC1.sra"
-        sra.write_bytes(single_blob(items, "\r\n" if crlf else "\n"))
+        sra.write_bytes(single_blob(items, "\r\n" if crlf else "\n", plus))
         with small_blocks(size):
-            dumped = fasterq_dump(sra, tmp / "out")
+            dumped, reads = fasterq_dump(sra, tmp / "out")
         expected = tmp / "expected.fastq"
         write_fastq(reference(items, whole_ids=True), expected)
         assert dumped.read_bytes() == expected.read_bytes()
+        assert same_batch(reads, read_fastq(dumped))
 
     @settings(max_examples=25, deadline=None)
-    @given(records_fields.filter(lambda items: len(items) % 2 == 0), block_sizes)
-    def test_fasterq_dump_paired_splits_by_parity(self, tmp_path_factory, items, size):
+    @given(
+        records_fields.filter(lambda items: len(items) % 2 == 0),
+        block_sizes,
+        st.booleans(),
+        st.sampled_from(["", " c"]),
+    )
+    def test_fasterq_dump_paired_splits_by_parity(
+        self, tmp_path_factory, items, size, crlf, plus
+    ):
         tmp = tmp_path_factory.mktemp("dump")
         sra = tmp / "SRRC2.sra"
-        sra.write_bytes(paired_blob(items))
+        sra.write_bytes(paired_blob(items, "\r\n" if crlf else "\n", plus))
         with small_blocks(size):
-            p1, p2 = fasterq_dump_paired(sra, tmp / "out")
+            paths, mates = fasterq_dump_paired(sra, tmp / "out")
         expected = reference(items, whole_ids=True)
-        for path, mates in ((p1, expected[0::2]), (p2, expected[1::2])):
-            write_fastq(mates, tmp / "expected.fastq")
+        for path, reads, records in zip(paths, mates, (expected[0::2], expected[1::2])):
+            write_fastq(records, tmp / "expected.fastq")
             assert path.read_bytes() == (tmp / "expected.fastq").read_bytes()
+            assert same_batch(reads, read_fastq(path))
+
+    def test_dumped_reads_span_real_blocks(self, tmp_path):
+        """At the real block size too, both layouts, over several blocks."""
+        items = [
+            (f"{rid} len=100", seq.lower() if i % 3 else seq, qual)
+            for i, (rid, seq, qual) in enumerate(items_over(2))
+        ]
+        items = items[: len(items) // 2 * 2]
+        (tmp_path / "SRRC1.sra").write_bytes(single_blob(items, "\r\n", "c"))
+        (tmp_path / "SRRC2.sra").write_bytes(paired_blob(items, "\r\n", "c"))
+        path, reads = fasterq_dump(tmp_path / "SRRC1.sra", tmp_path / "out")
+        assert path.stat().st_size > 2 * fastq_module.BLOCK_BYTES
+        assert same_batch(reads, read_fastq(path))
+        assert reads.read_ids[1] == "r1"
+        paths, mates = fasterq_dump_paired(tmp_path / "SRRC2.sra", tmp_path / "out")
+        for path, reads in zip(paths, mates):
+            assert same_batch(reads, read_fastq(path))
+        assert len(mates[0]) == len(mates[1]) == len(items) // 2
 
     def test_failed_dump_leaves_no_output(self, tmp_path):
         sra = tmp_path / "SRRC1.sra"
@@ -259,7 +302,7 @@ class TestStreamEntryPoint:
         tmp = tmp_path_factory.mktemp("dump")
         sra = tmp / "SRRC1.sra"
         sra.write_bytes(repo.fetch_bytes("SRRC1"))
-        assert stream.fastq_bytes == fasterq_dump(sra, tmp).stat().st_size
+        assert stream.fastq_bytes == fasterq_dump(sra, tmp)[0].stat().st_size
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -283,7 +326,7 @@ class TestStreamEntryPoint:
 
 
 def long_items(n: int = 400) -> list[tuple[str, str, str]]:
-    """Records whose text is several inflate blocks long."""
+    """``n`` records of 100 random bases, 208 or more bytes of text each."""
     rng = np.random.default_rng(5)
     return [
         (
@@ -295,16 +338,22 @@ def long_items(n: int = 400) -> list[tuple[str, str, str]]:
     ]
 
 
+def items_over(blocks: int) -> list[tuple[str, str, str]]:
+    """Records whose text is more than ``blocks`` framing blocks long."""
+    return long_items(blocks * fastq_module.BLOCK_BYTES // 200)
+
+
 class TestPayloadBounds:
     """Bytes after the end of the zlib stream are rejected on every path,
     and inflating never hands zlib more than one block of input."""
 
     def test_dumps_reject_trailing_bytes(self, tmp_path):
-        assert len(fastq_text(long_items())) > 2 * fastq_module.BLOCK_BYTES
+        items = items_over(2)
+        assert len(fastq_text(items)) > 2 * fastq_module.BLOCK_BYTES
         single = tmp_path / "SRRC1.sra"
-        single.write_bytes(single_blob(long_items()) + b"x")
+        single.write_bytes(single_blob(items) + b"x")
         paired = tmp_path / "SRRC2.sra"
-        paired.write_bytes(paired_blob(long_items()) + b"x")
+        paired.write_bytes(paired_blob(items) + b"x")
         with within(30):
             with pytest.raises(ValueError, match="trailing bytes"):
                 fasterq_dump(single, tmp_path / "out")
@@ -331,14 +380,15 @@ class TestPayloadBounds:
             list(stream.chunks())
 
     def test_inflate_input_is_bounded(self):
+        items = items_over(3)
         _, payload = sra_module.unpack_archive(
-            single_blob(long_items()), sra_module.MAGIC_SINGLE
+            single_blob(items), sra_module.MAGIC_SINGLE
         )
         assert len(payload) > fastq_module.BLOCK_BYTES
         decoder = PayloadDecoder("SRRC1", paired=False)
         decoder._inflater = inflater = RecordingInflater()
         blocks = [*decoder.feed(payload), *decoder.finish()]
-        assert sum(block.n_records for block in blocks) == 400
+        assert sum(block.n_records for block in blocks) == len(items)
         assert max(inflater.fed) <= fastq_module.BLOCK_BYTES
 
 

@@ -116,7 +116,7 @@ class TestPairedArchive:
         )
         sra = tmp_path / "SRRP002.sra"
         sra.write_bytes(archive.to_bytes())
-        p1, p2 = fasterq_dump_paired(sra, tmp_path / "fq")
+        (p1, p2), _ = fasterq_dump_paired(sra, tmp_path / "fq")
         assert p1.name == "SRRP002_1.fastq"
         assert p2.name == "SRRP002_2.fastq"
         back1 = read_fastq(p1)

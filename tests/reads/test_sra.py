@@ -124,7 +124,7 @@ class TestTools:
         repo = SraRepository()
         repo.deposit(archive)
         sra_path = prefetch(repo, "SRR123", tmp_path)
-        fastq_path = fasterq_dump(sra_path, tmp_path / "fastq")
+        fastq_path, _ = fasterq_dump(sra_path, tmp_path / "fastq")
         records = read_fastq(fastq_path)
         assert len(records) == archive.n_reads
         assert records[0].sequence_str == archive.records[0].sequence_str
@@ -138,7 +138,7 @@ class TestTools:
         repo = SraRepository()
         repo.deposit(archive)
         sra_path = prefetch(repo, "SRR123", tmp_path)
-        fastq_path = fasterq_dump(sra_path, tmp_path / "fq")
+        fastq_path, _ = fasterq_dump(sra_path, tmp_path / "fq")
         rebuilt = archive_from_fastq("SRR123", fastq_path, LibraryType.BULK_POLYA)
         assert rebuilt.n_reads == archive.n_reads
         assert rebuilt.to_bytes() == archive.to_bytes()

@@ -80,18 +80,20 @@ class TestSraStreamSingleEnd:
         assert stream.total_bytes == repository.archive_bytes(SE)
 
     def test_records_match_fasterq_dump(self, repository, tmp_path):
-        """Streamed decode ≡ prefetch → fasterq-dump → iter_fastq."""
+        """Streamed decode ≡ prefetch → fasterq-dump, both the reads the
+        dump hands over and the file read back with iter_fastq."""
         sra = prefetch(repository, SE, tmp_path)
-        fastq = fasterq_dump(sra, tmp_path)
+        fastq, dumped = fasterq_dump(sra, tmp_path)
         sequential = [r for batch in iter_fastq(fastq) for r in batch]
         stream = SraStream(repository, SE, chunk_bytes=512, chunk_reads=16)
         streamed = [r for chunk in stream.chunks() for r in chunk]
-        assert len(streamed) == len(sequential)
+        assert len(streamed) == len(sequential) == len(dumped)
         assert all(records_equal(a, b) for a, b in zip(streamed, sequential))
+        assert all(records_equal(a, b) for a, b in zip(streamed, dumped))
 
     def test_fastq_bytes_match_on_disk_size(self, repository, tmp_path):
         sra = prefetch(repository, SE, tmp_path)
-        fastq = fasterq_dump(sra, tmp_path)
+        fastq, _ = fasterq_dump(sra, tmp_path)
         stream = SraStream(repository, SE, chunk_bytes=777)
         for _ in stream.chunks():
             pass
