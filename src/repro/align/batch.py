@@ -140,16 +140,13 @@ class PackedReadBatch:
         lengths = np.concatenate([fwd_lengths, fwd_lengths])
         offsets = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        if fwd.size:
-            # reverse each segment in place of a per-read [::-1]: position j
-            # of the pool maps to its segment-mirrored twin
-            starts = np.repeat(offsets[:n_reads], fwd_lengths)
-            lens = np.repeat(fwd_lengths, fwd_lengths)
-            mirror = 2 * starts + lens - 1 - np.arange(fwd.size, dtype=np.int64)
-            rev = complement(fwd)[mirror]
-            bases = np.concatenate([fwd, rev])
-        else:
-            bases = np.zeros(0, dtype=np.uint8)
+        # the complemented reversed pool holds every read's reverse
+        # complement, last read first; one gather puts them in read order
+        rc = complement(fwd[::-1])
+        ends = offsets[1 : n_reads + 1]
+        back = np.repeat(fwd.size - ends - offsets[:n_reads], fwd_lengths)
+        back += np.arange(fwd.size, dtype=np.int64)
+        bases = np.concatenate([fwd, rc[back]])
         return cls(bases=bases, offsets=offsets, lengths=lengths, n_reads=n_reads)
 
 
@@ -455,18 +452,43 @@ def _gather_positions(
     total = int(starts[-1])
     if total == 0:
         return counts, starts, np.zeros(0, dtype=np.int64)
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts[:-1], counts)
-    positions = ctx.sa_arr[np.repeat(lo, counts) + within]
-    # the per-read path sorts each hit list; one interval-major lexsort
-    # sorts them all
-    seg = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    positions = positions[np.lexsort((positions, seg))]
-    return counts, starts, positions
+    at = np.repeat(lo - starts[:-1], counts)
+    at += np.arange(total, dtype=np.int64)
+    # the per-read path sorts each hit list; one sort of an interval-major
+    # (interval, position) int64 key sorts them all
+    bits = _hit_key_bits(ctx.n, counts.size)
+    key = np.repeat(np.arange(counts.size, dtype=np.int64) << bits, counts)
+    key |= ctx.sa_arr[at]
+    key.sort()
+    return counts, starts, key & ((1 << bits) - 1)
+
+
+def _hit_key_bits(n_bases: int, n_intervals: int) -> int:
+    """Low bits a genome position takes in a packed (interval, position)
+    sort key: enough for any position of an ``n_bases`` genome.
+
+    Raises :class:`ValueError` when interval ids up to ``n_intervals``
+    do not fit in the 63 bits left of a non-negative int64.
+    """
+    bits = int(n_bases).bit_length()
+    if n_intervals > 1 << (63 - bits):
+        raise ValueError(
+            f"{n_intervals} seed intervals do not fit in an int64 sort key "
+            f"beside {bits}-bit positions"
+        )
+    return bits
 
 
 # --------------------------------------------------------------------------
 # batch driver
 # --------------------------------------------------------------------------
+
+
+def _n_free(n_at: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Whether ``bases[start[i] : start[i] + length[i]]`` holds no N, given
+    the sorted positions ``n_at`` of the pool's N bases."""
+    before = np.searchsorted(n_at, start)
+    return np.searchsorted(n_at, start + length) == before
 
 
 def _contigs_of(index, positions: np.ndarray) -> np.ndarray:
@@ -638,13 +660,11 @@ def _place_reads(index, ctx, params, reads: ReadBatch) -> _Placements:
     )
     cand_q_arr = np.repeat(np.arange(n_segments, dtype=np.int64), counts)
 
-    # cumulative read-N counts: extension may skip a seed-verified prefix
-    # only when it is N-free (an N/N pair advances the seed walk yet
-    # counts as an extension mismatch)
-    n_cum = np.zeros(bases.size + 1, dtype=np.int64)
-    np.cumsum(bases == BASE_N, out=n_cum[1:])
-    seed_n = n_cum[offsets + seed_len] - n_cum[offsets]
-    seed_skip = np.where(seed_n == 0, seed_len, 0)
+    # read-N positions: extension may skip a seed-verified prefix only when
+    # it is N-free (an N/N pair advances the seed walk yet counts as an
+    # extension mismatch)
+    n_at = np.flatnonzero(bases == BASE_N)
+    seed_skip = np.where(_n_free(n_at, offsets, seed_len), seed_len, 0)
 
     ext_mm, ext_ok = batch_ungapped_extend(
         index,
@@ -663,10 +683,9 @@ def _place_reads(index, ctx, params, reads: ReadBatch) -> _Placements:
     cand_contig = _contigs_of(index, cand_pos_arr)
 
     # -- round 2: one remainder seed per segment that needs stitching -------
-    path1_fails = ~ext_accepts
-    stitch_q = np.unique(
-        cand_q_arr[path1_fails & (seed_len[cand_q_arr] < lengths[cand_q_arr])]
-    ) if cand_q_arr.size else cand_q_arr
+    needs_stitch = np.zeros(n_segments, dtype=bool)
+    needs_stitch[cand_q_arr[~ext_accepts]] = True
+    stitch_q = np.flatnonzero(needs_stitch & (seed_len < lengths))
     # per-candidate stitch winners: mismatches (-1 = none) and acceptor
     stitch_mm = np.full(cand_q_arr.size, -1, dtype=np.int64)
     stitch_acc = np.zeros(cand_q_arr.size, dtype=np.int64)
@@ -684,8 +703,8 @@ def _place_reads(index, ctx, params, reads: ReadBatch) -> _Placements:
         )
         rq_arr = np.repeat(stitch_q, r_counts)
         rem_off = offsets[stitch_q] + seed_len[stitch_q]
-        rem_n = n_cum[rem_off + rem_depth] - n_cum[rem_off]
-        rem_skip = np.repeat(np.where(rem_n == 0, rem_depth, 0), r_counts)
+        rem_free = _n_free(n_at, rem_off, rem_depth)
+        rem_skip = np.repeat(np.where(rem_free, rem_depth, 0), r_counts)
         rem_mm, rem_ok = batch_ungapped_extend(
             index,
             bases,

@@ -829,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help="replicate the journal to a simulated S3 bucket rooted at "
-        "this directory (one segment per record + a manifest; requires "
+        "this directory (one segment per record; requires "
         "--journal)",
     )
     p.add_argument(

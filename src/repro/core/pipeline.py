@@ -767,7 +767,7 @@ class TranscriptomicsAtlasPipeline:
 
         A replicated journal (see
         :class:`~repro.core.replication.ReplicatedJournal`) keeps
-        segment and manifest objects in S3 so a successor instance can
+        one segment object per record in S3 so a successor instance can
         adopt an interrupted batch.  Once every requested accession has
         a *terminal* result there is nothing left to adopt — the replica
         is garbage, and at atlas scale (thousands of journals) leaking

@@ -10,14 +10,15 @@ lifts durability one level up, onto the simulated S3 service
 * :class:`SegmentReplicator` / :class:`ReplicatedJournal` — every
   fsync'd journal line is mirrored to S3 *before the append returns*
   (fsync-ordered): it is sealed into its own immutable,
-  content-addressed segment object (``seg/NNNNNN-<sha256[:16]>``) and
-  listed in a ``manifest``.  The journal is a commit log (batch starts,
-  terminals and shard checkpoints), so every line is worth a segment.
+  content-addressed segment object (``seg/NNNNNN-<sha256[:16]>``), one
+  put per append.  The journal is a commit log (batch starts, terminals
+  and shard checkpoints), so every line is worth a segment.
 
 * :func:`reconstruct_journal` — a *different* instance rebuilds the
-  byte-exact journal from the segments and resumes the batch.
-  Segment hashes are verified against their keys on the way down
-  (:class:`ReplicaCorrupt` on mismatch).
+  byte-exact journal from the listed segments, in sequence order, and
+  resumes the batch.  Segment hashes are verified against their keys on
+  the way down (:class:`ReplicaCorrupt` on mismatch), and a gap in the
+  sequence numbers raises :class:`KeyError`.
 
 * :class:`BatchLease` — adoption guard.  A lease object in S3 carries a
   monotonically increasing **fencing token**; creation uses a
@@ -118,13 +119,21 @@ def _segment_key(prefix: str, seq: int, data: bytes) -> str:
     return f"{prefix}/seg/{seq:06d}-{digest}"
 
 
+def _segments(bucket: S3Bucket, prefix: str) -> list[str]:
+    """The prefix's segment keys in sequence order (zero padding keeps
+    the listing's order only below a million segments)."""
+    keys = bucket.keys(f"{prefix}/seg/")
+    return sorted(keys, key=lambda key: int(key.rsplit("/", 1)[1].split("-")[0]))
+
+
 class SegmentReplicator:
     """Mirrors journal lines to S3 with per-append durability.
 
     Every observed line lands in S3 before :meth:`observe` returns,
-    sealed into a segment of its own and listed in the manifest.
-    Segments are immutable, so a resuming instance attaching to a
-    prefix only numbers its segments after the ones already there.
+    sealed into a segment of its own: one put, since the segment keys
+    number the lines.  Segments are immutable, so a resuming instance
+    attaching to a prefix only numbers its segments after the ones
+    already there.
     """
 
     def __init__(self, bucket: S3Bucket, prefix: str) -> None:
@@ -132,43 +141,32 @@ class SegmentReplicator:
         self.prefix = prefix.rstrip("/")
         self._next_seq = len(bucket.keys(f"{self.prefix}/seg/"))
 
-    @property
-    def manifest_key(self) -> str:
-        return f"{self.prefix}/manifest"
-
     def observe(self, line: str, record: dict[str, Any]) -> None:
         """Replicate one just-fsync'd journal line (called under the
         journal's append lock, so ordering matches the file)."""
         data = line.encode("utf-8")
-        now = time.time()
         key = _segment_key(self.prefix, self._next_seq, data)
-        self.bucket.put(key, len(data), now=now, payload=line)
+        self.bucket.put(key, len(data), now=time.time(), payload=line)
         self._next_seq += 1
-        manifest = {
-            "segments": self.bucket.keys(f"{self.prefix}/seg/"),
-            "sealed": self._next_seq,
-        }
-        blob = json.dumps(manifest)
-        self.bucket.put(self.manifest_key, len(blob), now=now, payload=manifest)
 
     def drop_prefix(self) -> int:
-        """Delete the manifest, every segment and the ``tail`` object an
-        older build kept its unsealed lines in; returns the count.
+        """Delete the ``manifest`` and ``tail`` objects older builds kept,
+        then every segment; returns the count.
 
         The garbage-collection path for a batch that reached terminal
         state: segments accumulate per batch prefix forever otherwise.
         A later :func:`reconstruct_journal` of the dropped prefix yields
         an empty journal, which is correct (there is nothing left to
-        adopt).  The manifest goes first and the segments newest-first,
-        so a collection stopped after any delete leaves a replica that
-        rebuilds to a prefix of the journal, never a manifest listing a
-        deleted segment.  Only call this once the batch outcome is
-        durable elsewhere (the local journal and the results store).
+        adopt).  The segments go newest-first, so a collection stopped
+        after any delete leaves a replica that rebuilds to a prefix of
+        the journal, never one with a gap.  Only call this once the batch
+        outcome is durable elsewhere (the local journal and the results
+        store).
         """
-        dropped = int(self.bucket.delete(self.manifest_key))
-        for key in reversed(self.bucket.keys(f"{self.prefix}/seg/")):
-            dropped += int(self.bucket.delete(key))
-        dropped += int(self.bucket.delete(f"{self.prefix}/tail"))
+        older = [f"{self.prefix}/{name}" for name in ("manifest", "tail")]
+        keys = [key for key in older if key in self.bucket]
+        keys += reversed(_segments(self.bucket, self.prefix))
+        dropped = sum(int(self.bucket.delete(key)) for key in keys)
         self._next_seq = 0
         return dropped
 
@@ -206,22 +204,19 @@ def reconstruct_journal(
 ) -> RunJournal:
     """Rebuild a journal file from its S3 replica, on a fresh instance.
 
-    Concatenates the manifest's segments (plus any sealed after the
-    manifest's last write — the crash window between a segment put and
-    its manifest update), verifying each segment against its content
-    address.  The result replays identically to the dead instance's
-    local file.
+    Concatenates the listed segments in sequence order, verifying each
+    against its content address; the result replays identically to the
+    dead instance's local file.  A segment missing from the end reads
+    as a crash one append earlier, which is a prefix of the journal; one
+    missing from the middle raises :class:`KeyError`, since no crash
+    leaves that gap.  A ``manifest`` an older build wrote is ignored:
+    the listing holds every segment it named.
     """
     prefix = prefix.rstrip("/")
-    manifest_obj = bucket.head(f"{prefix}/manifest")
-    listed = bucket.keys(f"{prefix}/seg/")
-    if manifest_obj is not None and manifest_obj.payload:
-        keys = list(manifest_obj.payload["segments"])
-        keys.extend(k for k in listed if k not in set(keys))
-    else:
-        keys = listed
     parts: list[str] = []
-    for key in keys:
+    for seq, key in enumerate(_segments(bucket, prefix)):
+        if not key.startswith(f"{prefix}/seg/{seq:06d}-"):
+            raise KeyError(f"{prefix}/seg/{seq:06d}: segment missing from replica")
         text = bucket.get(key).payload or ""
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
         if not key.endswith(digest):

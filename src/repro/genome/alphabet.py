@@ -61,7 +61,7 @@ def decode(codes: np.ndarray) -> str:
 
 def complement(codes: np.ndarray) -> np.ndarray:
     """Vectorized complement (A<->T, C<->G, N->N)."""
-    return _COMPLEMENT_LUT[np.asarray(codes, dtype=np.uint8)]
+    return _COMPLEMENT_LUT.take(np.asarray(codes, dtype=np.uint8))
 
 
 def reverse_complement(codes: np.ndarray) -> np.ndarray:

@@ -51,9 +51,12 @@ MAX_PHRED = 41
 BLOCK_BYTES = 256 * 1024
 
 _LF, _CR, _AT, _PLUS = b"\n\r@+"
-#: the bytes ``str.split()`` splits on, bar the line feed: where a FASTQ
-#: reader's read id ends
-_ID_BREAK = np.array([chr(c).isspace() and c != _LF for c in range(256)])
+#: the bytes ``str.split()`` splits on, all at most a space (32): where a
+#: FASTQ reader's read id ends
+_SPACE = np.array([chr(c).isspace() for c in range(256)])
+#: what a cut read id keeps of its header: the whitespace before the first
+#: word no, the word yes, the rest no, the line feed yes
+_CUT_SPANS = np.array([False, True, False, True])
 
 # What each byte of framed text is.  Every line is four spans — marker,
 # content, optional CR, LF — and a record's four lines give the spans
@@ -234,19 +237,19 @@ class ReadBatch(Sequence):
     def __getitem__(self, key):
         if isinstance(key, slice):
             start, stop, step = key.indices(len(self))
+            if step < 0:
+                return ReadBatch.of([self[i] for i in range(start, stop, step)])
             if step != 1:
                 # a strided slice (one mate of an interleaved batch) gathers
-                # its reads' bases by position
-                rows = np.arange(start, stop, step)
-                lengths = self.lengths[rows]
-                offsets = np.zeros(rows.size + 1, dtype=np.int64)
-                np.cumsum(lengths, out=offsets[1:])
-                at = np.arange(offsets[-1]) + np.repeat(
-                    self.offsets[rows] - offsets[:-1], lengths
-                )
-                return ReadBatch(
-                    self.read_ids[key], self.sequence[at], self.qualities[at], offsets
-                )
+                # its reads' bases through a per-base mask of its rows
+                lengths = self.lengths
+                picked = np.zeros(len(self), dtype=bool)
+                picked[key] = True
+                keep = np.repeat(picked, lengths)
+                offsets = np.zeros(int(picked.sum()) + 1, dtype=np.int64)
+                np.cumsum(lengths[key], out=offsets[1:])
+                ids, seq, qual = self.read_ids[key], self.sequence, self.qualities
+                return ReadBatch(ids, seq[keep], qual[keep], offsets)
             stop = max(start, stop)
             lo, hi = self.offsets[start], self.offsets[stop]
             return ReadBatch(
@@ -309,22 +312,38 @@ class FastqBlock:
         return int(self.id_len.sum() + 2 * self.seq_len.sum()) + 6 * self.n_records
 
     def _read_ids(self, *, whole: bool) -> list[str]:
-        """Each record's header after the '@': whole, or up to the first
-        whitespace (an id left empty then raises)."""
+        """Each record's header after the '@': whole, or its first word as
+        ``str.split()`` finds it (an id left empty then raises)."""
         raw = self.text[self.kind == _ID]
+        if not whole:
+            raw = self._first_words(raw)
         ids = raw.tobytes().decode("ascii").split("\n")
         ids.pop()
-        if whole or not (_ID_BREAK[raw].any() or (self.id_len == 0).any()):
-            return ids
-        cut = []
-        for i, header in enumerate(ids):
-            words = header.split(None, 1)
-            if not words:
-                raise ValueError(
-                    f"{self.source}: record {self.first + i + 1}: empty read id"
-                )
-            cut.append(words[0])
-        return cut
+        return ids
+
+    def _first_words(self, raw: np.ndarray) -> np.ndarray:
+        """``raw``, the headers each ending in its line feed, cut to each
+        header's first run of non-whitespace and its line feed."""
+        low = np.flatnonzero(raw <= 32)
+        gaps = low[_SPACE.take(raw[low])]  # every line feed among them
+        if gaps.size == self.n_records and self.id_len.all():
+            return raw
+        ends = np.cumsum(self.id_len + 1) - 1
+        heads = ends - self.id_len
+        # a word starts after the last gap of each run of gaps (a gap
+        # before the text stands in for the previous line feed); the last
+        # start, past the text, means no word
+        runs = np.concatenate([[-1], gaps])
+        words = runs[np.append(np.flatnonzero(np.diff(runs) != 1), gaps.size)] + 1
+        begin = words[np.searchsorted(words, heads)]
+        empty = np.flatnonzero(begin > ends)
+        if empty.size:
+            number = self.first + int(empty[0]) + 1
+            raise ValueError(f"{self.source}: record {number}: empty read id")
+        end = gaps[np.searchsorted(gaps, begin)]
+        spans = np.stack([begin - heads, end - begin, ends - end, np.ones_like(end)])
+        keep = np.repeat(np.tile(_CUT_SPANS, self.n_records), spans.T.ravel())
+        return raw[keep]
 
     def batch(self, *, whole_ids: bool = False) -> ReadBatch:
         """The block's records as one batch of base codes and Phred scores."""

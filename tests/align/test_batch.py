@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.align.batch import align_read_batch
+from repro.align.batch import PackedReadBatch, align_read_batch
 from repro.align.counts import GeneCounts
 from repro.align.index import GenomeIndex
 from repro.align.outcome import (
@@ -30,7 +30,7 @@ from repro.align.outcome import (
 from repro.align.paired import PairedParameters, PairedStarAligner, PairedTally
 from repro.align.star import SingleEndTally, StarAligner, StarParameters
 from repro.align.suffix_array import build_suffix_array
-from repro.genome.alphabet import BASE_N, reverse_complement
+from repro.genome.alphabet import BASE_A, BASE_G, BASE_N, BASE_T, reverse_complement
 from repro.reads.fastq import FastqRecord, ReadBatch
 from tests.align.repeats import repeat_cases
 
@@ -138,6 +138,180 @@ class TestRandomGenomes:
         records.append(as_record(np.zeros(0, dtype=np.uint8), "empty"))
         aligner = StarAligner(index, StarParameters(quant_gene_counts=False))
         assert_batch_matches(aligner, records)
+
+
+def one_contig_index(genome: np.ndarray) -> GenomeIndex:
+    genome = np.asarray(genome, dtype=np.uint8)
+    return GenomeIndex(
+        assembly_name="edges",
+        genome=genome,
+        suffix_array=build_suffix_array(genome),
+        offsets=np.array([0, genome.size], dtype=np.int64),
+        names=["c0"],
+    )
+
+
+def plant_intron(genome: np.ndarray, donor: int, acceptor: int) -> None:
+    """GT..AG, and an acceptor base unlike the donor's G, so a spliced
+    read's prefix seed ends at the junction."""
+    genome[donor : donor + 2] = (BASE_G, BASE_T)
+    genome[acceptor - 2 : acceptor + 1] = (BASE_A, BASE_G, BASE_A)
+
+
+def spliced(genome: np.ndarray, donor: int, acceptor: int, first: int, length: int):
+    """A read whose first ``first`` bases end at the donor and whose rest
+    starts at the acceptor."""
+    return np.concatenate(
+        [genome[donor - first : donor], genome[acceptor : acceptor + length - first]]
+    )
+
+
+def both_orientations(seqs: list[np.ndarray], tag: str) -> list[FastqRecord]:
+    return [
+        as_record(seq, f"{tag}{i}{side}")
+        for i, read in enumerate(seqs)
+        for side, seq in (("f", read), ("r", reverse_complement(read)))
+    ]
+
+
+def seed_calls(monkeypatch) -> list[int]:
+    """Record the query count of every batch MMP call."""
+    import repro.align.batch as batch
+
+    calls, search = [], batch.batch_mmp
+
+    def counting(ctx, bases, qoff, qlen):
+        calls.append(len(qoff))
+        return search(ctx, bases, qoff, qlen)
+
+    monkeypatch.setattr(batch, "batch_mmp", counting)
+    return calls
+
+
+class TestKernelEdges:
+    """Inputs at the edges of the core's array kernels: where a read-side
+    N sits in a seed, which segments the packed pool holds, which
+    segments enter the stitch set."""
+
+    LENGTH, FIRST = 60, 30  # read length, first block of a spliced read
+
+    @pytest.mark.parametrize(
+        "edge", ["seed_first", "seed_last", "remainder_first", "remainder_last"]
+    )
+    def test_n_at_the_edge_of_a_seed(self, edge):
+        """An N the seed walk matched against a genome N is a mismatch to
+        extension, so a seed or remainder seed that starts or ends on one
+        is not a verified prefix."""
+        rng = np.random.default_rng(41)
+        genome = rng.integers(0, 4, 4000).astype(np.uint8)
+        length, first = self.LENGTH, self.FIRST
+        reads = []
+        for k in range(6):
+            at = 200 + 600 * k
+            if edge == "seed_first":
+                genome[at] = BASE_N
+                reads.append(genome[at : at + length].copy())
+            elif edge == "seed_last":
+                cut = 10 + 7 * k  # the seed ends on the N at cut - 1
+                genome[at + cut - 1] = BASE_N
+                read = genome[at : at + length].copy()
+                read[cut] = (read[cut] + 1) % 4
+                reads.append(read)
+            else:
+                donor, acceptor = at + first, at + first + 100
+                plant_intron(genome, donor, acceptor)
+                rest = length - first
+                n_at = acceptor if edge == "remainder_first" else acceptor + rest - 1
+                genome[n_at] = BASE_N
+                reads.append(spliced(genome, donor, acceptor, first, length))
+        aligner = StarAligner(one_contig_index(genome), StarParameters())
+        records = both_orientations(reads, edge)
+        expected = oracle(aligner, records)
+        # every read places, and the N counts as a mismatch
+        assert all(o.status is AlignmentStatus.UNIQUE for o in expected)
+        assert all(o.mismatches >= 1 for o in expected)
+        assert align_read_batch(aligner, ReadBatch.of(records)) == expected
+
+    def test_all_n_reads(self):
+        """An all-N read seeds through a genome N run as long as itself
+        (and past it, up to the run's end), and no further anywhere else."""
+        rng = np.random.default_rng(42)
+        genome = rng.integers(0, 4, 3000).astype(np.uint8)
+        genome[1000:1080] = BASE_N
+        aligner = StarAligner(one_contig_index(genome), StarParameters())
+        records = [
+            as_record(np.full(n, BASE_N, dtype=np.uint8), f"n{n}")
+            for n in (1, 9, 10, 11, 50, 80, 100)
+        ]
+        records += sample_reads(rng, aligner.index, n_reads=12)
+        assert_batch_matches(aligner, records)
+
+    def test_zero_length_and_different_length_reads(self):
+        rng = np.random.default_rng(43)
+        index = random_index(rng, n_contigs=2, contig_len=600)
+        lengths = [0, 50, 0, 0, 17, 100, 1, 0, 73, 12, 0, 31, 0]
+        records = []
+        for i, n in enumerate(lengths):
+            start = int(rng.integers(0, index.genome.size - n))
+            seq = index.genome[start : start + n].copy()
+            if i % 3 == 1 and n:
+                seq = reverse_complement(seq)
+            records.append(as_record(seq, f"z{i}"))
+        packed = PackedReadBatch.pack(ReadBatch.of(records))
+        live = [r.sequence for r in records if r.length]
+        assert packed.n_reads == len(live)
+        segments = [
+            packed.bases[lo : lo + n]
+            for lo, n in zip(packed.offsets[:-1].tolist(), packed.lengths.tolist())
+        ]
+        assert [s.tolist() for s in segments] == [
+            s.tolist() for s in live + [reverse_complement(s) for s in live]
+        ]
+        aligner = StarAligner(index, StarParameters(quant_gene_counts=False))
+        assert_batch_matches(aligner, records)
+
+    def test_no_segment_needs_stitching(self, monkeypatch):
+        """Every segment places, or seeds over its whole length: exact and
+        once-substituted reads on a genome holding both strands, and all-N
+        reads that seed through a genome N run and fail extension."""
+        rng = np.random.default_rng(44)
+        half = rng.integers(0, 4, 1500).astype(np.uint8)
+        half[700:760] = BASE_N
+        genome = np.concatenate([half, rng.integers(0, 4, 50), reverse_complement(half)])
+        aligner = StarAligner(one_contig_index(genome), StarParameters())
+        records = []
+        for i in range(16):
+            start = int(rng.integers(0, 600)) + (800 if i % 2 else 0)
+            seq = half[start : start + 50].copy()
+            if i % 4 > 1:
+                seq[25] = (seq[25] + 1) % 4
+            records.append(as_record(seq, f"x{i}"))
+        records += [as_record(np.full(40, BASE_N, dtype=np.uint8), "n40")]
+        expected = oracle(aligner, records)
+        calls = seed_calls(monkeypatch)
+        assert align_read_batch(aligner, ReadBatch.of(records)) == expected
+        assert calls == [2 * len(records)]  # the prefix seeds, no remainder
+
+    def test_every_segment_needs_stitching(self, monkeypatch):
+        """Spliced and random reads: no segment of either orientation
+        places contiguously, so every one is stitched."""
+        rng = np.random.default_rng(45)
+        genome = rng.integers(0, 4, 4000).astype(np.uint8)
+        length, first = self.LENGTH, self.FIRST
+        reads = []
+        for k in range(6):
+            donor = 100 + 600 * k + first
+            acceptor = donor + 40 + 50 * k
+            plant_intron(genome, donor, acceptor)
+            reads.append(spliced(genome, donor, acceptor, first, length))
+        reads += [rng.integers(0, 4, length).astype(np.uint8) for _ in range(4)]
+        aligner = StarAligner(one_contig_index(genome), StarParameters())
+        records = both_orientations(reads, "s")
+        expected = oracle(aligner, records)
+        assert sum(o.spliced for o in expected) >= 6
+        calls = seed_calls(monkeypatch)
+        assert align_read_batch(aligner, ReadBatch.of(records)) == expected
+        assert calls[1] == 2 * len(records)  # a remainder seed per segment
 
 
 class TestSimulatedSample:

@@ -9,14 +9,16 @@ aside, which only the batch path counts).  Inputs reach the closed
 form's edges: genomes with N runs, reads shorter than the ten-symbol key
 and than the jump table's k-mer, query starts inside the read, an index
 without a jump table, and the repeat-rich genomes of
-:mod:`tests.align.repeats`.
+:mod:`tests.align.repeats`.  The hit lists the batch core gathers from
+the intervals must equal the per-read ones too: cut at ``max_hits``,
+then sorted.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.align.batch import batch_mmp
+from repro.align.batch import _gather_positions, _hit_key_bits, batch_mmp
 from repro.align.index import GenomeIndex, genome_generate
 from repro.align.seeds import maximal_mappable_prefix
 from repro.align.suffix_array import SUFFIX_KEY_LENGTH
@@ -25,12 +27,15 @@ from repro.genome.model import Assembly, Contig
 from tests.align.repeats import repeat_cases
 
 
-def assert_seed_parity(index: GenomeIndex, queries: list[tuple[np.ndarray, int]]):
+def assert_seed_parity(
+    index: GenomeIndex, queries: list[tuple[np.ndarray, int]], max_hits=None
+):
     """Run ``(read, read_start)`` queries through both searches and compare."""
     ctx = index.search_context
+    max_hits = index.n_bases if max_hits is None else max_hits
     before = ctx.stats.snapshot()
     expected = [
-        maximal_mappable_prefix(index, read, read_start=start, max_hits=index.n_bases)
+        maximal_mappable_prefix(index, read, read_start=start, max_hits=max_hits)
         for read, start in queries
     ]
     per_read = ctx.stats.since(before)
@@ -46,7 +51,11 @@ def assert_seed_parity(index: GenomeIndex, queries: list[tuple[np.ndarray, int]]
     assert [int(d) for d in depth] == [hit.length for hit in expected]
     for q, hit in enumerate(expected):
         if hit.length:
-            assert sorted(ctx.sa_arr[lo[q] : hi[q]].tolist()) == list(hit.positions)
+            assert hi[q] - lo[q] == hit.n_hits
+    _, starts, positions = _gather_positions(ctx, depth, lo, hi, max_hits)
+    assert [
+        tuple(positions[a:b].tolist()) for a, b in zip(starts[:-1], starts[1:])
+    ] == [hit.positions for hit in expected]
     assert batched.pop("batch_queries") == len(queries)
     assert per_read.pop("batch_queries") == 0
     assert batched == per_read
@@ -145,6 +154,61 @@ class TestRandomGenomes:
                     )
                 ]
                 assert_seed_parity(index, queries)
+
+
+class TestKernelEdges:
+    def test_hit_lists_cut_at_max_hits(self):
+        """Seeds in a tiled genome hit more suffixes than the cap: the
+        list keeps the interval's first ``max_hits`` suffix-array entries,
+        then sorts them."""
+        rng = np.random.default_rng(51)
+        unit = rng.integers(0, 4, 30).astype(np.uint8)
+        genome = np.concatenate(
+            [np.tile(unit, 40), random_genome(rng, 800, n_runs=2), np.tile(unit, 9)]
+        )
+        index = genome_generate(Assembly("tiled", [Contig("1", genome)]))
+        queries = [
+            (genome[s : s + n].copy(), 0) for s in range(0, 60, 7) for n in (3, 12, 45)
+        ]
+        queries += sample_queries(rng, genome, 100, 50)
+        for max_hits in (1, 2, 20, 50):
+            assert_seed_parity(index, queries, max_hits=max_hits)
+
+    def test_n_at_the_edges_and_all_n_reads(self):
+        """Queries that start or end on an N matched against a genome N
+        run, and all-N queries shorter and longer than the key and the
+        runs."""
+        rng = np.random.default_rng(52)
+        genome = random_genome(rng, 2000, n_runs=0)
+        runs = ((300, 1), (700, 4), (1200, 25))
+        for at, run in runs:
+            genome[at : at + run] = BASE_N
+        index = genome_generate(Assembly("nrun", [Contig("1", genome)]))
+        queries = []
+        for at, run in runs:
+            queries += [
+                (genome[at : at + 40].copy(), 0),  # N at the first base
+                (genome[at - 30 : at + run].copy(), 0),  # N at the last base
+                (genome[at - 30 : at + 40].copy(), 30),  # N first, mid-read
+            ]
+        queries += [
+            (np.full(n, BASE_N, dtype=np.uint8), start)
+            for n in (1, 9, 10, 11, 25, 40)
+            for start in (0, n // 2)
+        ]
+        assert_seed_parity(index, queries)
+
+
+def test_packed_hit_key_refuses_too_many_intervals():
+    """Hit lists sort by one int64 key, interval above position: a 2**40
+    base genome takes 41 bits of position, which leaves room for 2**22
+    intervals and no more."""
+    assert _hit_key_bits(2**40, 1) == 41
+    assert _hit_key_bits(2**40, 1 << 22) == 41
+    assert ((1 << 22) - 1) << 41 | (1 << 41) - 1 == np.iinfo(np.int64).max
+    with pytest.raises(ValueError, match="sort key"):
+        _hit_key_bits(2**40, (1 << 22) + 1)
+    assert _hit_key_bits(1000, 1 << 53) == 10
 
 
 class TestSimulatedSample:

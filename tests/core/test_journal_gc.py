@@ -159,6 +159,7 @@ def finished_batch(tmp_path, bucket, prefix) -> ReplicatedJournal:
     journal.record_batch_start(["SRR1", "SRR2"], {"k": "v"})
     journal.record_align_shard("SRR1", 0, 8, "fp", {"v": 0})
     journal.record_completed("SRR1", {"status": "accepted"})
+    journal.record_align_shard("SRR2", 0, 8, "fp", {"v": 0})
     journal.record_failed("SRR2", {"status": "failed"})
     journal.close()
     return journal
@@ -172,7 +173,7 @@ class TestInterruptedCollection:
     """A collection stopped after any of its deletes leaves a replica an
     adopter can still rebuild: a prefix of the journal, or nothing."""
 
-    N_OBJECTS = 5  # four segments and the manifest
+    N_OBJECTS = 5  # one segment per record
 
     @pytest.mark.parametrize("n", range(N_OBJECTS + 1))
     def test_every_stopping_point_rebuilds_a_prefix(self, tmp_path, bucket, n):
@@ -180,13 +181,16 @@ class TestInterruptedCollection:
         whole = records(journal.path.read_text())
         assert len(bucket.keys("runs/g/")) == self.N_OBJECTS
         stop_after(bucket, n)
-        with pytest.raises(Stop):
-            journal.collect_garbage()
+        if n < self.N_OBJECTS:
+            with pytest.raises(Stop):
+                journal.collect_garbage()
+        else:  # the last delete ends the collection
+            assert journal.collect_garbage() == self.N_OBJECTS
         rebuilt = reconstruct_journal(bucket, "runs/g", tmp_path / "adopted")
         replayed = records(rebuilt.path.read_text())
         assert replayed == whole[: len(replayed)]
-        # the manifest goes first, then one segment per delete
-        assert len(replayed) == len(whole) - max(0, n - 1)
+        # one segment per delete, newest first
+        assert len(replayed) == len(whole) - n
 
     def test_a_second_collection_finishes(self, tmp_path, bucket):
         journal = finished_batch(tmp_path, bucket, "runs/h")
@@ -200,13 +204,16 @@ class TestInterruptedCollection:
 
 class TestOlderBuildReplica:
     def test_adopted_replica_leaves_no_key_behind(self, tmp_path, bucket):
-        """Older builds kept unsealed lines in a ``tail`` object; an
-        adopter that finishes the batch collects it with the rest."""
+        """Older builds kept unsealed lines in a ``tail`` object and
+        listed segments in a ``manifest``; an adopter that finishes the
+        batch collects both with the rest."""
         old = ReplicatedJournal(tmp_path / "old.journal", bucket, "runs/i")
         old.record_batch_start(["SRR1", "SRR2"], {"k": "v"})
         old.record_completed("SRR1", {"status": "accepted"})
         old.close()
         bucket.put("runs/i/tail", 0, now=0.0, payload="")
+        manifest = {"segments": bucket.keys("runs/i/seg/"), "sealed": 2}
+        bucket.put("runs/i/manifest", 1, now=0.0, payload=manifest)
         adopted = reconstruct_journal(bucket, "runs/i", tmp_path / "adopted")
         journal = ReplicatedJournal(adopted.path, bucket, "runs/i")
         journal.record_completed("SRR2", {"status": "accepted"})

@@ -384,13 +384,12 @@ class TestCommitLog:
         assert types.count("completed") + types.count("failed") == len(ACCESSIONS)
         if shape == "engine":
             assert "align.shard" in types
-            # each append is a sealed segment plus the manifest, and the
-            # replica holds nothing else
+            # each append is one sealed segment, and the replica holds
+            # nothing else
             assert len(listings) == len(types)
             for n, keys in enumerate(listings, 1):
-                assert keys[0] == "batch/manifest", n
-                assert len(keys) == n + 1, n
-                assert all(k.startswith("batch/seg/") for k in keys[1:]), n
+                assert len(keys) == n, n
+                assert all(k.startswith("batch/seg/") for k in keys), n
             assert bucket.keys("batch/") == []  # collected: all terminal
 
     def test_drained_accession_writes_no_line(

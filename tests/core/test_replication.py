@@ -18,6 +18,7 @@ from repro.core.replication import (
     ReplicaCorrupt,
     ReplicatedJournal,
     ShardCheckpointer,
+    _segments,
     decode_shard_payload,
     encode_shard_payload,
     reconstruct_journal,
@@ -47,8 +48,20 @@ class TestSegmentReplicator:
         assert [bucket.get(k).payload for k in segs] == (
             j.path.read_text().splitlines(keepends=True)
         )
-        assert bucket.keys("batch/") == ["batch/manifest", *segs]
-        assert bucket.get("batch/manifest").payload["segments"] == segs
+        assert bucket.keys("batch/") == segs
+
+    def test_one_put_per_append(self, tmp_path, bucket):
+        j = replicated(tmp_path, bucket)
+        put, keys = bucket.put, []
+
+        def counting(key, *args, **kwargs):
+            keys.append(key)
+            return put(key, *args, **kwargs)
+
+        bucket.put = counting
+        j.record_batch_start(["a"], "f" * 16)
+        j.record_completed("a", {"status": "accepted"})
+        assert keys == bucket.keys("batch/seg/")
 
     def test_critical_record_seals_a_segment(self, tmp_path, bucket):
         j = replicated(tmp_path, bucket)
@@ -56,8 +69,7 @@ class TestSegmentReplicator:
         segs = bucket.keys("batch/seg/")
         assert len(segs) == 1
         assert bucket.get(segs[0]).payload == j.path.read_text()
-        manifest = bucket.get("batch/manifest").payload
-        assert manifest["segments"] == segs
+        assert bucket.keys("batch/") == segs
 
     def test_attach_numbers_after_inherited_segments(self, tmp_path, bucket):
         j = replicated(tmp_path, bucket)
@@ -66,7 +78,9 @@ class TestSegmentReplicator:
         successor.record_completed("b", {"status": "accepted"})
         segs = bucket.keys("batch/seg/")
         assert [k.split("/")[-1][:6] for k in segs] == ["000000", "000001"]
-        assert bucket.get("batch/manifest").payload["segments"] == segs
+        dest = tmp_path / "b" / "run.jsonl"
+        reconstruct_journal(bucket, "batch", dest)
+        assert dest.read_text() == j.path.read_text() + successor.path.read_text()
 
     def test_segment_keys_are_content_addressed(self, tmp_path, bucket):
         j = replicated(tmp_path, bucket)
@@ -115,8 +129,9 @@ class TestReconstruct:
         j = replicated(tmp_path, bucket)
         j.record_completed("a", {"status": "accepted"})
         j.record_completed("b", {"status": "accepted"})
-        # simulate the crash window between a segment put and its
-        # manifest update: roll the manifest back to one segment
+        # an older build listed segments in a manifest and could die
+        # between a segment put and its manifest update; the listing,
+        # not the manifest, says what was sealed
         segs = bucket.keys("batch/seg/")
         bucket.put(
             "batch/manifest",
@@ -127,6 +142,33 @@ class TestReconstruct:
         dest = tmp_path / "b" / "run.jsonl"
         reconstruct_journal(bucket, "batch", dest)
         assert dest.read_text() == j.path.read_text()
+
+    def test_missing_last_segment_rebuilds_a_prefix(self, tmp_path, bucket):
+        j = replicated(tmp_path, bucket)
+        for acc in ("a", "b", "c"):
+            j.record_completed(acc, {"status": "accepted"})
+        bucket.delete(bucket.keys("batch/seg/")[-1])
+        dest = tmp_path / "b" / "run.jsonl"
+        reconstruct_journal(bucket, "batch", dest)
+        assert dest.read_text() == "".join(
+            j.path.read_text().splitlines(keepends=True)[:2]
+        )
+
+    def test_missing_interior_segment_is_loud(self, tmp_path, bucket):
+        j = replicated(tmp_path, bucket)
+        for acc in ("a", "b", "c"):
+            j.record_completed(acc, {"status": "accepted"})
+        bucket.delete(bucket.keys("batch/seg/")[1])
+        with pytest.raises(KeyError, match="000001"):
+            reconstruct_journal(bucket, "batch", tmp_path / "b.jsonl")
+
+    def test_segments_rebuild_in_sequence_order(self):
+        """Past a million segments the zero-padded keys outgrow six
+        digits, and the listing's string order is no longer the
+        sequence order."""
+        keys = ["p/seg/1000000-b", "p/seg/1000001-c", "p/seg/999999-a"]
+        listing = type("Bucket", (), {"keys": lambda self, prefix: keys})()
+        assert _segments(listing, "p") == [keys[2], keys[0], keys[1]]
 
     def test_tampered_segment_raises(self, tmp_path, bucket):
         j = replicated(tmp_path, bucket)

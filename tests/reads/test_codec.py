@@ -56,6 +56,13 @@ def fields(draw):
 
 
 records_fields = st.lists(fields(), min_size=1, max_size=25)
+# headers whose words any byte ``str.split()`` splits on separates, with
+# whitespace before the first word too; at least one word
+spaced_ids = st.text(
+    alphabet=st.sampled_from([*"ab1._=", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f"]),
+    min_size=1,
+    max_size=20,
+).filter(lambda rid: rid.split())
 block_sizes = st.sampled_from([1, 7, 64, 333, 4096])
 
 
@@ -270,6 +277,54 @@ class TestArchiveEntryPoints:
         for path, reads in zip(paths, mates):
             assert same_batch(reads, read_fastq(path))
         assert len(mates[0]) == len(mates[1]) == len(items) // 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(spaced_ids, min_size=1, max_size=30), block_sizes, st.booleans())
+    def test_dumped_ids_cut_at_any_whitespace(
+        self, tmp_path_factory, ids, size, paired
+    ):
+        """Tabs, vertical tabs, form feeds and the separator controls cut
+        an id as a space does, wherever they fall in the header."""
+        ids = ids[: len(ids) // 2 * 2] if paired else ids
+        items = [(rid, "ACGT"[: i % 5], "IIII"[: i % 5]) for i, rid in enumerate(ids)]
+        tmp = tmp_path_factory.mktemp("dump")
+        sra = tmp / "SRRC1.sra"
+        sra.write_bytes((paired_blob if paired else single_blob)(items))
+        with small_blocks(size):
+            if paired:
+                paths, mates = fasterq_dump_paired(sra, tmp / "out")
+            else:
+                path, reads = fasterq_dump(sra, tmp / "out")
+                paths, mates = [path], [reads]
+        cut = [rid.split()[0] for rid in ids]
+        for k, (path, reads) in enumerate(zip(paths, mates)):
+            assert reads.read_ids == cut[k :: len(paths)]
+            assert same_batch(reads, read_fastq(path))
+
+    def test_sra_style_headers(self, tmp_path):
+        """``SRR… N length=100`` comments after a space or a tab, over
+        several real blocks: the dump returns what ``read_fastq`` reads
+        back, the accession-and-spot word alone."""
+        sep = (" ", "\t")
+        items = [
+            (f"SRR770001.{i}{sep[i % 2]}{i}{sep[i % 3 == 0]}length=100", *record)
+            for i, (_, *record) in enumerate(items_over(2))
+        ]
+        (tmp_path / "SRRC1.sra").write_bytes(single_blob(items))
+        path, reads = fasterq_dump(tmp_path / "SRRC1.sra", tmp_path / "out")
+        assert path.stat().st_size > 2 * fastq_module.BLOCK_BYTES
+        assert reads.read_ids == [f"SRR770001.{i}" for i in range(len(items))]
+        assert same_batch(reads, read_fastq(path))
+
+    @pytest.mark.parametrize("header", [" ", "\t", " \t\x0b "])
+    def test_empty_id_names_its_record(self, tmp_path, header):
+        items = [(f"r{i} length=4", "ACGT", "IIII") for i in range(6)]
+        items[4] = (header, "ACGT", "IIII")
+        sra = tmp_path / "SRRC1.sra"
+        sra.write_bytes(single_blob(items))
+        with pytest.raises(ValueError, match="record 5: empty read id"):
+            fasterq_dump(sra, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_failed_dump_leaves_no_output(self, tmp_path):
         sra = tmp_path / "SRRC1.sra"

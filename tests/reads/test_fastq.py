@@ -182,6 +182,20 @@ class TestReadBatch:
         with pytest.raises(IndexError):
             batch[4]
 
+    @given(
+        st.lists(record_strategy, max_size=12),
+        st.integers(-4, 4).filter(bool),
+        st.integers(-14, 14) | st.none(),
+        st.integers(-14, 14) | st.none(),
+    )
+    def test_strided_slices_gather_their_reads(self, records, step, start, stop):
+        """Mates of an interleaved batch (``[0::2]``, ``[1::2]``), any
+        other stride, and reversed order; zero-length reads included."""
+        batch = ReadBatch.of(records)
+        part = batch[start:stop:step]
+        assert same_reads(part, records[start:stop:step])
+        assert part.offsets[0] == 0 and part.offsets[-1] == part.sequence.size
+
     def test_empty_batch(self):
         batch = ReadBatch.of([])
         assert len(batch) == 0
